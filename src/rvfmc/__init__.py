@@ -17,6 +17,7 @@ from .program import (
     replay,
 )
 from .semantics import (
+    ClockOrder,
     PartialOrder,
     causal_order,
     is_lower_set,
@@ -38,6 +39,7 @@ from .vsc import (
 )
 
 __all__ = [
+    "ClockOrder",
     "Event",
     "Execution",
     "ExplorationReport",

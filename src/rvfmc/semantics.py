@@ -14,12 +14,19 @@ Three trace equivalences get canonical hashable keys:
 Event identity across traces is the (thread, index) pair alone; diverging
 control flow always shows up as a differing earlier read value, which the
 value component of ``rvf_key`` already separates.
+
+Causal orders, and the closure orders of ``vsc``, are ``ClockOrder``s: one
+vector clock per event, as in FastTrack (Flanagan and Freund, PLDI 2009).
+``PartialOrder`` stores explicit pairs over arbitrary elements and serves as
+the reference that tests compare against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Union
+from operator import itemgetter
+from typing import Iterable, Mapping, Union
 
 from .program import Event, EventId, Execution, Trace
 
@@ -33,7 +40,8 @@ Run = Union[Trace, Execution]
 
 @dataclass(frozen=True)
 class PartialOrder:
-    """A strict partial order over event ids, stored transitively closed."""
+    """A strict partial order over arbitrary elements, stored as its
+    transitively closed set of pairs."""
 
     elements: frozenset[EventId]
     pairs: frozenset[tuple[EventId, EventId]]
@@ -69,6 +77,98 @@ def partial_order(elements: Iterable[EventId], edges: Iterable[tuple[EventId, Ev
         for b in succ[a]:
             pairs.add((a, b))
     return PartialOrder(elems, frozenset(pairs))
+
+
+class CycleError(ValueError):
+    """Adding an edge would close a cycle."""
+
+
+class ClockOrder:
+    """A strict partial order over the events of per-thread prefixes that
+    contains program order, stored as one vector clock per event.
+
+    ``rows[u][j]`` is the clock of the (j+1)-th event of thread
+    ``threads[u]``: entry ``v`` counts the events of ``threads[v]`` that
+    precede it (for its own thread, ``j``).  Predecessors in a thread always
+    form a prefix, so ``less(a, b)`` is one comparison, and clocks never
+    decrease along a thread.  ``elements`` and ``pairs`` are built on demand.
+    """
+
+    __slots__ = ("threads", "pos", "rows")
+
+    def __init__(self, threads: Iterable[int]):
+        self.threads = tuple(threads)
+        self.pos = {t: u for u, t in enumerate(self.threads)}
+        self.rows: list[list[tuple[int, ...]]] = [[] for _ in self.threads]
+
+    @classmethod
+    def program_order(cls, lengths: Mapping[int, int]) -> "ClockOrder":
+        """Per-thread chains alone; ``lengths`` maps thread id to event count."""
+        order = cls(sorted(lengths))
+        k = len(order.threads)
+        for u, (t, chain) in enumerate(zip(order.threads, order.rows)):
+            for j in range(lengths[t]):
+                clock = [0] * k
+                clock[u] = j
+                chain.append(tuple(clock))
+        return order
+
+    def clock(self, eid: EventId) -> tuple[int, ...]:
+        return self.rows[self.pos[eid[0]]][eid[1] - 1]
+
+    def less(self, a: EventId, b: EventId) -> bool:
+        u, v = self.pos.get(a[0]), self.pos.get(b[0])
+        if u is None or v is None or not 1 <= b[1] <= len(self.rows[v]):
+            return False
+        return 1 <= a[1] <= self.rows[v][b[1] - 1][u]
+
+    def ordered(self, a: EventId, b: EventId) -> bool:
+        return self.less(a, b) or self.less(b, a)
+
+    def add(self, a: EventId, b: EventId) -> bool:
+        """Order ``a`` before ``b``, with everything that implies.
+
+        Returns False when the order already has the edge (or ``a == b``);
+        raises CycleError when ``b`` precedes ``a``.  Every successor of ``b``
+        joins ``a``'s clock: per thread, a suffix found by bisection, walked
+        until a row already dominates the join.
+        """
+        pa, pb = self.pos[a[0]], self.pos[b[0]]
+        rows = self.rows
+        bi = b[1]
+        if a == b or a[1] <= rows[pb][bi - 1][pa]:
+            return False
+        join = list(rows[pa][a[1] - 1])
+        if join[pb] >= bi:
+            raise CycleError(f"{b} precedes {a}")
+        join[pa] = a[1]
+        after_b = itemgetter(pb)
+        for u, chain in enumerate(rows):
+            if u == pb:
+                j = bi - 1
+            else:
+                j = bisect_left(chain, bi, key=after_b)
+            while j < len(chain):
+                old = chain[j]
+                new = tuple(map(max, old, join))
+                if new == old:
+                    break
+                chain[j] = new
+                j += 1
+        return True
+
+    @property
+    def elements(self) -> frozenset[EventId]:
+        return frozenset((t, j) for t, chain in zip(self.threads, self.rows) for j in range(1, len(chain) + 1))
+
+    @property
+    def pairs(self) -> frozenset[tuple[EventId, EventId]]:
+        out = set()
+        for t, chain in zip(self.threads, self.rows):
+            for j, clock in enumerate(chain, start=1):
+                for u, n in zip(self.threads, clock):
+                    out.update(((u, i), (t, j)) for i in range(1, n + 1))
+        return frozenset(out)
 
 
 def refines(q: PartialOrder, p: PartialOrder) -> bool:
@@ -124,33 +224,32 @@ def reads_from(run: Run) -> dict[Event, Event]:
     return rf
 
 
-def causal_order(run: Run) -> PartialOrder:
+def causal_order(run: Run) -> ClockOrder:
     """Weakest partial order refining program order that puts each read after
     its reads-from source.
 
-    Computed in one left-to-right pass maintaining per-event predecessor sets.
+    Computed in one left-to-right pass: an event's clock is its thread
+    predecessor's clock joined, for a read, with the clock of its source.
     Initial writes precede everything implicitly and are not materialized.
     """
-    rf = reads_from(run)
-    preds: dict[EventId, frozenset[EventId]] = {}
-    last_of_thread: dict[int, EventId] = {}
-    pairs = set()
+    k = len(run.program.threads)
+    order = ClockOrder(range(1, k + 1))
+    rows = order.rows
+    active: dict[str, Event] = {}  # latest write per variable; absent: initial
     for e in run.events:
-        p: set[EventId] = set()
-        prev = last_of_thread.get(e.thread)
-        if prev is not None:
-            p.add(prev)
-            p |= preds[prev]
-        if e.kind == "R":
-            w = rf[e]
-            if w.thread != 0:
-                p.add(w.eid)
-                p |= preds[w.eid]
-        preds[e.eid] = frozenset(p)
-        last_of_thread[e.thread] = e.eid
-        for a in p:
-            pairs.add((a, e.eid))
-    return PartialOrder(frozenset(preds), frozenset(pairs))
+        t = e.thread - 1
+        chain = rows[t]
+        clock = list(chain[-1]) if chain else [0] * k
+        clock[t] = e.index - 1
+        if e.kind == "W":
+            active[e.var] = e
+        else:
+            w = active.get(e.var)
+            if w is not None:
+                clock = list(map(max, clock, rows[w.thread - 1][w.index - 1]))
+                clock[w.thread - 1] = max(clock[w.thread - 1], w.index)
+        chain.append(tuple(clock))
+    return order
 
 
 def visible_writes(p: PartialOrder, events: Iterable[Event], r: Event) -> set[Event]:
@@ -183,10 +282,24 @@ def rvf_key(run: Run):
     """Canonical key of the reads-value-from class of a trace."""
     ev = _events_key(run)
     vals = tuple(run.values[eid] for eid in ev)
-    co = causal_order(run)
-    read_ids = {e.eid for e in run.events if e.kind == "R"}
-    ro = tuple(sorted((a, b) for a, b in co.pairs if a in read_ids and b in read_ids))
-    return ("rvf", ev, vals, ro)
+    rows = causal_order(run).rows
+    # per thread, the indices and ids of its reads; each id is made once and
+    # shared by every pair that holds it
+    indices: list[list[int]] = [[] for _ in rows]
+    ids: list[list[EventId]] = [[] for _ in rows]
+    for e in run.events:
+        if e.kind == "R":
+            indices[e.thread - 1].append(e.index)
+            ids[e.thread - 1].append(e.eid)
+    ro = []
+    for t, (bs, b_ids) in enumerate(zip(indices, ids)):
+        for bi, b in zip(bs, b_ids):
+            clock = rows[t][bi - 1]
+            for u, a_ids in enumerate(ids):
+                if a_ids and indices[u][0] <= clock[u]:
+                    ro.extend((a, b) for a in a_ids[: bisect_right(indices[u], clock[u])])
+    ro.sort()
+    return ("rvf", ev, vals, tuple(ro))
 
 
 def rf_key(run: Run):

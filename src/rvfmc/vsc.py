@@ -20,7 +20,11 @@ Three independently switchable accelerations:
   equally useless active write without enumerating alternatives;
 * closure -- a fixpoint pre-pass computing the weakest partial order every
   witness must refine; failure proves the instance unrealizable, success
-  restricts the search to order-respecting extensions;
+  restricts the search to order-respecting extensions.  The order is a
+  ``semantics.ClockOrder``, one vector clock per event, so a read costs
+  O(k^2 log W) per pass over k threads and W conflicting writes instead of
+  the O(W^2) of explicit pairs, and the search reads each event's
+  predecessors off its clock;
 * guided search -- with an auxiliary trace over the same events, the
   depth-first stack is fed candidates in reverse trace order so that they
   pop in trace order.
@@ -28,12 +32,14 @@ Three independently switchable accelerations:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .program import Event, EventId
-from .semantics import PartialOrder, partial_order
+from .semantics import ClockOrder, CycleError
 
 GoodWrites = Mapping[EventId, frozenset[EventId]]
 
@@ -127,13 +133,6 @@ class VscInstance:
     def event_of(self) -> dict[EventId, Event]:
         return {e.eid: e for e in self.events}
 
-    @cached_property
-    def po(self) -> PartialOrder:
-        edges = []
-        for chain in self.by_thread.values():
-            edges += [(chain[i].eid, chain[i + 1].eid) for i in range(len(chain) - 1)]
-        return partial_order((e.eid for e in self.events), edges)
-
     def state_bound(self) -> int:
         """prod_t(n_t + 1) * (k + 1)^d: the limit on distinct witness states."""
         bound = 1
@@ -219,21 +218,17 @@ def is_held(prefix: WitnessPrefix, var: str) -> bool:
     return False
 
 
-def executable(prefix: WitnessPrefix, event: Event, order: Optional[PartialOrder] = None) -> bool:
+def executable(prefix: WitnessPrefix, event: Event) -> bool:
     """Lower-set extension check plus the kind-specific condition.
 
     Reads need one of their good writes active; writes need their variable
-    not held.  With ``order`` given, all order-predecessors must be executed.
+    not held.
     """
     inst = prefix.instance
     if prefix.executed(event.eid):
         return False
     if event.index != 1 and not prefix.executed((event.thread, event.index - 1)):
         return False
-    if order is not None:
-        for a, b in order.pairs:
-            if b == event.eid and not prefix.executed(a):
-                return False
     if event.kind == "R":
         return prefix.active[inst.variables.index(event.var)] in inst.good_writes[event.eid]
     return not is_held(prefix, event.var)
@@ -258,7 +253,7 @@ def _useless(prefix: WitnessPrefix, weid: EventId) -> bool:
     return True
 
 
-def greedy_extension(prefix: WitnessPrefix, order: Optional[PartialOrder] = None) -> Optional[Event]:
+def greedy_extension(prefix: WitnessPrefix) -> Optional[Event]:
     """The forced greedy step, if one applies.
 
     Rule 1: any executable read is taken (lowest event id on ties).
@@ -267,7 +262,7 @@ def greedy_extension(prefix: WitnessPrefix, order: Optional[PartialOrder] = None
     replaces it.  Returns None when neither rule fires.
     """
     inst = prefix.instance
-    cands = [e for e in _frontier(prefix) if executable(prefix, e, order)]
+    cands = [e for e in _frontier(prefix) if executable(prefix, e)]
     reads = [e for e in cands if e.kind == "R"]
     if reads:
         return min(reads, key=lambda e: e.eid)
@@ -293,38 +288,7 @@ def guided_order(candidates: Sequence[Event], aux: Sequence[Event]) -> list[Even
 # ---------------------------------------------------------------------------
 
 
-class _Cycle(Exception):
-    pass
-
-
-class _Order:
-    """Mutable transitively-closed strict order over program event ids."""
-
-    def __init__(self, eids: Iterable[EventId]):
-        self.succ: dict[EventId, set[EventId]] = {e: set() for e in eids}
-        self.pred: dict[EventId, set[EventId]] = {e: set() for e in eids}
-
-    def less(self, a: EventId, b: EventId) -> bool:
-        return b in self.succ[a]
-
-    def add(self, a: EventId, b: EventId) -> bool:
-        if a == b or b in self.succ[a]:
-            return False
-        if a in self.succ[b]:
-            raise _Cycle
-        before = self.pred[a] | {a}
-        after = self.succ[b] | {b}
-        for x in before:
-            for y in after:
-                if y not in self.succ[x]:
-                    if x == y or x in self.succ[y]:
-                        raise _Cycle
-                    self.succ[x].add(y)
-                    self.pred[y].add(x)
-        return True
-
-
-def closure(inst: VscInstance) -> Optional[PartialOrder]:
+def closure(inst: VscInstance) -> Optional[ClockOrder]:
     """Weakest order every witness refines, or None when none can exist.
 
     Fixpoint over four per-read conditions on Cl(r), the good writes of r
@@ -337,74 +301,138 @@ def closure(inst: VscInstance) -> Optional[PartialOrder]:
        already before r moves before w;
     4. a conflicting non-good write that every member of Cl(r) precedes
        moves after r.
+
+    The order is a ``ClockOrder``, so no rule looks at every write.  In each
+    thread u the visible writes of r are a range of u's conflicting writes:
+    from u's last write below r, unless another thread's last write below r
+    follows it, up to u's last write not after r.  Bisection on per-thread
+    sorted write indices finds these bounds and, within them, the least and
+    greatest member of Cl(r) in u.  Rules 2 and 3 compare only these
+    per-thread extremes.  Rule 3 adds only each thread's last bad
+    (conflicting, not good) write below r, and rule 4 only each thread's
+    first bad write after every per-thread maximum of Cl(r); program order
+    carries the edge to the other bad writes.  With k threads and W
+    conflicting writes a read costs O(k^2 log W) per pass, plus a step per
+    good write passed over while looking for a bad one and the clock rows
+    that new edges update.  Rules, rule order, passes and the resulting
+    order equal those of the explicit-pairs reference that the tests keep in
+    ``tests/reference_closure.py``.
     """
-    order = _Order([e.eid for e in inst.events])
-    for chain in inst.by_thread.values():
-        for i in range(len(chain) - 1):
-            order.add(chain[i].eid, chain[i + 1].eid)
+    threads = inst.threads
+    tpos = {t: u for u, t in enumerate(threads)}
+    chains = [inst.by_thread[t] for t in threads]
+    order = ClockOrder.program_order({t: len(chain) for t, chain in zip(threads, chains)})
+    rows = order.rows
 
-    reads = [e for e in inst.events if e.kind == "R"]
-    writes_of: dict[str, list[EventId]] = {}
-    for e in inst.events:
-        if e.kind == "W":
-            writes_of.setdefault(e.var, []).append(e.eid)
+    # per variable and writing thread position: the sorted write indices
+    writes_of: dict[str, dict[int, list[int]]] = {}
+    for u, chain in enumerate(chains):
+        for e in chain:
+            if e.kind == "W":
+                writes_of.setdefault(e.var, {}).setdefault(u, []).append(e.index)
 
-    def visible(r: Event) -> set[EventId]:
-        conf = writes_of.get(r.var, [])
-        out = set()
-        for w in conf:
-            if order.less(r.eid, w):
+    # per read: its position, its good writes, the conflicting writes, and
+    # per writing thread the sorted indices of its good writes
+    reads = []
+    for r in inst.events:
+        if r.kind != "R":
+            continue
+        gw = inst.good_writes[r.eid]
+        good: dict[int, list[int]] = {}
+        for t, i in gw:
+            if t:
+                good.setdefault(tpos[t], []).append(i)
+        for g in good.values():
+            g.sort()
+        ru = tpos[r.thread]
+        reads.append((r.eid, ru, r.index, itemgetter(ru), gw, inst.init_eid(r.var) in gw, writes_of.get(r.var, {}), good))
+
+    def step(read) -> bool:
+        reid, ru, ri, after_r, gw, init_good, conf, good = read
+        clock = rows[ru][ri - 1]
+        last = {}
+        for u, indices in conf.items():
+            n = bisect_right(indices, clock[u])
+            if n:
+                last[u] = indices[n - 1]
+        # per thread, the least and greatest member of Cl(r) there; the
+        # visible range of thread u starts at its last write below r unless
+        # another thread's last write below r hides it
+        mins: list[tuple[int, int]] = []
+        maxs: list[tuple[int, int]] = []
+        for u, g in good.items():
+            i = last.get(u, 0)
+            if i and not any(i <= rows[v][j - 1][u] for v, j in last.items() if v != u):
+                lo = i
+            else:
+                lo = clock[u] + 1
+            a = bisect_left(g, lo)
+            if a == len(g):
                 continue
-            if any(order.less(w, x) and order.less(x, r.eid) for x in conf if x != w):
-                continue
-            out.add(w)
-        init = inst.init_eid(r.var)
-        if not any(order.less(x, r.eid) for x in conf):
-            out.add(init)
-        return out
+            if g[-1] <= clock[u]:
+                b = a + 1  # only the last write below r can be visible
+            else:
+                # the first event of thread u after r ends the range
+                end = ri + 1 if u == ru else bisect_left(rows[u], ri, key=after_r) + 1
+                b = bisect_left(g, end)
+            if a < b:
+                mins.append((u, g[a]))
+                maxs.append((u, g[b - 1]))
+        init_in_cl = init_good and not last
+        if not mins and not init_in_cl:
+            raise CycleError(f"no good write of {reid} stays visible")
 
-    def pass_once() -> bool:
         changed = False
-        for r in reads:
-            gw = inst.good_writes[r.eid]
-            cl = gw & visible(r)
-            if not cl:
-                raise _Cycle
-            init = inst.init_eid(r.var)
-
-            def lt(a: EventId, b: EventId) -> bool:
-                if a == b:
-                    return False
-                if a[0] == 0:
-                    return True
-                if b[0] == 0:
-                    return False
-                return order.less(a, b)
-
-            least = [w for w in cl if all(lt(w, x) or w == x for x in cl)]
-            if least and least[0][0] != 0:
-                changed |= order.add(least[0], r.eid)
-            greatest = [w for w in cl if all(lt(x, w) or w == x for x in cl)]
-            bad = [w for w in writes_of.get(r.var, []) if w not in gw]
-            if greatest:
-                g = greatest[0]
-                for w in bad:
-                    if order.less(w, r.eid) and not lt(w, g):
-                        if g[0] == 0:
-                            raise _Cycle  # a program write cannot precede the initial write
-                        changed |= order.add(w, g)
-            for w in bad:
-                if all(lt(x, w) for x in cl):
-                    changed |= order.add(r.eid, w)
+        # rule 2: the least member goes before r; the initial write, when in
+        # Cl(r), is least and adds nothing
+        if not init_in_cl:
+            for u, i in mins:
+                if all(i <= rows[v][j - 1][u] for v, j in mins if v != u):
+                    if i > clock[u]:
+                        changed = order.add((threads[u], i), reid)
+                        clock = rows[ru][ri - 1]
+                    break
+        # rule 3: bad writes below r end, per thread, in the last one
+        bad_below = []
+        for u, indices in conf.items():
+            t = threads[u]
+            n = bisect_right(indices, clock[u])
+            while n and (t, indices[n - 1]) in gw:
+                n -= 1
+            if n:
+                bad_below.append((u, indices[n - 1]))
+        if not mins and bad_below:
+            # Cl(r) is the initial write alone, which no write can precede
+            raise CycleError(f"{reid} must read the initial write, but a bad write precedes it")
+        for gu, gi in maxs:
+            if all(j <= rows[gu][gi - 1][v] for v, j in maxs if v != gu):
+                for u, i in bad_below:
+                    if i > rows[gu][gi - 1][u]:
+                        changed |= order.add((threads[u], i), (threads[gu], gi))
+                break
+        # rule 4: in each thread the conflicting writes after every
+        # per-thread maximum of Cl(r) form a suffix; its first bad write
+        # carries the edge
+        for u, indices in conf.items():
+            chain = rows[u]
+            t = threads[u]
+            lo = bisect_left(indices, True, key=lambda w: all(i <= chain[w - 1][v] for v, i in maxs))
+            while lo < len(indices) and (t, indices[lo]) in gw:
+                lo += 1
+            if lo < len(indices) and ri > chain[indices[lo] - 1][ru]:
+                changed |= order.add(reid, (t, indices[lo]))
         return changed
 
     try:
-        while pass_once():
-            pass
-    except _Cycle:
+        while True:
+            changed = False
+            for read in reads:
+                changed |= step(read)
+            if not changed:
+                break
+    except CycleError:
         return None
-    pairs = frozenset((a, b) for a, succ in order.succ.items() for b in succ)
-    return PartialOrder(frozenset(order.succ), pairs)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +444,7 @@ def closure(inst: VscInstance) -> Optional[PartialOrder]:
 class VscResult:
     witness: Optional[tuple[Event, ...]]
     states_processed: int
-    closure_order: Optional[PartialOrder] = None
+    closure_order: Optional[ClockOrder] = None
 
     @property
     def realizable(self) -> bool:
@@ -468,14 +496,14 @@ def verify_sc(
     for e in inst.events:
         if e.kind == "R":
             reads_of_var.setdefault(e.var, []).append(e)
-    # cross-thread closure predecessors, the only ones not implied by counts
-    cpred: dict[EventId, tuple[EventId, ...]] = {}
+    # cross-thread closure predecessors, the only ones not implied by counts:
+    # (i, c) means thread position i must have run c events first
+    cpred: dict[EventId, tuple[tuple[int, int], ...]] = {}
     if closure_po is not None:
-        tmp: dict[EventId, list[EventId]] = {e.eid: [] for e in inst.events}
-        for a, b in closure_po.pairs:
-            if a[0] != b[0]:
-                tmp[b].append(a)
-        cpred = {k: tuple(v) for k, v in tmp.items()}
+        for e in inst.events:
+            own = tindex[e.thread]
+            clock = closure_po.clock(e.eid)
+            cpred[e.eid] = tuple((i, c) for i, c in enumerate(clock) if c and i != own)
 
     aux_pos: Optional[dict[EventId, int]] = None
     if options.guided and aux is not None:
@@ -486,8 +514,8 @@ def verify_sc(
 
     def can_run(e: Event, counts: tuple[int, ...], active: tuple[EventId, ...]) -> bool:
         if cpred:
-            for p in cpred[e.eid]:
-                if not executed(p, counts):
+            for i, c in cpred[e.eid]:
+                if counts[i] < c:
                     return False
         if e.kind == "R":
             return active[vindex[e.var]] in gw[e.eid]

@@ -234,3 +234,23 @@ def test_every_leaf_replays_with_identical_values(name):
         t = replay(p, ex.events)
         assert dict(t.values) == ex.values
         assert t.maximal and t.deadlocked == ex.deadlocked
+
+
+# -- long traces ---------------------------------------------------------------------
+
+
+def test_long_writer_single_reader():
+    """3000 writes and one read: the read sees the initial value or 1."""
+    p = parse_program("thread t1 { repeat 3000 { write x 1; } }\nthread t2 { a = read x; }")
+    rep = explore(p)
+    assert rep.leaf_count == 2
+    assert rep.distinct_rvf_classes() == 2
+
+
+def test_long_n_closure_keeps_keys():
+    """n writes against n reads has n + 1 classes; closure changes none of
+    the keys the explorer reaches."""
+    p = parse_program("thread t1 { repeat 30 { write x 1; } }\nthread t2 { repeat 30 { a = read x; } }")
+    rep = explore(p)
+    assert rep.leaf_count == 31
+    assert rep.rvf_keys == explore(p, ExploreOptions(closure=False)).rvf_keys

@@ -7,6 +7,9 @@ repeats the same drivers at full scale.
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rvfmc import (
     ExploreOptions,
     enumerate_maximal_traces,
@@ -17,6 +20,7 @@ from rvfmc.oracle import brute_force_vsc, iter_vsc_witnesses
 from rvfmc.program import Event
 from rvfmc.semantics import refines, sequence_order
 from rvfmc.vsc import SolverOptions, VscInstance, closure, verify_sc
+from reference_closure import reference_closure
 
 ALL_SOLVER_OPTIONS = [SolverOptions(*bits) for bits in itertools.product([False, True], repeat=3)]
 
@@ -83,6 +87,51 @@ def test_solver_agrees_with_brute_force_quick():
     for _ in range(400):
         inst = random_instance(rng)
         check_instance(inst, random_linearization(inst, rng))
+
+
+# -- closure against the pairs-based reference ------------------------------------
+
+
+def assert_closure_matches_reference(inst: VscInstance) -> None:
+    got, want = closure(inst), reference_closure(inst)
+    assert (got is None) == (want is None), (inst.events, inst.good_writes)
+    if got is not None:
+        assert got.pairs == want.pairs, (inst.events, inst.good_writes)
+
+
+def test_closure_matches_reference_on_fuzz_corpus():
+    """The acceptance fuzz corpus: same seed and draws as its fixture."""
+    rng = random.Random(20260808)
+    for _ in range(10000):
+        inst = random_instance(rng)
+        random_linearization(inst, rng)
+        assert_closure_matches_reference(inst)
+
+
+@st.composite
+def vsc_instances(draw) -> VscInstance:
+    """Up to four threads of up to eight accesses to two variables; each read
+    gets one to four good writes, possibly including the initial write."""
+    events = []
+    for t in range(1, draw(st.integers(1, 4)) + 1):
+        for i in range(1, draw(st.integers(0, 8)) + 1):
+            kind = draw(st.sampled_from("RW"))
+            value = draw(st.integers(0, 2)) if kind == "W" else None
+            events.append(Event(t, i, kind, draw(st.sampled_from("xy")), value))
+    used = sorted({e.var for e in events})
+    gw = {}
+    for e in events:
+        if e.kind == "R":
+            cands = [w.eid for w in events if w.kind == "W" and w.var == e.var]
+            cands.append((0, used.index(e.var) + 1))
+            gw[e.eid] = frozenset(draw(st.lists(st.sampled_from(cands), min_size=1, max_size=4)))
+    return VscInstance(tuple(events), gw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(vsc_instances())
+def test_closure_matches_reference_on_generated_instances(inst):
+    assert_closure_matches_reference(inst)
 
 
 # -- random programs: explorer vs oracle ------------------------------------------

@@ -1,6 +1,7 @@
 """Reads-from, causal order, visible writes, and the three equivalence keys."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,15 @@ from rvfmc import (
     rvf_key,
     visible_writes,
 )
-from rvfmc.semantics import PartialOrder, format_key, partial_order, program_order, sequence_order
+from rvfmc.semantics import (
+    ClockOrder,
+    CycleError,
+    PartialOrder,
+    format_key,
+    partial_order,
+    program_order,
+    sequence_order,
+)
 from corpus import PROGRAMS
 
 # The running example trace: three threads, events listed in execution order
@@ -245,3 +254,49 @@ def test_causal_order_refined_by_any_schedule(data):
         t = extend(t, e)
     assert refines(sequence_order(t.events), causal_order(t))
     assert refines(causal_order(t), program_order(t))
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_causal_order_equals_closure_of_po_and_reads_from(name):
+    """On random schedules, the clock-built causal order has exactly the
+    pairs of the transitive closure of program order and reads-from edges."""
+    p = parse_program(PROGRAMS[name])
+    rng = random.Random(name)
+    for _ in range(5):
+        t = empty_trace(p)
+        while t.enabled:
+            t = extend(t, rng.choice(sorted(t.enabled, key=lambda e: e.eid)))
+        edges = set(program_order(t).pairs)
+        edges |= {(w.eid, r.eid) for r, w in reads_from(t).items() if w.thread != 0}
+        co = causal_order(t)
+        assert co.elements == frozenset(e.eid for e in t.events)
+        assert co.pairs == partial_order(co.elements, edges).pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=8),
+)
+def test_clock_order_add_matches_partial_order(lengths, raw_edges):
+    """Edges added one at a time give the transitive closure of program
+    order and the edges; a cycle raises exactly when the closure has one."""
+    lengths = {t: n for t, n in enumerate(lengths, start=1) if n}
+    eids = [(t, i) for t, n in lengths.items() for i in range(1, n + 1)]
+    if not eids:
+        return
+    edges = [(eids[a % len(eids)], eids[b % len(eids)]) for a, b in raw_edges]
+    edges = [(a, b) for a, b in edges if a != b]
+    po = [((t, i), (t, i + 1)) for t, n in lengths.items() for i in range(1, n)]
+    order = ClockOrder.program_order(lengths)
+    for n, (a, b) in enumerate(edges):
+        try:
+            want = partial_order(eids, po + edges[: n + 1])
+        except ValueError:
+            with pytest.raises(CycleError):
+                order.add(a, b)
+            return
+        before = order.less(a, b)
+        assert order.add(a, b) == (not before)
+        assert order.pairs == want.pairs
+        assert all(order.less(x, y) == want.less(x, y) for x in eids for y in eids)
