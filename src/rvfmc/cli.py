@@ -3,8 +3,9 @@ solve a realizability instance file.
 
 Every mode prints exactly one JSON object to stdout; output is reproducible
 across runs except for the wall_time_ms field.  Exit codes: 2 on parse
-errors, 1 when --fail-on-violation is set and an assertion violation was
-found, 0 otherwise.
+errors, on interpreter errors such as releasing a mutex the thread does not
+hold, and when the census budget runs out; 1 when --fail-on-violation is set
+and an assertion violation was found; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 from .explore import ExploreOptions, explore
 from .oracle import BudgetExceeded, count_classes
-from .program import ParseError, parse_program
+from .program import InterpreterError, ParseError, parse_program
 from .vsc import SolverOptions, VscError, format_witness, parse_instance, verify_sc
 
 
@@ -52,7 +53,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         greedy=not args.no_greedy,
         aux_trace=not args.no_aux_trace,
     )
-    report = explore(program, options)
+    try:
+        report = explore(program, options)
+    except InterpreterError as exc:
+        print(f"rvf-mc: {exc}", file=sys.stderr)
+        return 2
     record = _base_record("explore", args.program)
     record.update(
         maximal_traces=report.leaf_count,
@@ -90,7 +95,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     try:
         counts = count_classes(program, ("rvf", "rf", "maz"), budget=args.budget)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, InterpreterError) as exc:
         print(f"rvf-mc: {exc}", file=sys.stderr)
         return 2
     record = _base_record("census", args.program)

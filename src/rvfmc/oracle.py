@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .program import Event, EventId, Execution, Program, _advance, _pending
+from .program import Event, EventId, Execution, InterpreterError, Program, _advance, _pending
 from .semantics import maz_key, rf_key, rvf_key
 from .vsc import VscInstance
 
@@ -80,6 +80,10 @@ class _Engine:
             self.holders[event.var] = tid
             self.values.append(self.memory[event.var])
         else:  # unlock; mutex memory stays 0 throughout, no memory undo needed
+            if self.holders[event.var] != tid:
+                raise InterpreterError(
+                    f"thread {thread.name} releases mutex {event.var!r} it does not hold"
+                )
             hold_undo = (self.holders[event.var],)
             self.holders[event.var] = None
             self.values.append(0)

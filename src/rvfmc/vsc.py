@@ -6,12 +6,13 @@ conflicting writes (program writes of X, or the initial write of the read's
 variable).  A *witness* is a linearization of X that respects program order
 in which every read reads-from one of its good writes.
 
-``verify_sc`` decides witness existence by a worklist search over witness
+``verify_sc`` decides witness existence by a depth-first search over witness
 prefixes, memoized on the *witness state*: the per-thread event counts plus,
 per variable, the thread of its active (latest) write.  Two prefixes with
 equal witness state are extendable by exactly the same suffixes, so one of
 them can be dropped.  The number of distinct states is at most
-prod_t(n_t + 1) * (k + 1)^d, which bounds the search.
+prod_t(n_t + 1) * (k + 1)^d, which bounds the search.  The search is a loop
+over one set of step functions, ``_Steps``, which the unit tests drive too.
 
 Three independently switchable accelerations:
 
@@ -33,15 +34,13 @@ Three independently switchable accelerations:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .program import Event, EventId
 from .semantics import ClockOrder, CycleError
-
-GoodWrites = Mapping[EventId, frozenset[EventId]]
 
 
 class VscError(ValueError):
@@ -61,7 +60,7 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class VscInstance:
-    """Events X, good-writes function, and the induced per-thread program order.
+    """Events X and the good-writes function, validated on construction.
 
     ``universe`` fixes the variable-ordinal scheme used for initial-write ids
     (thread 0, index = 1-based position among sorted variable names); it
@@ -126,161 +125,12 @@ class VscInstance:
     def init_eid(self, var: str) -> EventId:
         return (0, self.variables.index(var) + 1)
 
-    def init_event(self, var: str) -> Event:
-        return Event(0, self.variables.index(var) + 1, "W", var, 0)
-
-    @cached_property
-    def event_of(self) -> dict[EventId, Event]:
-        return {e.eid: e for e in self.events}
-
     def state_bound(self) -> int:
         """prod_t(n_t + 1) * (k + 1)^d: the limit on distinct witness states."""
         bound = 1
         for chain in self.by_thread.values():
             bound *= len(chain) + 1
         return bound * (len(self.threads) + 1) ** len(self.variables)
-
-
-# ---------------------------------------------------------------------------
-# Witness prefixes (public face of the search state, used directly in tests)
-# ---------------------------------------------------------------------------
-
-
-class WitnessState(tuple):
-    """Hashable (per-thread counts, per-variable active-write thread) pair."""
-
-    __slots__ = ()
-
-    def __new__(cls, counts: tuple[int, ...], memory_map: tuple[int, ...]):
-        return super().__new__(cls, (counts, memory_map))
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return self[0]
-
-    @property
-    def memory_map(self) -> tuple[int, ...]:
-        return self[1]
-
-
-@dataclass(frozen=True)
-class WitnessPrefix:
-    """A partial linearization plus its derived counts and active-write map."""
-
-    instance: VscInstance
-    sequence: tuple[Event, ...]
-    counts: tuple[int, ...] = field(init=False)
-    active: tuple[EventId, ...] = field(init=False)
-
-    def __post_init__(self):
-        inst = self.instance
-        counts = {t: 0 for t in inst.threads}
-        amap = {v: inst.init_eid(v) for v in inst.variables}
-        for e in self.sequence:
-            if e.index != counts[e.thread] + 1:
-                raise VscError(f"sequence violates program order at {e!r}")
-            counts[e.thread] += 1
-            if e.kind == "W":
-                amap[e.var] = e.eid
-        object.__setattr__(self, "counts", tuple(counts[t] for t in inst.threads))
-        object.__setattr__(self, "active", tuple(amap[v] for v in inst.variables))
-
-    @property
-    def state(self) -> WitnessState:
-        return WitnessState(self.counts, tuple(eid[0] for eid in self.active))
-
-    def executed(self, eid: EventId) -> bool:
-        if eid[0] == 0:
-            return True  # initial writes precede everything
-        try:
-            t = self.instance.threads.index(eid[0])
-        except ValueError:
-            return False
-        return eid[1] <= self.counts[t]
-
-
-def active_write(prefix: WitnessPrefix, var: str) -> Event:
-    """The latest write of ``var`` in the prefix; the initial write if none."""
-    eid = prefix.active[prefix.instance.variables.index(var)]
-    if eid[0] == 0:
-        return prefix.instance.init_event(var)
-    return prefix.instance.event_of[eid]
-
-
-def is_held(prefix: WitnessPrefix, var: str) -> bool:
-    """True when some unexecuted read of ``var`` has all its good writes executed."""
-    inst = prefix.instance
-    for e in inst.events:
-        if e.kind != "R" or e.var != var or prefix.executed(e.eid):
-            continue
-        if all(prefix.executed(w) for w in inst.good_writes[e.eid]):
-            return True
-    return False
-
-
-def executable(prefix: WitnessPrefix, event: Event) -> bool:
-    """Lower-set extension check plus the kind-specific condition.
-
-    Reads need one of their good writes active; writes need their variable
-    not held.
-    """
-    inst = prefix.instance
-    if prefix.executed(event.eid):
-        return False
-    if event.index != 1 and not prefix.executed((event.thread, event.index - 1)):
-        return False
-    if event.kind == "R":
-        return prefix.active[inst.variables.index(event.var)] in inst.good_writes[event.eid]
-    return not is_held(prefix, event.var)
-
-
-def _frontier(prefix: WitnessPrefix) -> list[Event]:
-    inst = prefix.instance
-    out = []
-    for i, t in enumerate(inst.threads):
-        chain = inst.by_thread[t]
-        if prefix.counts[i] < len(chain):
-            out.append(chain[prefix.counts[i]])
-    return out
-
-
-def _useless(prefix: WitnessPrefix, weid: EventId) -> bool:
-    """True when no unexecuted read counts ``weid`` among its good writes."""
-    inst = prefix.instance
-    for e in inst.events:
-        if e.kind == "R" and not prefix.executed(e.eid) and weid in inst.good_writes[e.eid]:
-            return False
-    return True
-
-
-def greedy_extension(prefix: WitnessPrefix) -> Optional[Event]:
-    """The forced greedy step, if one applies.
-
-    Rule 1: any executable read is taken (lowest event id on ties).
-    Rule 2: when the active write of some variable is useless to every
-    remaining read, an equally useless executable write to that variable
-    replaces it.  Returns None when neither rule fires.
-    """
-    inst = prefix.instance
-    cands = [e for e in _frontier(prefix) if executable(prefix, e)]
-    reads = [e for e in cands if e.kind == "R"]
-    if reads:
-        return min(reads, key=lambda e: e.eid)
-    best = None
-    for e in cands:
-        aw = prefix.active[inst.variables.index(e.var)]
-        if aw[0] == 0:
-            continue  # rule 2 needs an active write in the sequence
-        if _useless(prefix, aw) and _useless(prefix, e.eid):
-            if best is None or e.eid < best.eid:
-                best = e
-    return best
-
-
-def guided_order(candidates: Sequence[Event], aux: Sequence[Event]) -> list[Event]:
-    """Candidates sorted by reverse position in ``aux`` so LIFO pops follow it."""
-    pos = {e.eid: i for i, e in enumerate(aux)}
-    return sorted(candidates, key=lambda e: pos[e.eid], reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +318,123 @@ def _validate_witness(inst: VscInstance, seq: tuple[Event, ...]) -> None:
                 raise RuntimeError(f"witness read {e.eid} reads a non-good write {src}")
 
 
+class _Steps:
+    """The step functions of the witness search on one instance.
+
+    A search state is ``(counts, active)``: per thread position, how many of
+    its events have run, and per variable, the id of its active (latest)
+    write, the initial write's id before any.  ``order`` is the closure
+    order, whose cross-thread predecessors every executable event needs;
+    with ``aux``, candidates are pushed in reverse position in that trace
+    instead of reverse event-id order.
+    """
+
+    __slots__ = ("tindex", "vindex", "chains", "gw", "reads_of_var", "cpred", "push_key", "start")
+
+    def __init__(
+        self,
+        inst: VscInstance,
+        order: Optional[ClockOrder] = None,
+        aux: Optional[Sequence[Event]] = None,
+    ):
+        threads = inst.threads
+        self.tindex = {t: i for i, t in enumerate(threads)}
+        self.vindex = {v: i for i, v in enumerate(inst.variables)}
+        self.chains = [inst.by_thread[t] for t in threads]
+        self.gw = inst.good_writes
+        self.reads_of_var: dict[str, list[Event]] = {}
+        for e in inst.events:
+            if e.kind == "R":
+                self.reads_of_var.setdefault(e.var, []).append(e)
+        # cross-thread closure predecessors, the only ones not implied by
+        # counts: (i, c) means thread position i must have run c events first
+        self.cpred: dict[EventId, tuple[tuple[int, int], ...]] = {}
+        if order is not None:
+            for e in inst.events:
+                own = self.tindex[e.thread]
+                clock = order.clock(e.eid)
+                self.cpred[e.eid] = tuple((i, c) for i, c in enumerate(clock) if c and i != own)
+        if aux is None:
+            self.push_key = attrgetter("eid")
+        else:
+            pos = {e.eid: i for i, e in enumerate(aux)}
+            self.push_key = lambda e: pos[e.eid]
+        self.start = ((0,) * len(threads), tuple(inst.init_eid(v) for v in inst.variables))
+
+    def advance(self, e: Event, counts: tuple[int, ...], active: tuple[EventId, ...]):
+        """The state after running ``e``."""
+        i = self.tindex[e.thread]
+        counts = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+        if e.kind == "W":
+            j = self.vindex[e.var]
+            active = active[:j] + (e.eid,) + active[j + 1 :]
+        return counts, active
+
+    def held(self, var: str, counts: tuple[int, ...]) -> bool:
+        """True when some unexecuted read of ``var`` has all its good writes executed."""
+        tindex = self.tindex
+        for r in self.reads_of_var.get(var, ()):
+            if r.index > counts[tindex[r.thread]] and all(
+                w[0] == 0 or w[1] <= counts[tindex[w[0]]] for w in self.gw[r.eid]
+            ):
+                return True
+        return False
+
+    def useless(self, var: str, weid: EventId, counts: tuple[int, ...]) -> bool:
+        """True when no unexecuted read of ``var`` counts ``weid`` among its good writes."""
+        tindex = self.tindex
+        for r in self.reads_of_var.get(var, ()):
+            if r.index > counts[tindex[r.thread]] and weid in self.gw[r.eid]:
+                return False
+        return True
+
+    def executable(self, e: Event, counts: tuple[int, ...], active: tuple[EventId, ...]) -> bool:
+        """True when ``e``, the next event of its thread, has its closure
+        predecessors run and is a read with a good write active or a write
+        whose variable is not held."""
+        for i, c in self.cpred.get(e.eid, ()):
+            if counts[i] < c:
+                return False
+        if e.kind == "R":
+            return active[self.vindex[e.var]] in self.gw[e.eid]
+        return not self.held(e.var, counts)
+
+    def candidates(self, counts: tuple[int, ...], active: tuple[EventId, ...]) -> list[Event]:
+        """The executable events of the frontier, the next event of each thread."""
+        return [
+            chain[c]
+            for chain, c in zip(self.chains, counts)
+            if c < len(chain) and self.executable(chain[c], counts, active)
+        ]
+
+    def greedy(
+        self, cands: list[Event], counts: tuple[int, ...], active: tuple[EventId, ...]
+    ) -> Optional[Event]:
+        """The forced step among ``cands``, if one applies.
+
+        Rule 1: an executable read is taken (lowest event id on ties).
+        Rule 2: when the active write of some variable is useless to every
+        remaining read, an equally useless executable write to that variable
+        replaces it.  Returns None when neither rule fires.
+        """
+        reads = [e for e in cands if e.kind == "R"]
+        if reads:
+            return min(reads, key=attrgetter("eid"))
+        best = None
+        for e in cands:
+            aw = active[self.vindex[e.var]]
+            if aw[0] == 0:
+                continue  # rule 2 needs an active write in the sequence
+            if self.useless(e.var, aw, counts) and self.useless(e.var, e.eid, counts):
+                if best is None or e.eid < best.eid:
+                    best = e
+        return best
+
+    def push_order(self, cands: list[Event]) -> list[Event]:
+        """``cands`` in reverse guidance order, so that LIFO pops follow it."""
+        return sorted(cands, key=self.push_key, reverse=True)
+
+
 def verify_sc(
     inst: VscInstance,
     options: SolverOptions = SolverOptions(),
@@ -475,121 +442,49 @@ def verify_sc(
 ) -> VscResult:
     """Decide realizability; return a validated witness when one exists.
 
-    The worklist is a LIFO stack of witness prefixes; a successor is pushed
-    only when its witness state is new.  ``states_processed`` counts popped
-    prefixes and never exceeds ``inst.state_bound()``.
+    The worklist is a LIFO stack of witness states, each with a pointer to
+    the path that reached it; a successor is pushed only when its witness
+    state is new.  ``states_processed`` counts popped states and never
+    exceeds ``inst.state_bound()``.
     """
     closure_po = None
     if options.closure:
         closure_po = closure(inst)
         if closure_po is None:
             return VscResult(None, 0, None)
-
-    threads = inst.threads
-    tindex = {t: i for i, t in enumerate(threads)}
-    variables = inst.variables
-    vindex = {v: i for i, v in enumerate(variables)}
-    chains = [inst.by_thread[t] for t in threads]
+    steps = _Steps(inst, closure_po, aux if options.guided else None)
     n = len(inst.events)
-    gw = inst.good_writes
-    reads_of_var: dict[str, list[Event]] = {}
-    for e in inst.events:
-        if e.kind == "R":
-            reads_of_var.setdefault(e.var, []).append(e)
-    # cross-thread closure predecessors, the only ones not implied by counts:
-    # (i, c) means thread position i must have run c events first
-    cpred: dict[EventId, tuple[tuple[int, int], ...]] = {}
-    if closure_po is not None:
-        for e in inst.events:
-            own = tindex[e.thread]
-            clock = closure_po.clock(e.eid)
-            cpred[e.eid] = tuple((i, c) for i, c in enumerate(clock) if c and i != own)
 
-    aux_pos: Optional[dict[EventId, int]] = None
-    if options.guided and aux is not None:
-        aux_pos = {e.eid: i for i, e in enumerate(aux)}
-
-    def executed(eid: EventId, counts: tuple[int, ...]) -> bool:
-        return eid[0] == 0 or eid[1] <= counts[tindex[eid[0]]]
-
-    def can_run(e: Event, counts: tuple[int, ...], active: tuple[EventId, ...]) -> bool:
-        if cpred:
-            for i, c in cpred[e.eid]:
-                if counts[i] < c:
-                    return False
-        if e.kind == "R":
-            return active[vindex[e.var]] in gw[e.eid]
-        for r in reads_of_var.get(e.var, ()):
-            if r.index > counts[tindex[r.thread]] and all(
-                executed(w, counts) for w in gw[r.eid]
-            ):
-                return False  # variable held by r
-        return True
-
-    init_active = tuple(inst.init_eid(v) for v in variables)
-    start = ((), (0,) * len(threads), init_active)
-    done = {(start[1], tuple(a[0] for a in start[2]))}
-    stack = [start]
+    counts, active = steps.start
+    done = {(counts, tuple(a[0] for a in active))}
+    # a path is (last event, parent path), or None for the empty prefix
+    stack = [(None, 0, counts, active)]
     processed = 0
-
     while stack:
-        seq, counts, active = stack.pop()
+        path, depth, counts, active = stack.pop()
         processed += 1
-        if len(seq) == n:
-            _validate_witness(inst, seq)
-            return VscResult(seq, processed, closure_po)
+        if depth == n:
+            seq = []
+            while path is not None:
+                e, path = path
+                seq.append(e)
+            witness = tuple(reversed(seq))
+            _validate_witness(inst, witness)
+            return VscResult(witness, processed, closure_po)
 
-        cands = []
-        for i, chain in enumerate(chains):
-            if counts[i] < len(chain):
-                e = chain[counts[i]]
-                if can_run(e, counts, active):
-                    cands.append(e)
-
+        cands = steps.candidates(counts, active)
         if options.greedy and cands:
-            reads = [e for e in cands if e.kind == "R"]
-            if reads:
-                cands = [min(reads, key=lambda e: e.eid)]
-            else:
-                best = None
-                for e in cands:
-                    aw = active[vindex[e.var]]
-                    if aw[0] != 0 and _useless_fast(inst, aw, counts, tindex, reads_of_var) and _useless_fast(
-                        inst, e.eid, counts, tindex, reads_of_var
-                    ):
-                        if best is None or e.eid < best.eid:
-                            best = e
-                if best is not None:
-                    cands = [best]
-
-        if aux_pos is not None:
-            push_order = sorted(cands, key=lambda e: aux_pos[e.eid], reverse=True)
-        else:
-            push_order = sorted(cands, key=lambda e: e.eid, reverse=True)
-
-        for e in push_order:
-            i = tindex[e.thread]
-            ncounts = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
-            if e.kind == "W":
-                j = vindex[e.var]
-                nactive = active[:j] + (e.eid,) + active[j + 1 :]
-            else:
-                nactive = active
+            forced = steps.greedy(cands, counts, active)
+            if forced is not None:
+                cands = [forced]
+        for e in steps.push_order(cands):
+            ncounts, nactive = steps.advance(e, counts, active)
             key = (ncounts, tuple(a[0] for a in nactive))
             if key not in done:
                 done.add(key)
-                stack.append((seq + (e,), ncounts, nactive))
+                stack.append(((e, path), depth + 1, ncounts, nactive))
 
     return VscResult(None, processed, closure_po)
-
-
-def _useless_fast(inst, weid, counts, tindex, reads_of_var) -> bool:
-    var = inst.event_of[weid].var if weid[0] != 0 else None
-    pool = reads_of_var.get(var, ()) if var is not None else ()
-    for r in pool:
-        if r.index > counts[tindex[r.thread]] and weid in inst.good_writes[r.eid]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +500,7 @@ def _useless_fast(inst, weid, counts, tindex, reads_of_var) -> bool:
 
 def parse_instance(text: str) -> VscInstance:
     events: list[Event] = []
-    gw_lines: list[tuple[int, EventId, list[EventId]]] = []
+    good_writes: dict[EventId, frozenset[EventId]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -613,27 +508,28 @@ def parse_instance(text: str) -> VscInstance:
         parts = line.split()
         try:
             if parts[0] == "E":
-                thread, index, kind, var = int(parts[1]), int(parts[2]), parts[3], parts[4]
+                _, thread, index, kind, var, *rest = parts
                 if kind not in ("R", "W"):
                     raise ValueError(f"bad kind {kind!r}")
-                value = None
-                if kind == "W":
-                    value = int(parts[5]) if len(parts) > 5 else 0
-                events.append(Event(thread, index, kind, var, value))
+                if len(rest) > (kind == "W"):
+                    raise ValueError(f"too many tokens for a {kind} event")
+                value = (int(rest[0]) if rest else 0) if kind == "W" else None
+                events.append(Event(int(thread), int(index), kind, var, value))
             elif parts[0] == "G":
                 reid = (int(parts[1]), int(parts[2]))
                 if parts[3] != ":":
                     raise ValueError("expected ':'")
+                if reid in good_writes:
+                    raise ValueError(f"second good-writes record for read {reid[0]}.{reid[1]}")
                 writes = []
                 for tok in parts[4:]:
                     t, i = tok.split(".")
                     writes.append((int(t), int(i)))
-                gw_lines.append((lineno, reid, writes))
+                good_writes[reid] = frozenset(writes)
             else:
                 raise ValueError(f"unknown record {parts[0]!r}")
         except (IndexError, ValueError) as exc:
             raise VscError(f"line {lineno}: {exc}") from None
-    good_writes = {reid: frozenset(ws) for _, reid, ws in gw_lines}
     return VscInstance(tuple(events), good_writes)
 
 

@@ -65,6 +65,16 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert main(["census", str(f)]) == 2
 
 
+def test_unheld_unlock_exit_2(tmp_path, capsys):
+    f = tmp_path / "unlock.prog"
+    f.write_text("thread t { unlock m; }")
+    for mode in ("explore", "census"):
+        assert main([mode, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rvf-mc: thread t releases mutex 'm' it does not hold\n"
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["explore", "/nonexistent.prog"]) == 2
 
@@ -110,5 +120,7 @@ def test_vsc_mode_unrealizable(tmp_path, capsys):
 
 def test_vsc_parse_error(tmp_path, capsys):
     f = tmp_path / "inst.txt"
-    f.write_text("E 1 1 Q x\n")
-    assert main(["vsc", str(f)]) == 2
+    # a bad event kind; a second good-writes record for read 2.1
+    for text in ("E 1 1 Q x\n", "E 1 1 W x 1\nE 2 1 R x\nG 2 1 : 1.1\nG 2 1 : 0.1\n"):
+        f.write_text(text)
+        assert main(["vsc", str(f)]) == 2

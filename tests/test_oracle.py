@@ -9,10 +9,12 @@ from rvfmc import (
     VscInstance,
     census,
     enumerate_maximal_traces,
+    explore,
     parse_program,
     replay,
 )
 from rvfmc.oracle import BudgetExceeded, brute_force_vsc, count_classes, iter_vsc_witnesses
+from rvfmc.program import InterpreterError
 from corpus import PROGRAMS
 
 
@@ -37,6 +39,25 @@ def test_budget_guard():
     p = parse_program(PROGRAMS["unanimous"])
     with pytest.raises(BudgetExceeded):
         enumerate_maximal_traces(p, budget=100)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "thread t { unlock m; }",
+        # only the schedule where t2 reads 1 releases the mutex
+        "thread t1 { write x 1; } thread t2 { a = read x; if a == 1 { unlock m; } }",
+    ],
+    ids=["always", "schedule-dependent"],
+)
+def test_unheld_unlock_raises(source):
+    p = parse_program(source)
+    with pytest.raises(InterpreterError, match="does not hold"):
+        count_classes(p)
+    with pytest.raises(InterpreterError, match="does not hold"):
+        enumerate_maximal_traces(p)
+    with pytest.raises(InterpreterError, match="does not hold"):
+        explore(p)
 
 
 def test_enumerated_traces_replay():

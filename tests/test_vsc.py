@@ -9,14 +9,9 @@ from rvfmc.oracle import brute_force_vsc, iter_vsc_witnesses
 from rvfmc.semantics import refines, sequence_order
 from rvfmc.vsc import (
     VscError,
-    WitnessPrefix,
-    active_write,
-    executable,
+    _Steps,
     format_instance,
     format_witness,
-    greedy_extension,
-    guided_order,
-    is_held,
     parse_instance,
 )
 
@@ -117,25 +112,33 @@ def test_malformed_instances_rejected():
         )
 
 
-# -- witness prefixes ---------------------------------------------------------
+# -- search steps ---------------------------------------------------------------
+
+
+def state_after(steps, seq):
+    """The search state ``(counts, active)`` after running ``seq`` from the start."""
+    counts, active = steps.start
+    for e in seq:
+        counts, active = steps.advance(e, counts, active)
+    return counts, active
+
+
+def greedy_step(steps, seq):
+    """The greedy choice among the executable frontier events after ``seq``."""
+    counts, active = state_after(steps, seq)
+    return steps.greedy(steps.candidates(counts, active), counts, active)
 
 
 def test_active_write_progression():
+    w11, w12, w21 = Event(1, 1, "W", "x", 1), Event(1, 2, "W", "x", 1), Event(2, 1, "W", "x", 1)
     inst = VscInstance(
-        (
-            Event(1, 1, "W", "x", 1),
-            Event(1, 2, "W", "x", 1),
-            Event(2, 1, "W", "x", 1),
-            Event(2, 2, "R", "x"),
-        ),
+        (w11, w12, w21, Event(2, 2, "R", "x")),
         {(2, 2): frozenset({(1, 1), (1, 2), (2, 1)})},
     )
-    empty = WitnessPrefix(inst, ())
-    assert active_write(empty, "x").thread == 0
-    p1 = WitnessPrefix(inst, (inst.event_of[(1, 1)], inst.event_of[(2, 1)]))
-    assert active_write(p1, "x").eid == (2, 1)
-    p2 = WitnessPrefix(inst, (inst.event_of[(1, 1)], inst.event_of[(1, 2)]))
-    assert active_write(p2, "x").eid == (1, 2)  # same thread writes twice
+    steps = _Steps(inst)
+    assert state_after(steps, ()) == ((0, 0), ((0, 1),))  # the initial write of x
+    assert state_after(steps, (w11, w21)) == ((1, 1), ((2, 1),))
+    assert state_after(steps, (w11, w12)) == ((2, 0), ((1, 2),))  # same thread writes twice
 
 
 def test_is_held():
@@ -143,20 +146,26 @@ def test_is_held():
     w2 = Event(2, 1, "W", "x", 2)
     r = Event(3, 1, "R", "x")
     inst = VscInstance((w1, w2, r), {r.eid: frozenset({w1.eid, w2.eid})})
-    assert not is_held(WitnessPrefix(inst, ()), "x")
-    assert not is_held(WitnessPrefix(inst, (w1,)), "x")  # w2 still missing
-    assert is_held(WitnessPrefix(inst, (w1, w2)), "x")
-    assert not is_held(WitnessPrefix(inst, (w1, w2, r)), "x")  # r finished
+    steps = _Steps(inst)
+    assert not steps.held("x", state_after(steps, ())[0])
+    assert not steps.held("x", state_after(steps, (w1,))[0])  # w2 still missing
+    assert steps.held("x", state_after(steps, (w1, w2))[0])
+    assert not steps.held("x", state_after(steps, (w1, w2, r))[0])  # r finished
 
 
 def test_executable_conditions():
-    inst = inst_2ev()
-    w, r = inst.event_of[(1, 1)], inst.event_of[(2, 1)]
-    empty = WitnessPrefix(inst, ())
-    assert executable(empty, w)
-    assert not executable(empty, r)  # good write not active yet
-    after_w = WitnessPrefix(inst, (w,))
-    assert executable(after_w, r)
+    w, r = Event(1, 1, "W", "x", 1), Event(2, 1, "R", "x")
+    steps = _Steps(inst_2ev())
+    assert steps.executable(w, *state_after(steps, ()))
+    assert not steps.executable(r, *state_after(steps, ()))  # good write not active yet
+    assert steps.executable(r, *state_after(steps, (w,)))
+    # closure predecessors: r must read w2, so the bad write w1 goes before w2
+    w1, r1, w2 = Event(1, 1, "W", "x", 1), Event(1, 2, "R", "x"), Event(2, 1, "W", "x", 2)
+    inst = VscInstance((w1, r1, w2), {r1.eid: frozenset({w2.eid})})
+    plain, ordered = _Steps(inst), _Steps(inst, closure(inst))
+    assert plain.executable(w2, *state_after(plain, ()))
+    assert not ordered.executable(w2, *state_after(ordered, ()))
+    assert ordered.executable(w2, *state_after(ordered, (w1,)))
 
 
 def test_write_to_held_variable_not_executable():
@@ -164,16 +173,16 @@ def test_write_to_held_variable_not_executable():
     w2 = Event(2, 1, "W", "x", 2)
     r = Event(3, 1, "R", "x")
     inst = VscInstance((w1, w2, r), {r.eid: frozenset({w1.eid})})
-    p = WitnessPrefix(inst, (w1,))
-    assert is_held(p, "x")
-    assert not executable(p, w2)
-    assert executable(p, r)
+    steps = _Steps(inst)
+    counts, active = state_after(steps, (w1,))
+    assert steps.held("x", counts)
+    assert not steps.executable(w2, counts, active)
+    assert steps.executable(r, counts, active)
+    assert steps.candidates(counts, active) == [r]
 
 
 def test_greedy_prefers_executable_read():
-    inst = inst_2ev()
-    p = WitnessPrefix(inst, (inst.event_of[(1, 1)],))
-    choice = greedy_extension(p)
+    choice = greedy_step(_Steps(inst_2ev()), (Event(1, 1, "W", "x", 1),))
     assert choice is not None and choice.kind == "R"
 
 
@@ -187,9 +196,11 @@ def test_greedy_rule2_stale_writes():
         Event(2, 2, "R", "y"),
     )
     inst = VscInstance(events, {(2, 2): frozenset({(2, 1)})})
-    p = WitnessPrefix(inst, (inst.event_of[(1, 1)],))
-    choice = greedy_extension(p)
+    steps = _Steps(inst)
+    choice = greedy_step(steps, events[:1])
     assert choice is not None and choice.eid == (1, 2)
+    assert steps.useless("x", (1, 1), state_after(steps, events[:1])[0])
+    assert not steps.useless("y", (2, 1), state_after(steps, events[:1])[0])
     fast = verify_sc(inst, SolverOptions(greedy=True, closure=False, guided=False))
     slow = verify_sc(inst, SolverOptions.none())
     assert fast.realizable == slow.realizable == (brute_force_vsc(inst) is not None)
@@ -199,9 +210,8 @@ def test_greedy_neither_rule_applies():
     w1 = Event(1, 1, "W", "x", 1)
     r = Event(2, 1, "R", "x")
     inst = VscInstance((w1, r), {r.eid: frozenset({w1.eid})})
-    p = WitnessPrefix(inst, ())
     # no executable read (w1 not active), no active write in the sequence
-    assert greedy_extension(p) is None
+    assert greedy_step(_Steps(inst), ()) is None
 
 
 # -- closure -----------------------------------------------------------------
@@ -243,6 +253,17 @@ def test_every_witness_refines_closure():
         assert refines(sequence_order(w), cl)
 
 
+def test_long_witness_rebuilt():
+    """One thread of 1999 writes and a reader of the last: every setting
+    returns a validated witness of all 2000 events, the read last."""
+    writes = tuple(Event(1, i, "W", "x", i) for i in range(1, 2000))
+    r = Event(2, 1, "R", "x")
+    inst = VscInstance(writes + (r,), {r.eid: frozenset({writes[-1].eid})})
+    for opt in ALL_OPTIONS:
+        res = verify_sc(inst, opt, aux=writes + (r,) if opt.guided else None)
+        assert res.witness == writes + (r,)
+
+
 def test_state_counter_bounded():
     inst = inst_cyclic()
     for opt in ALL_OPTIONS:
@@ -255,15 +276,19 @@ def test_state_counter_bounded():
 
 def test_guided_order_reverses_aux_positions():
     a, b, c = (Event(1, 1, "W", "x", 1), Event(2, 1, "W", "x", 1), Event(3, 1, "W", "x", 1))
-    aux = [a, b, c]
-    assert guided_order([a, c], aux) == [c, a]
-    assert guided_order([b], aux) == [b]
-    assert guided_order([a, b, c], aux) == [c, b, a]
+    inst = VscInstance((a, b, c), {})
+    guided = _Steps(inst, aux=[a, b, c])
+    assert guided.push_order([a, c]) == [c, a]
+    assert guided.push_order([b]) == [b]
+    assert guided.push_order([a, b, c]) == [c, b, a]
+    # an aux trace out of event-id order, and no aux trace at all
+    assert _Steps(inst, aux=[b, a, c]).push_order([a, b, c]) == [c, a, b]
+    assert _Steps(inst).push_order([c, a, b]) == [c, b, a]
 
 
 def test_guided_search_same_verdicts():
     inst = inst_cyclic()
-    aux = [inst.event_of[eid] for eid in [(1, 1), (1, 2), (2, 1), (2, 2)]]
+    aux = sorted(inst.events, key=lambda e: e.eid)
     res = verify_sc(inst, SolverOptions(greedy=False, closure=False, guided=True), aux=aux)
     assert res.witness is None
 
@@ -300,6 +325,12 @@ def test_parse_instance_errors():
         parse_instance("E 1 1 W x 1\nG 1 1 : zz\n")
     with pytest.raises(VscError):  # init id with wrong ordinal
         parse_instance("E 1 1 R x\nG 1 1 : 0.5\n")
+    with pytest.raises(VscError, match="line 4"):  # a second record for read 2.1
+        parse_instance("E 1 1 W x 1\nE 2 1 R x\nG 2 1 : 1.1\nG 2 1 : 0.1\n")
+    with pytest.raises(VscError, match="line 2"):  # a value on a read
+        parse_instance("E 1 1 W x 1\nE 2 1 R x 7\nG 2 1 : 1.1\n")
+    with pytest.raises(VscError, match="line 1"):  # a sixth token on a write
+        parse_instance("E 1 1 W x 1 7\nE 2 1 R x\nG 2 1 : 1.1\n")
 
 
 def test_witness_output_deterministic():
