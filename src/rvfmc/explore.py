@@ -17,6 +17,10 @@ thread, a prefix length of already-considered reads-from sources.  A node
    solver), and recurses; after a read is done its causal-map entry is bumped
    so later siblings must find it a source outside the current trace.
 
+A node works on the trace it is given, extending it in place, and undoes its
+own steps before it returns, so a direct witness costs one step and one
+undo; only solver witnesses are replayed into fresh traces.
+
 A plain read processed without ever receiving a backtrack signal ends the
 loop: no compatible schedule assigns it a source beyond the current trace,
 so the remaining mutations cannot reach new behavior.  Mutex acquires are
@@ -87,15 +91,16 @@ class ExplorationReport:
 
 def extend_nonreads(trace: Trace) -> Trace:
     """Append enabled non-read events round-robin by thread id until only
-    reads (or nothing) remain enabled."""
-    k = len(trace.program.threads)
+    reads (or nothing) remain enabled; the trace is extended in place and
+    returned."""
     changed = True
     while changed:
         changed = False
-        for tid in range(1, k + 1):
-            e = next((x for x in trace.enabled if x.thread == tid and x.kind == "W"), None)
-            if e is not None:
-                trace = extend(trace, e)
+        # A thread's pending write stays enabled until that thread steps, so
+        # one snapshot per round serves every thread of the round.
+        for e in trace.enabled:
+            if e.kind == "W":
+                extend(trace, e)
                 changed = True
     return trace
 
@@ -179,59 +184,66 @@ class _Explorer:
     # -- the recursion -------------------------------------------------------
 
     def _node(self, goodw: dict[EventId, frozenset[EventId]], trace: Trace, cmap: CausalMap) -> None:
+        """Explore below ``trace``, which is extended in place and left as it was found."""
         before = len(trace.events)
-        st = extend_nonreads(trace)
-        update_backtrack_signals(st.events[before:], self.signals)
+        extend_nonreads(trace)
+        update_backtrack_signals(trace.events[before:], self.signals)
 
-        if st.maximal:
-            ex = st.freeze()
+        if trace.maximal:
+            ex = trace.freeze()
             self.report.traces.append(ex)
             self.report.rvf_keys.append(rvf_key(ex))
             if ex.deadlocked:
                 self.report.deadlocks += 1
-            return
+        else:
+            self._mutate(goodw, trace, cmap)
+        for _ in range(len(trace.events) - before):
+            trace.undo()
 
-        mutate = sorted(st.enabled, key=lambda e: (e.eid in cmap, e.eid))
-        k = len(self.program.threads)
+    def _mutate(self, goodw: dict[EventId, frozenset[EventId]], trace: Trace, cmap: CausalMap) -> None:
+        mutate = sorted(trace.enabled, key=lambda e: (e.eid in cmap, e.eid))
         for read in mutate:
             fresh = read.eid not in cmap
             plain = read.var not in self.mutexes
             if fresh and plain:
                 self.signals[read.eid] = _Signal(read.var, read.thread)
 
-            sources = viable_sources(st, read, cmap)
-            for group in self._groups(read, sources, st, goodw):
+            sources = viable_sources(trace, read, cmap)
+            for group in self._groups(read, sources, trace, goodw):
                 goodw2 = dict(goodw)
                 goodw2[read.eid] = frozenset(w.eid for w in group)
-                witness_trace = self._witness(st, read, goodw2)
+                witness_trace = self._witness(trace, read, goodw2)
                 if witness_trace is None:
                     continue
                 child_cmap = {rid: dict(tc) for rid, tc in cmap.items()}
                 self._node(goodw2, witness_trace, child_cmap)
+                if witness_trace is trace:
+                    trace.undo()  # the read the direct witness appended
 
             if fresh and plain:
                 fired = self.signals.pop(read.eid).fired
                 if self.options.backtrack_signals and not fired:
                     break
-            counts = {tid: 0 for tid in range(1, k + 1)}
-            for e in st.events:
-                counts[e.thread] += 1
+            counts = dict(enumerate(trace.counts, 1))
             counts[0] = len(self.program.globals)
             cmap[read.eid] = counts
 
     def _witness(
-        self, st: Trace, read: Event, goodw: dict[EventId, frozenset[EventId]]
+        self, trace: Trace, read: Event, goodw: dict[EventId, frozenset[EventId]]
     ) -> Optional[Trace]:
-        """A trace over Events(st)+read satisfying ``goodw``, or None."""
+        """A trace over Events(trace)+read satisfying ``goodw``, or None: either
+        ``trace`` itself extended by ``read``, or a fresh replay of a solver
+        witness."""
         active = next(
-            (e for e in reversed(st.events) if e.kind == "W" and e.var == read.var),
+            (e for e in reversed(trace.events) if e.kind == "W" and e.var == read.var),
             self.program.init_event(read.var),
         )
         if active.eid in goodw[read.eid]:
-            return extend(st, read)  # the current trace already satisfies it
+            return extend(trace, read)  # the current trace already satisfies it
 
-        inst = VscInstance(st.events + (read,), goodw, universe=self.program.globals)
-        aux = st.events + (read,) if self.options.aux_trace else None
+        events = (*trace.events, read)
+        inst = VscInstance(events, goodw, universe=self.program.globals)
+        aux = events if self.options.aux_trace else None
         result = verify_sc(inst, self.solver_options, aux=aux)
         self.report.vsc_calls += 1
         self.report.witness_states += result.states_processed

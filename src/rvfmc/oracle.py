@@ -1,17 +1,20 @@
 """Ground-truth engines: exhaustive schedule enumeration and brute-force realizability.
 
 Everything here is deliberately heuristic-free so it can stand as an
-independent oracle for the explorer and the witness solver.  The DFS engine
-mutates one interpreter state in place with undo records, which keeps full
-enumeration of six-figure schedule spaces within desk-scale budgets.
+independent oracle for the explorer and the witness solver: the independence
+comes from enumerating every schedule, not from a second interpreter.  The
+depth-first search drives one ``program.Trace`` through ``extend`` and
+``Trace.undo`` over an explicit stack, so full enumeration of six-figure
+schedule spaces stays within desk-scale budgets and trace length is not
+bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .program import Event, EventId, Execution, InterpreterError, Program, _advance, _pending
+from .program import Event, EventId, Execution, Program, Trace, empty_trace, extend
 from .semantics import maz_key, rf_key, rvf_key
 from .vsc import VscInstance
 
@@ -20,146 +23,49 @@ class BudgetExceeded(RuntimeError):
     """The schedule-step budget ran out before enumeration finished."""
 
 
-# ---------------------------------------------------------------------------
-# Mutable interpreter with undo
-# ---------------------------------------------------------------------------
+def _maximal(
+    trace: Trace,
+    budget: int,
+    on_extend: Optional[Callable[[Event], None]] = None,
+    on_undo: Optional[Callable[[Event], None]] = None,
+) -> Iterator[Trace]:
+    """Drive ``trace`` depth-first through every schedule, in enabled order,
+    yielding it each time it is maximal; it ends as it started.
 
-
-class _Engine:
-    # thread state slots: [pc, env, access count, pending event, lock var or None]
-
-    def __init__(self, program: Program):
-        self.program = program
-        self.memory = {v: 0 for v in program.globals}
-        self.holders: dict[str, Optional[int]] = {m: None for m in program.mutexes}
-        self.events: list[Event] = []
-        self.values: list[int] = []
-        self.violations: list[str] = []
-        self.states = []
-        for thread in program.threads:
-            env: dict[str, int] = {}
-            pc = _advance(thread, 0, env, self.violations)
-            pending = _pending(thread, pc, env, 0)
-            lockvar = thread.ops[pc][1] if pending is not None and thread.ops[pc][0] == "lock" else None
-            self.states.append([pc, env, 0, pending, lockvar])
-
-    def enabled(self) -> list[Event]:
-        out = []
-        holders = self.holders
-        for st in self.states:
-            e = st[3]
-            if e is None or (st[4] is not None and holders[st[4]] is not None):
-                continue
-            out.append(e)
-        return out
-
-    def deadlocked(self) -> bool:
-        return any(st[3] is not None for st in self.states)
-
-    def apply(self, event: Event):
-        tid = event.thread
-        thread = self.program.threads[tid - 1]
-        st = self.states[tid - 1]
-        pc, env, acc, pending, lockvar = st
-        op = thread.ops[pc]
-        tag = op[0]
-
-        mem_undo = None  # old value when memory was touched
-        hold_undo = None  # 1-tuple of the old holder when holders was touched
-        if tag == "write":
-            mem_undo = (self.memory[event.var],)
-            self.memory[event.var] = event.value
-            self.values.append(event.value)
-        elif tag == "read":
-            v = self.memory[event.var]
-            env = dict(env)
-            env[op[2]] = v
-            self.values.append(v)
-        elif tag == "lock":
-            hold_undo = (self.holders[event.var],)
-            self.holders[event.var] = tid
-            self.values.append(self.memory[event.var])
-        else:  # unlock; mutex memory stays 0 throughout, no memory undo needed
-            if self.holders[event.var] != tid:
-                raise InterpreterError(
-                    f"thread {thread.name} releases mutex {event.var!r} it does not hold"
-                )
-            hold_undo = (self.holders[event.var],)
-            self.holders[event.var] = None
-            self.values.append(0)
-
-        old_env = st[1]
-        if tag != "read":
-            env = dict(env)
-        nviol = len(self.violations)
-        npc = _advance(thread, pc + 1, env, self.violations)
-        acc1 = acc + 1
-        npending = _pending(thread, npc, env, acc1)
-        st[0] = npc
-        st[1] = env
-        st[2] = acc1
-        st[3] = npending
-        st[4] = (
-            thread.ops[npc][1]
-            if npending is not None and thread.ops[npc][0] == "lock"
-            else None
-        )
-        self.events.append(event)
-        return (tid, pc, old_env, acc, pending, lockvar, nviol, mem_undo, hold_undo, event.var)
-
-    def undo(self, token) -> None:
-        tid, pc, env, acc, pending, lockvar, nviol, mem_undo, hold_undo, var = token
-        st = self.states[tid - 1]
-        st[0] = pc
-        st[1] = env
-        st[2] = acc
-        st[3] = pending
-        st[4] = lockvar
-        del self.violations[nviol:]
-        if mem_undo is not None:
-            self.memory[var] = mem_undo[0]
-        if hold_undo is not None:
-            self.holders[var] = hold_undo[0]
-        self.events.pop()
-        self.values.pop()
-
-    def freeze(self) -> Execution:
-        events = tuple(self.events)
-        values = {e.eid: v for e, v in zip(events, self.values)}
-        return Execution(
-            self.program, events, values, frozenset(self.violations), self.deadlocked()
-        )
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, steps: int):
-        self.left = steps
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceeded("schedule budget exhausted")
+    ``on_extend(event)`` runs after each step and ``on_undo(event)`` after
+    its undo.  Every step spends one unit of ``budget``.
+    """
+    frames = [iter(trace.enabled)]
+    if trace.maximal:
+        yield trace
+    while frames:
+        for e in frames[-1]:
+            budget -= 1
+            if budget < 0:
+                raise BudgetExceeded("schedule budget exhausted")
+            extend(trace, e)
+            if on_extend is not None:
+                on_extend(e)
+            enabled = trace.enabled
+            if enabled:
+                frames.append(iter(enabled))
+                break
+            yield trace
+            trace.undo()
+            if on_undo is not None:
+                on_undo(e)
+        else:
+            frames.pop()
+            if frames:
+                e = trace.undo()
+                if on_undo is not None:
+                    on_undo(e)
 
 
 def iter_maximal_traces(program: Program, budget: int = 10_000_000) -> Iterator[Execution]:
     """Yield every maximal trace reachable by any scheduler, in DFS order."""
-    engine = _Engine(program)
-    b = _Budget(budget)
-
-    def gen(engine: _Engine) -> Iterator[Execution]:
-        enabled = engine.enabled()
-        if not enabled:
-            yield engine.freeze()
-            return
-        for e in enabled:
-            b.spend()
-            token = engine.apply(e)
-            yield from gen(engine)
-            engine.undo(token)
-
-    yield from gen(engine)
+    for trace in _maximal(empty_trace(program), budget):
+        yield trace.freeze()
 
 
 def enumerate_maximal_traces(program: Program, budget: int = 10_000_000) -> list[Execution]:
@@ -217,79 +123,53 @@ def count_classes(
     want_rvf = "rvf" in eqs
     want_rf = "rf" in eqs or "maz" in eqs
     want_maz = "maz" in eqs
-    engine = _Engine(program)
-    b = _Budget(budget)
     globs = program.globals
     ordinal = {v: i + 1 for i, v in enumerate(globs)}
-    states = engine.states
 
     sets: dict[str, set] = {eq: set() for eq in eqs}
     violations: set[str] = set()
-    stats = {"total": 0, "deadlocks": 0}
+    total = deadlocks = 0
 
     # incremental per-prefix structures; the event-id set of a prefix is
     # exactly its per-thread counts vector, so no per-leaf sorting is needed
     rf_pairs: list[tuple[EventId, EventId]] = []
-    write_orders: dict[str, list[EventId]] = {v: [] for v in globs}
-    active: dict[str, Optional[EventId]] = {v: None for v in globs}
+    write_orders: dict[str, list[EventId]] = {v: [] for v in globs}  # last is active
     masks: list[int] = []  # causal predecessor bitmask per position
     pos_of: dict[EventId, int] = {}
-    last_pos: dict[int, int] = {}
 
-    def push(e: Event) -> tuple:
+    def push(e: Event) -> None:
         eid = (e.thread, e.index)
-        old_active = None
-        old_last = None
-        if e.kind == "W":
-            old_active = active[e.var]
-            active[e.var] = eid
-            write_orders[e.var].append(eid)
-        else:
-            src = active[e.var]
-            rf_pairs.append((eid, src if src is not None else (0, ordinal[e.var])))
+        writes = write_orders[e.var]
+        if e.kind == "R":
+            rf_pairs.append((eid, writes[-1] if writes else (0, ordinal[e.var])))
         if want_rvf:
             pos = len(masks)
             m = 1 << pos
-            old_last = last_pos.get(e.thread)
-            if old_last is not None:
-                m |= masks[old_last] | (1 << old_last)
-            if e.kind == "R":
-                src = active[e.var]
-                if src is not None:
-                    sp = pos_of[src]
-                    m |= masks[sp] | (1 << sp)
+            if e.index > 1:  # after its program-order predecessor
+                prev = pos_of[(e.thread, e.index - 1)]
+                m |= masks[prev] | (1 << prev)
+            if e.kind == "R" and writes:  # after the write it reads from
+                src = pos_of[writes[-1]]
+                m |= masks[src] | (1 << src)
             masks.append(m)
             pos_of[eid] = pos
-            last_pos[e.thread] = pos
-        return (e, eid, old_active, old_last)
+        if e.kind == "W":
+            writes.append(eid)
 
-    def pop(token) -> None:
-        e, eid, old_active, old_last = token
+    def pop(e: Event) -> None:
         if e.kind == "W":
             write_orders[e.var].pop()
-            active[e.var] = old_active
         else:
             rf_pairs.pop()
         if want_rvf:
             masks.pop()
-            del pos_of[eid]
-            if old_last is None:
-                del last_pos[e.thread]
-            else:
-                last_pos[e.thread] = old_last
+            del pos_of[(e.thread, e.index)]
 
-    def visit() -> None:
-        stats["total"] += 1
-        blocked = False
-        for st in states:
-            if st[3] is not None:
-                blocked = True
-                break
-        if blocked:
-            stats["deadlocks"] += 1
-        if engine.violations:
-            violations.update(engine.violations)
-        ev_key = tuple(st[2] for st in states)
+    for trace in _maximal(empty_trace(program), budget, push, pop):
+        total += 1
+        deadlocks += trace.deadlocked
+        violations.update(trace.violations)
+        ev_key = trace.counts
         if want_rf:
             rfk = tuple(sorted(rf_pairs))
             if "rf" in sets:
@@ -298,17 +178,9 @@ def count_classes(
                 orders = tuple(tuple(write_orders[v]) for v in globs)
                 sets["maz"].add((ev_key, rfk, orders))
         if want_rvf:
-            events = engine.events
-            vkey = tuple(
-                v for _, v in sorted(
-                    ((e.thread, e.index), v) for e, v in zip(events, engine.values)
-                )
-            )
-            rpos = sorted(
-                (pos_of[(e.thread, e.index)], (e.thread, e.index))
-                for e in events
-                if e.kind == "R"
-            )
+            vkey = tuple(v for _, v in sorted(trace.values.items()))
+            # positions are indices into the trace, so this is in trace order
+            rpos = [(i, (e.thread, e.index)) for i, e in enumerate(trace.events) if e.kind == "R"]
             ro = []
             for i in range(len(rpos)):
                 pi, ei = rpos[i]
@@ -318,28 +190,7 @@ def count_classes(
                         ro.append((ei, ej))
             sets["rvf"].add((ev_key, vkey, tuple(sorted(ro))))
 
-    apply_, undo_, enabled_ = engine.apply, engine.undo, engine.enabled
-
-    def walk() -> None:
-        enabled = enabled_()
-        if not enabled:
-            visit()
-            return
-        for e in enabled:
-            b.spend()
-            token = apply_(e)
-            itoken = push(e)
-            walk()
-            pop(itoken)
-            undo_(token)
-
-    walk()
-    return ClassCount(
-        stats["total"],
-        {eq: len(sets[eq]) for eq in eqs},
-        sorted(violations),
-        stats["deadlocks"],
-    )
+    return ClassCount(total, {eq: len(sets[eq]) for eq in eqs}, sorted(violations), deadlocks)
 
 
 # ---------------------------------------------------------------------------

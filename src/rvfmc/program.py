@@ -12,6 +12,11 @@ through an implicit initial write attributed to pseudo-thread 0.
 
 Values are 64-bit signed integers with wrap-around arithmetic.
 
+The interpreter state is one mutable ``Trace``.  ``extend`` executes an
+enabled event in place and records how to revert it; ``Trace.undo`` reverts
+the last step.  ``replay``, the explorer and the exhaustive oracles all run
+programs through this one engine.
+
 Grammar::
 
     program   := thread+
@@ -30,7 +35,7 @@ Identifiers assigned somewhere in a thread are locals of that thread
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 EventId = tuple[int, int]
@@ -100,32 +105,39 @@ class Execution:
     deadlocked: bool
 
 
-@dataclass(frozen=True)
-class _ThreadRt:
-    """Runtime position of one thread: program counter, locals, access count."""
-
-    pc: int
-    env: dict[str, int]
-    acc: int
-    pending: Optional[Event]
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Trace:
-    """A sequence of events with its value function and the enabled frontier.
+    """The interpreter state: a sequence of events with its value function.
 
-    Traces are immutable; ``extend`` returns a new trace.  Thread-local
-    interpreter state is carried along so extension is O(thread work).
+    A trace is mutable.  ``extend(trace, event)`` executes one enabled event
+    in place and returns the same trace; ``undo()`` reverts the last step,
+    so one trace can be driven through a whole search tree.  ``enabled``,
+    ``maximal`` and ``deadlocked`` are computed when read, and ``freeze()``
+    takes an immutable snapshot.
     """
 
     program: "Program"
-    events: tuple[Event, ...]
+    events: list[Event]
     values: dict[EventId, int]
-    enabled: tuple[Event, ...]
-    violations: tuple[str, ...]
-    _rt: tuple[_ThreadRt, ...]
-    _memory: dict[str, int]
-    _holders: dict[str, Optional[int]]
+    violations: list[str]  # failed assert ids, each once, in order of failure
+    # per thread: (pc, locals, events executed, pending event or None,
+    # the mutex that event acquires or None)
+    _threads: list[tuple] = field(repr=False)
+    _memory: dict[str, int] = field(repr=False)
+    _holders: dict[str, Optional[int]] = field(repr=False)
+    _undo: list[tuple] = field(default_factory=list, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def enabled(self) -> tuple[Event, ...]:
+        """Pending events, by thread id, of threads not blocked on a held mutex."""
+        holders = self._holders
+        out = []
+        for st in self._threads:
+            e = st[3]
+            if e is not None and (st[4] is None or holders[st[4]] is None):
+                out.append(e)
+        return tuple(out)
 
     @property
     def maximal(self) -> bool:
@@ -133,15 +145,31 @@ class Trace:
 
     @property
     def deadlocked(self) -> bool:
-        return not self.enabled and any(rt.pending is not None for rt in self._rt)
+        for st in self._threads:
+            if st[3] is not None:
+                return not self.enabled
+        return False
 
-    def extend(self, event: Event) -> "Trace":
-        return extend(self, event)
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """Number of events each thread has executed, by thread id."""
+        return tuple([st[2] for st in self._threads])
+
+    def undo(self) -> Event:
+        """Revert the last ``extend`` and return its event."""
+        tid, eid, state, nviol, table, var, old = self._undo.pop()
+        event = self.events.pop()
+        del self.values[eid]
+        del self.violations[nviol:]
+        self._threads[tid - 1] = state
+        if table is not None:
+            table[var] = old
+        return event
 
     def freeze(self) -> Execution:
         return Execution(
             self.program,
-            self.events,
+            tuple(self.events),
             dict(self.values),
             frozenset(self.violations),
             self.deadlocked,
@@ -533,113 +561,101 @@ def _advance(thread: Thread, pc: int, env: dict[str, int], violations: list[str]
     return pc
 
 
-def _pending(thread: Thread, pc: int, env: dict[str, int], acc: int) -> Optional[Event]:
+def _thread_state(thread: Thread, pc: int, env: dict[str, int], acc: int, memo: dict) -> tuple:
+    """A thread's state stopped at ``pc`` after ``acc`` events, with the
+    event it would execute next.  Equal events come from ``memo``: building
+    an ``Event`` is a large share of a step, and a depth-first search
+    reaches the same thread state again and again."""
     if pc >= len(thread.ops):
-        return None
+        return (pc, env, acc, None, None)
     op = thread.ops[pc]
     tag = op[0]
-    if tag == "write":
-        return Event(thread.tid, acc + 1, "W", op[1], _eval(op[2], env))
-    if tag == "read":
-        return Event(thread.tid, acc + 1, "R", op[1])
-    if tag == "lock":
-        return Event(thread.tid, acc + 1, "R", op[1])
-    return Event(thread.tid, acc + 1, "W", op[1], 0)  # unlock
+    # reads and lock acquires read; writes and releases (of 0) write
+    value = _eval(op[2], env) if tag == "write" else 0 if tag == "unlock" else None
+    key = (thread.tid, pc, acc, value)
+    event = memo.get(key)
+    if event is None:
+        kind = "R" if value is None else "W"
+        event = memo[key] = Event(thread.tid, acc + 1, kind, op[1], value)
+    return (pc, env, acc, event, op[1] if tag == "lock" else None)
 
 
-def _enabled(program: Program, rts: tuple[_ThreadRt, ...], holders: dict[str, Optional[int]]) -> tuple[Event, ...]:
-    out = []
-    for thread, rt in zip(program.threads, rts):
-        e = rt.pending
-        if e is None:
-            continue
-        if thread.ops[rt.pc][0] == "lock" and holders[e.var] is not None:
-            continue  # blocked on a held mutex
-        out.append(e)
-    return tuple(out)
+def _drop_repeats(violations: list[str], start: int) -> None:
+    """Drop the assert ids appended from ``start`` on that are already listed."""
+    seen = violations[:start]
+    violations[start:] = [aid for aid in dict.fromkeys(violations[start:]) if aid not in seen]
 
 
 def empty_trace(program: Program) -> Trace:
     """The initial trace: no events, every global at 0, frontier at each thread's first access."""
     violations: list[str] = []
-    rts = []
+    threads = []
+    memo: dict = {}
     for thread in program.threads:
         env: dict[str, int] = {}
         pc = _advance(thread, 0, env, violations)
-        rts.append(_ThreadRt(pc, env, 0, _pending(thread, pc, env, 0)))
+        threads.append(_thread_state(thread, pc, env, 0, memo))
+    _drop_repeats(violations, 0)
     memory = {v: 0 for v in program.globals}
     holders: dict[str, Optional[int]] = {m: None for m in program.mutexes}
-    rts_t = tuple(rts)
-    return Trace(
-        program=program,
-        events=(),
-        values={},
-        enabled=_enabled(program, rts_t, holders),
-        violations=tuple(dict.fromkeys(violations)),
-        _rt=rts_t,
-        _memory=memory,
-        _holders=holders,
-    )
+    return Trace(program, [], {}, violations, threads, memory, holders, _memo=memo)
 
 
 def extend(trace: Trace, event: Event) -> Trace:
-    """Execute one enabled event and advance its thread to the next access."""
-    program = trace.program
-    if not (1 <= event.thread <= len(program.threads)):
+    """Execute one enabled event in place, advance its thread to its next
+    access, and return the same trace; ``trace.undo()`` reverts the step."""
+    tid = event.thread
+    threads = trace._threads
+    if not 0 < tid <= len(threads):
         raise ValueError(f"event {event!r} is not enabled: no such thread")
-    thread = program.threads[event.thread - 1]
-    rt = trace._rt[event.thread - 1]
-    if rt.pending != event:
+    state = threads[tid - 1]
+    pc, env, acc, pending, _ = state
+    if pending is not event and pending != event:
         raise ValueError(f"event {event!r} is not enabled")
-    op = thread.ops[rt.pc]
+    thread = trace.program.threads[tid - 1]
+    op = thread.ops[pc]
+    tag = op[0]
+    var = event.var
+    memory = trace._memory
+    holders = trace._holders
 
-    memory = dict(trace._memory)
-    holders = dict(trace._holders)
-    values = dict(trace.values)
-    env = dict(rt.env)
-    violations = list(trace.violations)
-    seen = set(violations)
-
-    if op[0] == "write":
-        memory[event.var] = event.value
-        values[event.eid] = event.value
-    elif op[0] == "read":
-        v = memory[event.var]
-        env[op[2]] = v
-        values[event.eid] = v
-    elif op[0] == "lock":
-        if holders[event.var] is not None:
+    if tag == "write":
+        table, old = memory, memory[var]
+        memory[var] = value = event.value
+    elif tag == "read":
+        table = old = None
+        value = memory[var]
+        env = {**env, op[2]: value}
+    elif tag == "lock":
+        if holders[var] is not None:
             raise ValueError(f"event {event!r} is not enabled: mutex held")
-        holders[event.var] = event.thread
-        values[event.eid] = memory[event.var]
-    else:  # unlock
-        if holders[event.var] != event.thread:
+        table, old = holders, None
+        holders[var] = tid
+        value = memory[var]
+    else:  # unlock; a mutex's memory stays 0 throughout
+        if holders[var] != tid:
             raise InterpreterError(
-                f"thread {thread.name} releases mutex {event.var!r} it does not hold"
+                f"thread {thread.name} releases mutex {var!r} it does not hold"
             )
-        holders[event.var] = None
-        memory[event.var] = 0
-        values[event.eid] = 0
+        table, old = holders, tid
+        holders[var] = None
+        value = 0
 
-    local_viol: list[str] = []
-    pc = _advance(thread, rt.pc + 1, env, local_viol)
-    for aid in local_viol:
-        if aid not in seen:
-            seen.add(aid)
-            violations.append(aid)
-    new_rt = _ThreadRt(pc, env, rt.acc + 1, _pending(thread, pc, env, rt.acc + 1))
-    rts = trace._rt[: event.thread - 1] + (new_rt,) + trace._rt[event.thread :]
-
-    return Trace(
-        program=program,
-        events=trace.events + (event,),
-        values=values,
-        enabled=_enabled(program, rts, holders),
-        violations=tuple(violations),
-        _rt=rts,
-        _memory=memory,
-        _holders=holders,
-    )
+    violations = trace.violations
+    nviol = len(violations)
+    npc = pc + 1
+    if npc < len(thread.ops) and thread.ops[npc][0] not in _ACCESS_TAGS:
+        if env is state[1]:
+            env = dict(env)  # the state being left keeps its locals for undo
+        npc = _advance(thread, npc, env, violations)
+        if len(violations) > nviol:
+            _drop_repeats(violations, nviol)
+    threads[tid - 1] = _thread_state(thread, npc, env, acc + 1, trace._memo)
+    eid = (tid, event.index)
+    trace.events.append(event)
+    trace.values[eid] = value
+    trace._undo.append((tid, eid, state, nviol, table, var, old))
+    return trace
 
 
 def assertion_status(trace: Trace) -> frozenset[str]:
@@ -651,5 +667,5 @@ def replay(program: Program, events: Iterable[Event]) -> Trace:
     """Re-execute a sequence of events from the empty trace, validating each step."""
     t = empty_trace(program)
     for e in events:
-        t = extend(t, e)
+        extend(t, e)
     return t

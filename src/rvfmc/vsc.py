@@ -294,7 +294,6 @@ def closure(inst: VscInstance) -> Optional[ClockOrder]:
 class VscResult:
     witness: Optional[tuple[Event, ...]]
     states_processed: int
-    closure_order: Optional[ClockOrder] = None
 
     @property
     def realizable(self) -> bool:
@@ -447,12 +446,12 @@ def verify_sc(
     state is new.  ``states_processed`` counts popped states and never
     exceeds ``inst.state_bound()``.
     """
-    closure_po = None
+    order = None
     if options.closure:
-        closure_po = closure(inst)
-        if closure_po is None:
-            return VscResult(None, 0, None)
-    steps = _Steps(inst, closure_po, aux if options.guided else None)
+        order = closure(inst)
+        if order is None:
+            return VscResult(None, 0)
+    steps = _Steps(inst, order, aux if options.guided else None)
     n = len(inst.events)
 
     counts, active = steps.start
@@ -470,7 +469,7 @@ def verify_sc(
                 seq.append(e)
             witness = tuple(reversed(seq))
             _validate_witness(inst, witness)
-            return VscResult(witness, processed, closure_po)
+            return VscResult(witness, processed)
 
         cands = steps.candidates(counts, active)
         if options.greedy and cands:
@@ -484,7 +483,7 @@ def verify_sc(
                 done.add(key)
                 stack.append(((e, path), depth + 1, ncounts, nactive))
 
-    return VscResult(None, processed, closure_po)
+    return VscResult(None, processed)
 
 
 # ---------------------------------------------------------------------------

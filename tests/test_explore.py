@@ -60,7 +60,9 @@ def test_extension_flushes_all_writes():
 def test_extension_noop_when_reads_first():
     p = parse_program("thread t1 { r = read x; }\nthread t2 { s = read y; }")
     t = empty_trace(p)
-    assert extend_nonreads(t).events == ()
+    st = extend_nonreads(t)
+    assert st is t  # extended in place
+    assert st.events == []
 
 
 def test_extension_appends_pending_release():

@@ -1,9 +1,15 @@
 """Enumeration counts, census consistency, brute-force realizability."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import rvfmc
 from rvfmc import (
     Event,
     VscInstance,
@@ -58,6 +64,32 @@ def test_unheld_unlock_raises(source):
         enumerate_maximal_traces(p)
     with pytest.raises(InterpreterError, match="does not hold"):
         explore(p)
+
+
+def test_long_trace_within_default_recursion_limit():
+    """Census and enumeration of a 5000-event trace in a fresh interpreter,
+    which keeps its default recursion limit throughout."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from rvfmc import count_classes, enumerate_maximal_traces, parse_program
+
+        limit = sys.getrecursionlimit()
+        p = parse_program("thread t { repeat 5000 { write x 1; } }")
+        counts = count_classes(p)
+        assert counts.maximal_traces == 1, counts
+        assert counts.classes == {"rvf": 1, "rf": 1, "maz": 1}, counts
+        (ex,) = enumerate_maximal_traces(p)
+        assert len(ex.events) == 5000
+        assert sys.getrecursionlimit() == limit
+        """
+    )
+    src = str(Path(rvfmc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_enumerated_traces_replay():

@@ -77,8 +77,9 @@ def test_extend_write_records_value():
     t = empty_trace(p)
     e = next(x for x in t.enabled if x.thread == 2)
     t2 = extend(t, e)
+    assert t2 is t  # extended in place
     assert t2.values[(2, 1)] == 1
-    assert t2.events == (e,)
+    assert t2.events == [e]
 
 
 def test_read_before_any_write_sees_zero():
@@ -216,3 +217,27 @@ def test_per_thread_subsequence_is_deterministic_prefix(data):
     for thread in p.threads:
         seq = [e for e in t.events if e.thread == thread.tid]
         assert [e.index for e in seq] == list(range(1, len(seq) + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_undo_restores_every_prefix(data):
+    """Undoing a random schedule step by step passes through exactly the
+    traces that replaying its prefixes builds, and ends at the empty trace."""
+    name = data.draw(st.sampled_from(sorted(PROGRAMS)))
+    p = parse_program(PROGRAMS[name])
+    t = empty_trace(p)
+    while t.enabled:
+        extend(t, data.draw(st.sampled_from(t.enabled)))
+    events = list(t.events)
+    for i in range(len(events), -1, -1):
+        want = replay(p, events[:i])
+        assert t.events == want.events
+        assert t.values == want.values
+        assert t.enabled == want.enabled
+        assert t.violations == want.violations
+        assert t.deadlocked == want.deadlocked
+        assert t == want  # threads, memory and mutex holders too
+        if i:
+            t.undo()
+    assert t == empty_trace(p)
