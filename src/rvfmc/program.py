@@ -126,7 +126,6 @@ class Trace:
     _memory: dict[str, int] = field(repr=False)
     _holders: dict[str, Optional[int]] = field(repr=False)
     _undo: list[tuple] = field(default_factory=list, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def enabled(self) -> tuple[Event, ...]:
@@ -561,22 +560,19 @@ def _advance(thread: Thread, pc: int, env: dict[str, int], violations: list[str]
     return pc
 
 
-def _thread_state(thread: Thread, pc: int, env: dict[str, int], acc: int, memo: dict) -> tuple:
+def _thread_state(thread: Thread, pc: int, env: dict[str, int], acc: int) -> tuple:
     """A thread's state stopped at ``pc`` after ``acc`` events, with the
-    event it would execute next.  Equal events come from ``memo``: building
-    an ``Event`` is a large share of a step, and a depth-first search
-    reaches the same thread state again and again."""
+    event it would execute next and the mutex that event acquires."""
     if pc >= len(thread.ops):
         return (pc, env, acc, None, None)
     op = thread.ops[pc]
     tag = op[0]
-    # reads and lock acquires read; writes and releases (of 0) write
-    value = _eval(op[2], env) if tag == "write" else 0 if tag == "unlock" else None
-    key = (thread.tid, pc, acc, value)
-    event = memo.get(key)
-    if event is None:
-        kind = "R" if value is None else "W"
-        event = memo[key] = Event(thread.tid, acc + 1, kind, op[1], value)
+    if tag == "write":
+        event = Event(thread.tid, acc + 1, "W", op[1], _eval(op[2], env))
+    elif tag == "unlock":  # a release writes 0
+        event = Event(thread.tid, acc + 1, "W", op[1], 0)
+    else:  # reads and lock acquires read
+        event = Event(thread.tid, acc + 1, "R", op[1])
     return (pc, env, acc, event, op[1] if tag == "lock" else None)
 
 
@@ -590,15 +586,14 @@ def empty_trace(program: Program) -> Trace:
     """The initial trace: no events, every global at 0, frontier at each thread's first access."""
     violations: list[str] = []
     threads = []
-    memo: dict = {}
     for thread in program.threads:
         env: dict[str, int] = {}
         pc = _advance(thread, 0, env, violations)
-        threads.append(_thread_state(thread, pc, env, 0, memo))
+        threads.append(_thread_state(thread, pc, env, 0))
     _drop_repeats(violations, 0)
     memory = {v: 0 for v in program.globals}
     holders: dict[str, Optional[int]] = {m: None for m in program.mutexes}
-    return Trace(program, [], {}, violations, threads, memory, holders, _memo=memo)
+    return Trace(program, [], {}, violations, threads, memory, holders)
 
 
 def extend(trace: Trace, event: Event) -> Trace:
@@ -625,7 +620,6 @@ def extend(trace: Trace, event: Event) -> Trace:
     elif tag == "read":
         table = old = None
         value = memory[var]
-        env = {**env, op[2]: value}
     elif tag == "lock":
         if holders[var] is not None:
             raise ValueError(f"event {event!r} is not enabled: mutex held")
@@ -641,16 +635,15 @@ def extend(trace: Trace, event: Event) -> Trace:
         holders[var] = None
         value = 0
 
+    env = dict(env)  # the state being left keeps its locals for undo
+    if tag == "read":
+        env[op[2]] = value
     violations = trace.violations
     nviol = len(violations)
-    npc = pc + 1
-    if npc < len(thread.ops) and thread.ops[npc][0] not in _ACCESS_TAGS:
-        if env is state[1]:
-            env = dict(env)  # the state being left keeps its locals for undo
-        npc = _advance(thread, npc, env, violations)
-        if len(violations) > nviol:
-            _drop_repeats(violations, nviol)
-    threads[tid - 1] = _thread_state(thread, npc, env, acc + 1, trace._memo)
+    npc = _advance(thread, pc + 1, env, violations)
+    if len(violations) > nviol:
+        _drop_repeats(violations, nviol)
+    threads[tid - 1] = _thread_state(thread, npc, env, acc + 1)
     eid = (tid, event.index)
     trace.events.append(event)
     trace.values[eid] = value
