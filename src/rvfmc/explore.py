@@ -41,7 +41,7 @@ from typing import Iterable, Optional
 
 from .program import Event, EventId, Execution, Program, Trace, empty_trace, extend, replay
 from .semantics import rvf_key
-from .vsc import SolverOptions, VscInstance, verify_sc
+from .vsc import ClosureBase, SolverOptions, VscInstance, verify_sc
 
 CausalMap = dict[EventId, dict[int, int]]
 
@@ -155,10 +155,12 @@ class _Explorer:
 
     def run(self) -> ExplorationReport:
         start = time.perf_counter()
-        depth = 4 * self.program.access_count() + 200
-        if sys.getrecursionlimit() < depth:
-            sys.setrecursionlimit(depth)
-        self._node({}, empty_trace(self.program), {})
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 4 * self.program.access_count() + 200))
+        try:
+            self._node({}, empty_trace(self.program), {})
+        finally:
+            sys.setrecursionlimit(limit)
         self.report.wall_time_ms = (time.perf_counter() - start) * 1000.0
         return self.report
 
@@ -209,12 +211,24 @@ class _Explorer:
                 self.signals[read.eid] = _Signal(read.var, read.thread)
 
             sources = viable_sources(trace, read, cmap)
-            for group in self._groups(read, sources, trace, goodw):
+            groups = [frozenset(w.eid for w in g) for g in self._groups(read, sources, trace, goodw)]
+            # the trace is the same for every group: children undo their steps
+            active = next(
+                (e for e in reversed(trace.events) if e.kind == "W" and e.var == read.var),
+                self.program.init_event(read.var),
+            ).eid
+            # a closure base pays off once two solver calls share it
+            solved = sum(active not in g for g in groups)
+            base = ClosureBase(read.eid) if self.options.closure and solved > 1 else None
+            for group in groups:
                 goodw2 = dict(goodw)
-                goodw2[read.eid] = frozenset(w.eid for w in group)
-                witness_trace = self._witness(trace, read, goodw2)
-                if witness_trace is None:
-                    continue
+                goodw2[read.eid] = group
+                if active in group:
+                    witness_trace = extend(trace, read)  # the current trace already satisfies it
+                else:
+                    witness_trace = self._witness(trace, read, goodw2, base)
+                    if witness_trace is None:
+                        continue
                 child_cmap = {rid: dict(tc) for rid, tc in cmap.items()}
                 self._node(goodw2, witness_trace, child_cmap)
                 if witness_trace is trace:
@@ -229,22 +243,19 @@ class _Explorer:
             cmap[read.eid] = counts
 
     def _witness(
-        self, trace: Trace, read: Event, goodw: dict[EventId, frozenset[EventId]]
+        self,
+        trace: Trace,
+        read: Event,
+        goodw: dict[EventId, frozenset[EventId]],
+        base: Optional[ClosureBase],
     ) -> Optional[Trace]:
-        """A trace over Events(trace)+read satisfying ``goodw``, or None: either
-        ``trace`` itself extended by ``read``, or a fresh replay of a solver
-        witness."""
-        active = next(
-            (e for e in reversed(trace.events) if e.kind == "W" and e.var == read.var),
-            self.program.init_event(read.var),
-        )
-        if active.eid in goodw[read.eid]:
-            return extend(trace, read)  # the current trace already satisfies it
-
+        """A fresh replay of a solver witness over Events(trace)+read that
+        satisfies ``goodw``, or None.  The instance is made of a trace's own
+        events and writes, so it is well-formed and skips validation."""
         events = (*trace.events, read)
-        inst = VscInstance(events, goodw, universe=self.program.globals)
+        inst = VscInstance(events, goodw, universe=self.program.globals, check=False)
         aux = events if self.options.aux_trace else None
-        result = verify_sc(inst, self.solver_options, aux=aux)
+        result = verify_sc(inst, self.solver_options, aux=aux, base=base)
         self.report.vsc_calls += 1
         self.report.witness_states += result.states_processed
         if result.witness is None:

@@ -113,6 +113,13 @@ class ClockOrder:
                 chain.append(tuple(clock))
         return order
 
+    def copy(self) -> "ClockOrder":
+        """An independent order with the same clocks; the clock tuples are shared."""
+        new = ClockOrder.__new__(ClockOrder)
+        new.threads, new.pos = self.threads, self.pos
+        new.rows = [chain.copy() for chain in self.rows]
+        return new
+
     def clock(self, eid: EventId) -> tuple[int, ...]:
         return self.rows[self.pos[eid[0]]][eid[1] - 1]
 

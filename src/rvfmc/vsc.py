@@ -34,7 +34,7 @@ Three independently switchable accelerations:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
@@ -64,14 +64,18 @@ class VscInstance:
 
     ``universe`` fixes the variable-ordinal scheme used for initial-write ids
     (thread 0, index = 1-based position among sorted variable names); it
-    defaults to the variables occurring in the events.
+    defaults to the variables occurring in the events.  ``check=False``
+    skips the validation, for callers that build only well-formed instances.
     """
 
     events: tuple[Event, ...]
     good_writes: dict[EventId, frozenset[EventId]]
     universe: tuple[str, ...] = ()
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check: bool):
+        if not check:
+            return
         by_thread: dict[int, dict[int, Event]] = {}
         for e in self.events:
             if e.thread <= 0:
@@ -138,7 +142,175 @@ class VscInstance:
 # ---------------------------------------------------------------------------
 
 
-def closure(inst: VscInstance) -> Optional[ClockOrder]:
+def _prepare(inst: VscInstance, free: Optional[EventId] = None):
+    """The program order of ``inst``, per variable and writing thread
+    position the sorted write indices, and the entries of its reads other
+    than ``free`` in event order."""
+    threads = inst.threads
+    chains = [inst.by_thread[t] for t in threads]
+    order = ClockOrder.program_order({t: len(chain) for t, chain in zip(threads, chains)})
+    writes_of: dict[str, dict[int, list[int]]] = {}
+    for u, chain in enumerate(chains):
+        for e in chain:
+            if e.kind == "W":
+                writes_of.setdefault(e.var, {}).setdefault(u, []).append(e.index)
+    reads = [
+        _read_entry(r, inst.good_writes[r.eid], inst.init_eid(r.var), order.pos, writes_of)
+        for r in inst.events
+        if r.kind == "R" and r.eid != free
+    ]
+    return order, writes_of, reads
+
+
+def _read_entry(r: Event, gw: frozenset[EventId], init: EventId, pos: dict[int, int], writes_of):
+    """What ``_step`` needs of read ``r``: its id and position, its good
+    writes, whether the initial write ``init`` is one of them, the
+    conflicting writes, and per writing thread the sorted indices of its
+    good writes."""
+    good: dict[int, list[int]] = {}
+    for t, i in gw:
+        if t:
+            good.setdefault(pos[t], []).append(i)
+    for g in good.values():
+        g.sort()
+    ru = pos[r.thread]
+    return (r.eid, ru, r.index, itemgetter(ru), gw, init in gw, writes_of.get(r.var, {}), good)
+
+
+def _step(order: ClockOrder, read) -> bool:
+    """Apply the four rules for one read entry; True when an edge was added.
+
+    Raises CycleError when rule 1 fails or an edge would close a cycle.
+    """
+    reid, ru, ri, after_r, gw, init_good, conf, good = read
+    threads, rows = order.threads, order.rows
+    clock = rows[ru][ri - 1]
+    last = {}
+    for u, indices in conf.items():
+        n = bisect_right(indices, clock[u])
+        if n:
+            last[u] = indices[n - 1]
+    # per thread, the least and greatest member of Cl(r) there; the
+    # visible range of thread u starts at its last write below r unless
+    # another thread's last write below r hides it
+    mins: list[tuple[int, int]] = []
+    maxs: list[tuple[int, int]] = []
+    for u, g in good.items():
+        i = last.get(u, 0)
+        if i and not any(i <= rows[v][j - 1][u] for v, j in last.items() if v != u):
+            lo = i
+        else:
+            lo = clock[u] + 1
+        a = bisect_left(g, lo)
+        if a == len(g):
+            continue
+        if g[-1] <= clock[u]:
+            b = a + 1  # only the last write below r can be visible
+        else:
+            # the first event of thread u after r ends the range
+            end = ri + 1 if u == ru else bisect_left(rows[u], ri, key=after_r) + 1
+            b = bisect_left(g, end)
+        if a < b:
+            mins.append((u, g[a]))
+            maxs.append((u, g[b - 1]))
+    init_in_cl = init_good and not last
+    if not mins and not init_in_cl:
+        raise CycleError(f"no good write of {reid} stays visible")
+
+    changed = False
+    # rule 2: the least member goes before r; the initial write, when in
+    # Cl(r), is least and adds nothing
+    if not init_in_cl:
+        for u, i in mins:
+            if all(i <= rows[v][j - 1][u] for v, j in mins if v != u):
+                if i > clock[u]:
+                    changed = order.add((threads[u], i), reid)
+                    clock = rows[ru][ri - 1]
+                break
+    # rule 3: bad writes below r end, per thread, in the last one
+    bad_below = []
+    for u, indices in conf.items():
+        t = threads[u]
+        n = bisect_right(indices, clock[u])
+        while n and (t, indices[n - 1]) in gw:
+            n -= 1
+        if n:
+            bad_below.append((u, indices[n - 1]))
+    if not mins and bad_below:
+        # Cl(r) is the initial write alone, which no write can precede
+        raise CycleError(f"{reid} must read the initial write, but a bad write precedes it")
+    for gu, gi in maxs:
+        if all(j <= rows[gu][gi - 1][v] for v, j in maxs if v != gu):
+            for u, i in bad_below:
+                if i > rows[gu][gi - 1][u]:
+                    changed |= order.add((threads[u], i), (threads[gu], gi))
+            break
+    # rule 4: in each thread the conflicting writes after every
+    # per-thread maximum of Cl(r) form a suffix; its first bad write
+    # carries the edge
+    for u, indices in conf.items():
+        chain = rows[u]
+        t = threads[u]
+        lo = bisect_left(indices, True, key=lambda w: all(i <= chain[w - 1][v] for v, i in maxs))
+        while lo < len(indices) and (t, indices[lo]) in gw:
+            lo += 1
+        if lo < len(indices) and ri > chain[indices[lo] - 1][ru]:
+            changed |= order.add(reid, (t, indices[lo]))
+    return changed
+
+
+def _fixpoint(order: ClockOrder, reads) -> None:
+    """Pass over ``reads`` in order until a whole pass adds no edge."""
+    changed = True
+    while changed:
+        changed = False
+        for read in reads:
+            changed |= _step(order, read)
+
+
+class ClosureBase:
+    """What the closures of one read's instances share.
+
+    The explorer asks the solver about instances that differ only in the good
+    writes of one read: the same events, the same good writes for every other
+    read, and one value group after another for ``read``.  Their shared part
+    is the closure of those events with ``read`` left unconstrained, with the
+    tables that go with it.  A base fills itself from the first instance that
+    ``closure`` is given with it; every later instance must have the same
+    events and the same good writes for the other reads.
+    """
+
+    __slots__ = ("read", "filled", "order", "event", "init", "writes_of", "reads", "at")
+
+    def __init__(self, read: EventId):
+        self.read = read
+        self.filled = False
+        self.order: Optional[ClockOrder] = None  # stays None when the other reads have no closure
+
+    def _fill(self, inst: VscInstance) -> None:
+        order, self.writes_of, self.reads = _prepare(inst, self.read)
+        # the read's place among the read entries, for passes in event order
+        reads = [e for e in inst.events if e.kind == "R"]
+        self.at = next(i for i, e in enumerate(reads) if e.eid == self.read)
+        self.event = reads[self.at]
+        self.init = inst.init_eid(self.event.var)
+        self.filled = True
+        _fixpoint(order, self.reads)
+        self.order = order
+
+    def start(self, inst: VscInstance):
+        """A fresh copy of the shared order and the entry of ``read`` under
+        ``inst``; raises CycleError when the shared part has no closure."""
+        if not self.filled:
+            self._fill(inst)
+        if self.order is None:
+            raise CycleError(f"the other reads of {self.read} have no closure")
+        order = self.order.copy()
+        gw = inst.good_writes[self.read]
+        return order, _read_entry(self.event, gw, self.init, order.pos, self.writes_of)
+
+
+def closure(inst: VscInstance, base: Optional[ClosureBase] = None) -> Optional[ClockOrder]:
     """Weakest order every witness refines, or None when none can exist.
 
     Fixpoint over four per-read conditions on Cl(r), the good writes of r
@@ -167,119 +339,24 @@ def closure(inst: VscInstance) -> Optional[ClockOrder]:
     that new edges update.  Rules, rule order, passes and the resulting
     order equal those of the explicit-pairs reference that the tests keep in
     ``tests/reference_closure.py``.
+
+    With ``base``, a ``ClosureBase`` for one read r of ``inst``, the fixpoint
+    does not start from program order.  It starts from a copy of the base's
+    order, already closed under the rules of every other read, and applies
+    r's rules first.  When they add no edge the copy is the closure;
+    otherwise full passes run as above.  The tests check that this gives the
+    same order as the computation from program order on every read of the
+    acceptance fuzz corpus.
     """
-    threads = inst.threads
-    tpos = {t: u for u, t in enumerate(threads)}
-    chains = [inst.by_thread[t] for t in threads]
-    order = ClockOrder.program_order({t: len(chain) for t, chain in zip(threads, chains)})
-    rows = order.rows
-
-    # per variable and writing thread position: the sorted write indices
-    writes_of: dict[str, dict[int, list[int]]] = {}
-    for u, chain in enumerate(chains):
-        for e in chain:
-            if e.kind == "W":
-                writes_of.setdefault(e.var, {}).setdefault(u, []).append(e.index)
-
-    # per read: its position, its good writes, the conflicting writes, and
-    # per writing thread the sorted indices of its good writes
-    reads = []
-    for r in inst.events:
-        if r.kind != "R":
-            continue
-        gw = inst.good_writes[r.eid]
-        good: dict[int, list[int]] = {}
-        for t, i in gw:
-            if t:
-                good.setdefault(tpos[t], []).append(i)
-        for g in good.values():
-            g.sort()
-        ru = tpos[r.thread]
-        reads.append((r.eid, ru, r.index, itemgetter(ru), gw, inst.init_eid(r.var) in gw, writes_of.get(r.var, {}), good))
-
-    def step(read) -> bool:
-        reid, ru, ri, after_r, gw, init_good, conf, good = read
-        clock = rows[ru][ri - 1]
-        last = {}
-        for u, indices in conf.items():
-            n = bisect_right(indices, clock[u])
-            if n:
-                last[u] = indices[n - 1]
-        # per thread, the least and greatest member of Cl(r) there; the
-        # visible range of thread u starts at its last write below r unless
-        # another thread's last write below r hides it
-        mins: list[tuple[int, int]] = []
-        maxs: list[tuple[int, int]] = []
-        for u, g in good.items():
-            i = last.get(u, 0)
-            if i and not any(i <= rows[v][j - 1][u] for v, j in last.items() if v != u):
-                lo = i
-            else:
-                lo = clock[u] + 1
-            a = bisect_left(g, lo)
-            if a == len(g):
-                continue
-            if g[-1] <= clock[u]:
-                b = a + 1  # only the last write below r can be visible
-            else:
-                # the first event of thread u after r ends the range
-                end = ri + 1 if u == ru else bisect_left(rows[u], ri, key=after_r) + 1
-                b = bisect_left(g, end)
-            if a < b:
-                mins.append((u, g[a]))
-                maxs.append((u, g[b - 1]))
-        init_in_cl = init_good and not last
-        if not mins and not init_in_cl:
-            raise CycleError(f"no good write of {reid} stays visible")
-
-        changed = False
-        # rule 2: the least member goes before r; the initial write, when in
-        # Cl(r), is least and adds nothing
-        if not init_in_cl:
-            for u, i in mins:
-                if all(i <= rows[v][j - 1][u] for v, j in mins if v != u):
-                    if i > clock[u]:
-                        changed = order.add((threads[u], i), reid)
-                        clock = rows[ru][ri - 1]
-                    break
-        # rule 3: bad writes below r end, per thread, in the last one
-        bad_below = []
-        for u, indices in conf.items():
-            t = threads[u]
-            n = bisect_right(indices, clock[u])
-            while n and (t, indices[n - 1]) in gw:
-                n -= 1
-            if n:
-                bad_below.append((u, indices[n - 1]))
-        if not mins and bad_below:
-            # Cl(r) is the initial write alone, which no write can precede
-            raise CycleError(f"{reid} must read the initial write, but a bad write precedes it")
-        for gu, gi in maxs:
-            if all(j <= rows[gu][gi - 1][v] for v, j in maxs if v != gu):
-                for u, i in bad_below:
-                    if i > rows[gu][gi - 1][u]:
-                        changed |= order.add((threads[u], i), (threads[gu], gi))
-                break
-        # rule 4: in each thread the conflicting writes after every
-        # per-thread maximum of Cl(r) form a suffix; its first bad write
-        # carries the edge
-        for u, indices in conf.items():
-            chain = rows[u]
-            t = threads[u]
-            lo = bisect_left(indices, True, key=lambda w: all(i <= chain[w - 1][v] for v, i in maxs))
-            while lo < len(indices) and (t, indices[lo]) in gw:
-                lo += 1
-            if lo < len(indices) and ri > chain[indices[lo] - 1][ru]:
-                changed |= order.add(reid, (t, indices[lo]))
-        return changed
-
     try:
-        while True:
-            changed = False
-            for read in reads:
-                changed |= step(read)
-            if not changed:
-                break
+        if base is None:
+            order, _, reads = _prepare(inst)
+        else:
+            order, read = base.start(inst)
+            if not _step(order, read):
+                return order
+            reads = [*base.reads[: base.at], read, *base.reads[base.at :]]
+        _fixpoint(order, reads)
     except CycleError:
         return None
     return order
@@ -438,17 +515,20 @@ def verify_sc(
     inst: VscInstance,
     options: SolverOptions = SolverOptions(),
     aux: Optional[Sequence[Event]] = None,
+    base: Optional[ClosureBase] = None,
 ) -> VscResult:
     """Decide realizability; return a validated witness when one exists.
 
     The worklist is a LIFO stack of witness states, each with a pointer to
     the path that reached it; a successor is pushed only when its witness
     state is new.  ``states_processed`` counts popped states and never
-    exceeds ``inst.state_bound()``.
+    exceeds ``inst.state_bound()``.  With closure on, the pre-pass is one
+    call of ``closure(inst, base)``: a ``base`` shared by the calls about
+    one read's value groups lets each start from that read's shared closure.
     """
     order = None
     if options.closure:
-        order = closure(inst)
+        order = closure(inst, base)
         if order is None:
             return VscResult(None, 0)
     steps = _Steps(inst, order, aux if options.guided else None)

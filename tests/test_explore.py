@@ -1,9 +1,18 @@
 """Exploration behavior: extension, signals, source grouping, leaf sets."""
 
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import rvfmc
 from rvfmc import (
     ExploreOptions,
+    VscInstance,
     empty_trace,
     enumerate_maximal_traces,
     explore,
@@ -18,6 +27,8 @@ from rvfmc.explore import (
     viable_sources,
 )
 from corpus import PROGRAMS, one_var_family, many_threads_family
+
+ALL_EXPLORE_OPTIONS = [ExploreOptions(*bits) for bits in itertools.product([True, False], repeat=4)]
 
 
 def test_unanimous_explores_single_trace():
@@ -256,3 +267,46 @@ def test_long_n_closure_keeps_keys():
     rep = explore(p)
     assert rep.leaf_count == 31
     assert rep.rvf_keys == explore(p, ExploreOptions(closure=False)).rvf_keys
+
+
+def test_explore_restores_recursion_limit():
+    """Exploring a 5000-event trace raises the recursion limit only for the
+    duration of the call."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from rvfmc import explore, parse_program
+
+        limit = sys.getrecursionlimit()
+        rep = explore(parse_program("thread t { repeat 5000 { write x 1; } }"))
+        assert rep.leaf_count == 1, rep.leaf_count
+        assert sys.getrecursionlimit() == limit, (sys.getrecursionlimit(), limit)
+        """
+    )
+    src = str(Path(rvfmc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# -- solver instances -----------------------------------------------------------------
+
+
+def test_explorer_instances_pass_validation(monkeypatch):
+    """The explorer builds its solver instances with ``check=False``; with
+    validation forced back on, every instance it builds on the corpus under
+    every option setting is valid (a VscError would fail the test)."""
+    built = []
+
+    def validating(*args, check=True, **kwargs):
+        built.append(check)
+        return VscInstance(*args, **kwargs)
+
+    monkeypatch.setattr(sys.modules["rvfmc.explore"], "VscInstance", validating)
+    for source in PROGRAMS.values():
+        p = parse_program(source)
+        for options in ALL_EXPLORE_OPTIONS:
+            explore(p, options)
+    assert built and not any(built)

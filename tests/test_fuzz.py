@@ -19,7 +19,7 @@ from rvfmc import (
 from rvfmc.oracle import brute_force_vsc, iter_vsc_witnesses
 from rvfmc.program import Event
 from rvfmc.semantics import refines, sequence_order
-from rvfmc.vsc import SolverOptions, VscInstance, closure, verify_sc
+from rvfmc.vsc import ClosureBase, SolverOptions, VscInstance, closure, verify_sc
 from reference_closure import reference_closure
 
 ALL_SOLVER_OPTIONS = [SolverOptions(*bits) for bits in itertools.product([False, True], repeat=3)]
@@ -92,11 +92,14 @@ def test_solver_agrees_with_brute_force_quick():
 # -- closure against the pairs-based reference ------------------------------------
 
 
-def assert_closure_matches_reference(inst: VscInstance) -> None:
-    got, want = closure(inst), reference_closure(inst)
+def assert_same_closure(got, want, inst: VscInstance) -> None:
     assert (got is None) == (want is None), (inst.events, inst.good_writes)
     if got is not None:
         assert got.pairs == want.pairs, (inst.events, inst.good_writes)
+
+
+def assert_closure_matches_reference(inst: VscInstance) -> None:
+    assert_same_closure(closure(inst), reference_closure(inst), inst)
 
 
 def test_closure_matches_reference_on_fuzz_corpus():
@@ -106,6 +109,28 @@ def test_closure_matches_reference_on_fuzz_corpus():
         inst = random_instance(rng)
         random_linearization(inst, rng)
         assert_closure_matches_reference(inst)
+
+
+def test_closure_from_base_matches_on_fuzz_corpus():
+    """Every read of every acceptance fuzz instance: the closure started from
+    the read's ``ClosureBase`` equals the closure from program order, for
+    the instance, which fills the base, and for a variant that gives the
+    read the other candidate writes, which reuses it."""
+    rng = random.Random(20260808)
+    for _ in range(10000):
+        inst = random_instance(rng)
+        random_linearization(inst, rng)
+        want = closure(inst)
+        for r in inst.events:
+            if r.kind != "R":
+                continue
+            cands = {w.eid for w in inst.events if w.kind == "W" and w.var == r.var}
+            cands.add(inst.init_eid(r.var))
+            other = frozenset(cands - inst.good_writes[r.eid]) or frozenset(cands)
+            variant = VscInstance(inst.events, {**inst.good_writes, r.eid: other})
+            base = ClosureBase(r.eid)
+            assert_same_closure(closure(inst, base), want, inst)
+            assert_same_closure(closure(variant, base), closure(variant), variant)
 
 
 @st.composite
