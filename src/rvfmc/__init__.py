@@ -10,7 +10,6 @@ from .program import (
     ParseError,
     Program,
     Trace,
-    assertion_status,
     empty_trace,
     extend,
     parse_program,
@@ -18,16 +17,11 @@ from .program import (
 )
 from .semantics import (
     ClockOrder,
-    PartialOrder,
     causal_order,
-    is_lower_set,
     maz_key,
-    project,
     reads_from,
-    refines,
     rf_key,
     rvf_key,
-    visible_writes,
 )
 from .vsc import (
     SolverOptions,
@@ -45,13 +39,11 @@ __all__ = [
     "ExplorationReport",
     "ExploreOptions",
     "ParseError",
-    "PartialOrder",
     "Program",
     "SolverOptions",
     "Trace",
     "VscInstance",
     "VscResult",
-    "assertion_status",
     "brute_force_vsc",
     "causal_order",
     "census",
@@ -61,16 +53,12 @@ __all__ = [
     "enumerate_maximal_traces",
     "explore",
     "extend",
-    "is_lower_set",
     "maz_key",
     "parse_instance",
     "parse_program",
-    "project",
     "reads_from",
-    "refines",
     "replay",
     "rf_key",
     "rvf_key",
     "verify_sc",
-    "visible_writes",
 ]

@@ -2,10 +2,12 @@
 solve a realizability instance file.
 
 Every mode prints exactly one JSON object to stdout; output is reproducible
-across runs except for the wall_time_ms field.  Exit codes: 2 on parse
-errors, on interpreter errors such as releasing a mutex the thread does not
-hold, and when the census budget runs out; 1 when --fail-on-violation is set
-and an assertion violation was found; 0 otherwise.
+across runs except for the wall_time_ms field.  Exit codes: 2 when an input
+file cannot be read or is not UTF-8 text, when the --emit-traces file cannot
+be written, on parse errors, on interpreter errors such as releasing a mutex
+the thread does not hold, and when the census budget runs out, each with a
+one-line reason on stderr; 1 when --fail-on-violation is set and an
+assertion violation was found; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -40,24 +42,20 @@ def _base_record(mode: str, path: str) -> dict:
     }
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _cmd_explore(args: argparse.Namespace) -> int:
-    try:
-        with open(args.program, encoding="utf-8") as fh:
-            program = parse_program(fh.read())
-    except (OSError, ParseError) as exc:
-        print(f"rvf-mc: {exc}", file=sys.stderr)
-        return 2
+    program = parse_program(_read(args.program))
     options = ExploreOptions(
         backtrack_signals=not args.no_backtrack_signals,
         closure=not args.no_closure,
         greedy=not args.no_greedy,
         aux_trace=not args.no_aux_trace,
     )
-    try:
-        report = explore(program, options)
-    except InterpreterError as exc:
-        print(f"rvf-mc: {exc}", file=sys.stderr)
-        return 2
+    report = explore(program, options)
     record = _base_record("explore", args.program)
     record.update(
         maximal_traces=report.leaf_count,
@@ -86,18 +84,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    try:
-        with open(args.program, encoding="utf-8") as fh:
-            program = parse_program(fh.read())
-    except (OSError, ParseError) as exc:
-        print(f"rvf-mc: {exc}", file=sys.stderr)
-        return 2
+    program = parse_program(_read(args.program))
     start = time.perf_counter()
-    try:
-        counts = count_classes(program, ("rvf", "rf", "maz"), budget=args.budget)
-    except (BudgetExceeded, InterpreterError) as exc:
-        print(f"rvf-mc: {exc}", file=sys.stderr)
-        return 2
+    counts = count_classes(program, ("rvf", "rf", "maz"), budget=args.budget)
     record = _base_record("census", args.program)
     record.update(
         maximal_traces=counts.maximal_traces,
@@ -116,12 +105,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_vsc(args: argparse.Namespace) -> int:
-    try:
-        with open(args.instance, encoding="utf-8") as fh:
-            inst = parse_instance(fh.read())
-    except (OSError, VscError) as exc:
-        print(f"rvf-mc: {exc}", file=sys.stderr)
-        return 2
+    inst = parse_instance(_read(args.instance))
     options = SolverOptions(
         greedy=not args.no_greedy,
         closure=not args.no_closure,
@@ -172,7 +156,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, UnicodeDecodeError, ParseError, VscError, InterpreterError, BudgetExceeded) as exc:
+        print(f"rvf-mc: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

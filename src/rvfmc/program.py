@@ -209,10 +209,6 @@ class Program:
         """The salient initial write of ``var``: pseudo-thread 0, value 0."""
         return Event(0, self.ordinal(var), "W", var, 0)
 
-    @property
-    def init_events(self) -> tuple[Event, ...]:
-        return tuple(self.init_event(v) for v in self.globals)
-
     def access_count(self) -> int:
         return sum(1 for t in self.threads for op in t.ops if op[0] in _ACCESS_TAGS)
 
@@ -257,10 +253,17 @@ def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
+# Deepest nesting the parser accepts: open blocks, parentheses and unary
+# minuses plus an expression's depth.  It keeps the recursion of the parser,
+# the checker and the evaluator far below Python's default limit of 1000.
+_MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.i = 0
+        self.open = 0  # enclosing if/else/repeat blocks, parentheses and unary minuses
 
     def peek(self) -> tuple[str, str, int, int]:
         return self.tokens[self.i]
@@ -286,46 +289,64 @@ class _Parser:
             raise ParseError(f"expected {what}, found {text or 'end of input'!r}", line, col)
         return text
 
+    def nest(self, depth: int, tok: tuple[str, str, int, int]) -> None:
+        """Reject ``depth`` more levels inside the open ones, at ``tok``, past the limit."""
+        if self.open + depth > _MAX_DEPTH:
+            raise ParseError(f"nested deeper than {_MAX_DEPTH} levels", tok[2], tok[3])
+
     # -- expressions -------------------------------------------------------
+    # Each returns (node, depth): every operator, parenthesis and unary minus
+    # adds a level, so the checker and the evaluator recurse at most depth deep.
 
-    def expr(self) -> tuple:
-        node = self.term()
+    def expr(self) -> tuple[tuple, int]:
+        node, depth = self.term()
         while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = (op, node, self.term())
-        return node
+            tok = self.next()
+            right, rdepth = self.term()
+            depth = max(depth, rdepth) + 1
+            self.nest(depth, tok)
+            node = (tok[1], node, right)
+        return node, depth
 
-    def term(self) -> tuple:
-        node = self.factor()
+    def term(self) -> tuple[tuple, int]:
+        node, depth = self.factor()
         while self.peek()[1] == "*":
-            self.next()
-            node = ("*", node, self.factor())
-        return node
+            tok = self.next()
+            right, rdepth = self.factor()
+            depth = max(depth, rdepth) + 1
+            self.nest(depth, tok)
+            node = ("*", node, right)
+        return node, depth
 
-    def factor(self) -> tuple:
-        kind, text, line, col = self.peek()
-        if text == "-":
+    def factor(self) -> tuple[tuple, int]:
+        tok = self.peek()
+        kind, text, line, col = tok
+        if text in ("-", "("):
             self.next()
-            return ("neg", self.factor())
-        if text == "(":
-            self.next()
-            node = self.expr()
-            self.expect(")")
-            return node
+            self.nest(1, tok)
+            self.open += 1
+            if text == "-":
+                node, depth = self.factor()
+                node = ("neg", node)
+            else:
+                node, depth = self.expr()
+                self.expect(")")
+            self.open -= 1
+            return node, depth + 1
         if kind == "int":
             self.next()
-            return ("int", int(text))
+            return ("int", int(text)), 0
         if kind == "ident" and text not in _KEYWORDS:
             self.next()
-            return ("loc", text, line, col)
+            return ("loc", text, line, col), 0
         raise ParseError(f"expected expression, found {text or 'end of input'!r}", line, col)
 
     def cond(self) -> tuple:
-        left = self.expr()
+        left = self.expr()[0]
         kind, text, line, col = self.next()
         if text not in ("==", "!=", "<", "<="):
             raise ParseError(f"expected comparison operator, found {text!r}", line, col)
-        return (text, left, self.expr())
+        return (text, left, self.expr()[0])
 
     # -- statements --------------------------------------------------------
 
@@ -337,12 +358,20 @@ class _Parser:
         self.expect("}")
         return stmts
 
+    def inner_block(self) -> list:
+        """The block of an if, else or repeat: one level deeper."""
+        self.nest(1, self.peek())
+        self.open += 1
+        stmts = self.block()
+        self.open -= 1
+        return stmts
+
     def stmt(self) -> tuple:
         kind, text, line, col = self.peek()
         if text == "write":
             self.next()
             var = self.ident("variable")
-            e = self.expr()
+            e = self.expr()[0]
             self.expect(";")
             return ("write", var, e, line)
         if text == "lock" or text == "unlock":
@@ -358,18 +387,18 @@ class _Parser:
         if text == "if":
             self.next()
             c = self.cond()
-            then = self.block()
+            then = self.inner_block()
             other = []
             if self.peek()[1] == "else":
                 self.next()
-                other = self.block()
+                other = self.inner_block()
             return ("if", c, then, other)
         if text == "repeat":
             self.next()
             nk, ntext, nline, ncol = self.next()
             if nk != "int":
                 raise ParseError("loop bound must be an integer literal", nline, ncol)
-            return ("repeat", int(ntext), self.block())
+            return ("repeat", int(ntext), self.inner_block())
         if kind == "ident" and text not in _KEYWORDS:
             self.next()
             self.expect("=")
@@ -378,7 +407,7 @@ class _Parser:
                 var = self.ident("variable")
                 self.expect(";")
                 return ("readinto", text, var, line)
-            e = self.expr()
+            e = self.expr()[0]
             self.expect(";")
             return ("assign", text, e)
         raise ParseError(f"expected statement, found {text or 'end of input'!r}", line, col)
@@ -649,11 +678,6 @@ def extend(trace: Trace, event: Event) -> Trace:
     trace.values[eid] = value
     trace._undo.append((tid, eid, state, nviol, table, var, old))
     return trace
-
-
-def assertion_status(trace: Trace) -> frozenset[str]:
-    """Identifiers of assert statements that failed along the trace."""
-    return frozenset(trace.violations)
 
 
 def replay(program: Program, events: Iterable[Event]) -> Trace:

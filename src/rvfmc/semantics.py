@@ -17,14 +17,13 @@ value component of ``rvf_key`` already separates.
 
 Causal orders, and the closure orders of ``vsc``, are ``ClockOrder``s: one
 vector clock per event, as in FastTrack (Flanagan and Freund, PLDI 2009).
-``PartialOrder`` stores explicit pairs over arbitrary elements and serves as
-the reference that tests compare against.
+``ClockOrder`` is the one order type here; the explicit-pairs reference that
+tests compare it against lives in ``tests/reference_closure.py``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
@@ -34,49 +33,8 @@ Run = Union[Trace, Execution]
 
 
 # ---------------------------------------------------------------------------
-# Partial orders
+# Vector-clock orders
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartialOrder:
-    """A strict partial order over arbitrary elements, stored as its
-    transitively closed set of pairs."""
-
-    elements: frozenset[EventId]
-    pairs: frozenset[tuple[EventId, EventId]]
-
-    def less(self, a: EventId, b: EventId) -> bool:
-        return (a, b) in self.pairs
-
-    def ordered(self, a: EventId, b: EventId) -> bool:
-        return (a, b) in self.pairs or (b, a) in self.pairs
-
-
-def partial_order(elements: Iterable[EventId], edges: Iterable[tuple[EventId, EventId]]) -> PartialOrder:
-    """Build the transitive closure of ``edges``; raises ValueError on a cycle."""
-    elems = frozenset(elements)
-    succ: dict[EventId, set[EventId]] = {e: set() for e in elems}
-    for a, b in edges:
-        succ[a].add(b)
-    # iterative closure; element counts here are small
-    changed = True
-    while changed:
-        changed = False
-        for a in elems:
-            extra = set()
-            for b in succ[a]:
-                extra |= succ[b] - succ[a]
-            if extra:
-                succ[a] |= extra
-                changed = True
-    pairs = set()
-    for a in elems:
-        if a in succ[a]:
-            raise ValueError("relation contains a cycle")
-        for b in succ[a]:
-            pairs.add((a, b))
-    return PartialOrder(elems, frozenset(pairs))
 
 
 class CycleError(ValueError):
@@ -91,7 +49,7 @@ class ClockOrder:
     ``threads[u]``: entry ``v`` counts the events of ``threads[v]`` that
     precede it (for its own thread, ``j``).  Predecessors in a thread always
     form a prefix, so ``less(a, b)`` is one comparison, and clocks never
-    decrease along a thread.  ``elements`` and ``pairs`` are built on demand.
+    decrease along a thread.  ``pairs`` is built on demand.
     """
 
     __slots__ = ("threads", "pos", "rows")
@@ -129,9 +87,6 @@ class ClockOrder:
             return False
         return 1 <= a[1] <= self.rows[v][b[1] - 1][u]
 
-    def ordered(self, a: EventId, b: EventId) -> bool:
-        return self.less(a, b) or self.less(b, a)
-
     def add(self, a: EventId, b: EventId) -> bool:
         """Order ``a`` before ``b``, with everything that implies.
 
@@ -165,10 +120,6 @@ class ClockOrder:
         return True
 
     @property
-    def elements(self) -> frozenset[EventId]:
-        return frozenset((t, j) for t, chain in zip(self.threads, self.rows) for j in range(1, len(chain) + 1))
-
-    @property
     def pairs(self) -> frozenset[tuple[EventId, EventId]]:
         out = set()
         for t, chain in zip(self.threads, self.rows):
@@ -176,42 +127,6 @@ class ClockOrder:
                 for u, n in zip(self.threads, clock):
                     out.update(((u, i), (t, j)) for i in range(1, n + 1))
         return frozenset(out)
-
-
-def refines(q: PartialOrder, p: PartialOrder) -> bool:
-    """True when q orders everything p orders (q is the stronger order)."""
-    return q.pairs >= p.pairs
-
-
-def project(p: PartialOrder, subset: Iterable[EventId]) -> PartialOrder:
-    sub = frozenset(subset)
-    return PartialOrder(sub, frozenset((a, b) for a, b in p.pairs if a in sub and b in sub))
-
-
-def is_lower_set(subset: Iterable[EventId], po: PartialOrder) -> bool:
-    sub = set(subset)
-    return all(a in sub for a, b in po.pairs if b in sub)
-
-
-def sequence_order(events: Iterable[Event]) -> PartialOrder:
-    """The total order induced by a sequence of events."""
-    ids = [e.eid for e in events]
-    pairs = {(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))}
-    return PartialOrder(frozenset(ids), frozenset(pairs))
-
-
-def program_order(run: Run) -> PartialOrder:
-    """Per-thread chains over the events of a run."""
-    by_thread: dict[int, list[EventId]] = {}
-    for e in run.events:
-        by_thread.setdefault(e.thread, []).append(e.eid)
-    pairs = set()
-    for chain in by_thread.values():
-        chain.sort()
-        for i in range(len(chain)):
-            for j in range(i + 1, len(chain)):
-                pairs.add((chain[i], chain[j]))
-    return PartialOrder(frozenset(e.eid for e in run.events), frozenset(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +172,6 @@ def causal_order(run: Run) -> ClockOrder:
                 clock[w.thread - 1] = max(clock[w.thread - 1], w.index)
         chain.append(tuple(clock))
     return order
-
-
-def visible_writes(p: PartialOrder, events: Iterable[Event], r: Event) -> set[Event]:
-    """Writes of ``events`` that conflict with read ``r`` and are not hidden by ``p``.
-
-    A write w is hidden when some conflicting write sits strictly between w
-    and r in p, or when r itself is ordered before w.
-    """
-    pool = [e for e in events if e.kind == "W" and e.conflicts(r)]
-    out = set()
-    for w in pool:
-        if p.less(r.eid, w.eid):
-            continue
-        if any(p.less(w.eid, x.eid) and p.less(x.eid, r.eid) for x in pool if x.eid != w.eid):
-            continue
-        out.add(w)
-    return out
 
 
 # ---------------------------------------------------------------------------

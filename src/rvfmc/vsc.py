@@ -311,7 +311,7 @@ class ClosureBase:
 
 
 def closure(inst: VscInstance, base: Optional[ClosureBase] = None) -> Optional[ClockOrder]:
-    """Weakest order every witness refines, or None when none can exist.
+    """Weakest order that every witness respects, or None when none can exist.
 
     Fixpoint over four per-read conditions on Cl(r), the good writes of r
     still visible under the current order (the initial write participates

@@ -188,3 +188,22 @@ PROGRAMS: dict[str, str] = {
         thread t3 { b = read y; }
     """,
 }
+
+
+# Programs nested ``n`` levels deep, one per kind of nesting; the parser
+# accepts up to 100 levels.  ``deep_program(shape, n)[1]`` is the 1-based
+# column of the token that opens level ``n``.
+DEEP_PREFIX = "thread t { write x "
+
+
+def deep_program(shape: str, n: int) -> tuple[str, int]:
+    if shape == "parens":
+        return DEEP_PREFIX + "(" * n + "1" + ")" * n + "; }", len(DEEP_PREFIX) + n
+    if shape == "negations":
+        return DEEP_PREFIX + "-" * n + "1; }", len(DEEP_PREFIX) + n
+    if shape == "sum":
+        return DEEP_PREFIX + "+".join(["1"] * (n + 1)) + "; }", len(DEEP_PREFIX) + 2 * n
+    assert shape == "ifs"
+    opener = "if 0 == 0 { "
+    body = opener * n + "write x 1; " + "} " * n
+    return "thread t { " + body + "}", len("thread t { ") + len(opener) * n - 1

@@ -1,23 +1,24 @@
-"""Pairs-based closure, kept as the reference the clock-based ``vsc.closure``
-is checked against.
+"""The pairs-based reference for the vector-clock orders of ``rvfmc``.
 
-It stores the order as transitively closed successor and predecessor sets
-and evaluates the four closure rules on every write of a read's variable, so
-each read costs O(W^2) per pass.  It is slow but direct, which is what a
-reference should be.
+``_Order`` stores a strict order as transitively closed successor and
+predecessor sets.  The tests check ``ClockOrder.add`` and ``causal_order``
+against it, and ``reference_closure`` computes on it the closure that the
+clock-based ``vsc.closure`` is checked against: it evaluates the four
+closure rules on every write of a read's variable, so each read costs
+O(W^2) per pass.  It is slow but direct, which is what a reference should
+be.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from rvfmc.program import Event, EventId
-from rvfmc.semantics import PartialOrder
 from rvfmc.vsc import VscInstance
 
 
 class _Cycle(Exception):
-    pass
+    """Adding an edge would close a cycle."""
 
 
 class _Order:
@@ -25,10 +26,14 @@ class _Order:
 
     def __init__(self, eids: Iterable[EventId]):
         self.succ: dict[EventId, set[EventId]] = {e: set() for e in eids}
-        self.pred: dict[EventId, set[EventId]] = {e: set() for e in eids}
+        self.pred: dict[EventId, set[EventId]] = {e: set() for e in self.succ}
 
     def less(self, a: EventId, b: EventId) -> bool:
         return b in self.succ[a]
+
+    @property
+    def pairs(self) -> frozenset[tuple[EventId, EventId]]:
+        return frozenset((a, b) for a, succ in self.succ.items() for b in succ)
 
     def add(self, a: EventId, b: EventId) -> bool:
         if a == b or b in self.succ[a]:
@@ -47,7 +52,13 @@ class _Order:
         return True
 
 
-def reference_closure(inst: VscInstance) -> Optional[PartialOrder]:
+def respects(seq: Sequence[Event], order) -> bool:
+    """True when every pair of ``order.pairs`` appears in that order in ``seq``."""
+    at = {e.eid: i for i, e in enumerate(seq)}
+    return all(a in at and b in at and at[a] < at[b] for a, b in order.pairs)
+
+
+def reference_closure(inst: VscInstance) -> Optional[_Order]:
     """The closure of ``inst`` as explicit pairs, or None when none exists.
 
     Same rules, rule order and pass structure as ``rvfmc.vsc.closure``.
@@ -115,5 +126,4 @@ def reference_closure(inst: VscInstance) -> Optional[PartialOrder]:
             pass
     except _Cycle:
         return None
-    pairs = frozenset((a, b) for a, succ in order.succ.items() for b in succ)
-    return PartialOrder(frozenset(order.succ), pairs)
+    return order

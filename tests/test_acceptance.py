@@ -20,9 +20,9 @@ from rvfmc import (
     parse_program,
 )
 from rvfmc.oracle import brute_force_vsc, count_classes, iter_vsc_witnesses
-from rvfmc.semantics import refines, sequence_order
 from rvfmc.vsc import SolverOptions, closure, verify_sc
 from corpus import PROGRAMS, one_var_family, many_threads_family
+from reference_closure import respects
 from test_fuzz import random_instance, random_linearization
 
 FUZZ_COUNT = int(os.environ.get("RVFMC_FUZZ_COUNT", "10000"))
@@ -116,7 +116,7 @@ def test_criterion_4_closure_properties(fuzz_corpus):
                 violations += 1
             continue
         for w in iter_vsc_witnesses(inst):
-            if not refines(sequence_order(w), cl):
+            if not respects(w, cl):
                 violations += 1
     assert violations == 0
     _ok("4", f"{len(fuzz_corpus)} instances, 0 closure violations")

@@ -1,11 +1,12 @@
 """CLI surface: JSON shape, exit codes, determinism, trace emission."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from rvfmc.cli import main
-from corpus import PROGRAMS
+from corpus import PROGRAMS, deep_program
 
 
 @pytest.fixture
@@ -124,3 +125,45 @@ def test_vsc_parse_error(tmp_path, capsys):
     for text in ("E 1 1 Q x\n", "E 1 1 W x 1\nE 2 1 R x\nG 2 1 : 1.1\nG 2 1 : 0.1\n"):
         f.write_text(text)
         assert main(["vsc", str(f)]) == 2
+
+
+@pytest.mark.parametrize("mode", ["explore", "census", "vsc"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, mode):
+    f = tmp_path / "bin.prog"
+    f.write_bytes(b"\xff\xfe")
+    assert main([mode, str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rvf-mc: ") and "utf-8" in captured.err
+
+
+def test_emit_traces_unwritable_exit_2(tmp_path, capsys, demo_file):
+    out = tmp_path / "missing" / "traces.txt"
+    assert main(["explore", demo_file, "--emit-traces", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rvf-mc: ") and str(out) in captured.err
+
+
+@pytest.mark.parametrize("shape, n", [("parens", 3000), ("ifs", 1200), ("sum", 4999)])
+def test_deep_nesting_exit_2(tmp_path, capsys, shape, n):
+    f = tmp_path / "deep.prog"
+    src, _ = deep_program(shape, n)
+    f.write_text(src)
+    assert main(["explore", str(f)]) == 2
+    _, col = deep_program(shape, 101)
+    assert capsys.readouterr().err == f"rvf-mc: 1:{col}: nested deeper than 100 levels\n"
+
+
+PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
+
+
+@pytest.mark.parametrize("path", sorted(PROGRAMS_DIR.glob("*.prog")), ids=lambda p: p.name)
+def test_bundled_program_explore_matches_census(capsys, path):
+    code, explored = run_cli(capsys, "explore", str(path))
+    assert code == 0
+    code, counted = run_cli(capsys, "census", str(path))
+    assert code == 0
+    assert explored["leaves"] == explored["rvf_classes"] == counted["rvf_classes"]
+    assert explored["assertion_violations"] == counted["assertion_violations"]
+    assert explored["deadlocks"] == counted["deadlocks"]

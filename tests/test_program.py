@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from rvfmc import (
     ParseError,
-    assertion_status,
     empty_trace,
     enumerate_maximal_traces,
+    explore,
     extend,
     parse_program,
     replay,
 )
-from corpus import UNANIMOUS, PROGRAMS
+from corpus import UNANIMOUS, PROGRAMS, deep_program
 
 
 def test_unanimous_program_shape():
@@ -146,7 +146,7 @@ def test_assertion_status_of_live_trace():
     p = parse_program("thread t1 { write x 1; }\nthread t2 { r = read x; assert r == 1; }")
     t = empty_trace(p)
     t = extend(t, next(e for e in t.enabled if e.thread == 2))  # reads 0
-    assert assertion_status(t) == frozenset({"t2#1"})
+    assert t.violations == ["t2#1"]
 
 
 def test_int64_wraparound():
@@ -161,6 +161,32 @@ def test_unary_minus_and_precedence():
     p = parse_program("thread t1 { a = -3 + 2 * 4; write x a; }")
     (e,) = empty_trace(p).enabled
     assert e.value == 5
+
+
+@pytest.mark.parametrize("shape", ["parens", "negations", "sum", "ifs"])
+def test_nesting_limit(shape):
+    """100 levels parse, explore and evaluate; the 101st level is a
+    ParseError at the token that opens it, also far past the limit."""
+    src, _ = deep_program(shape, 100)
+    p = parse_program(src)
+    report = explore(p)
+    assert report.leaf_count == 1
+    (ex,) = report.traces
+    assert ex.events[0].value == (101 if shape == "sum" else 1)
+    _, col = deep_program(shape, 101)
+    for n in (101, 1200, 3000, 5000):
+        with pytest.raises(ParseError) as exc:
+            parse_program(deep_program(shape, n)[0])
+        assert (exc.value.line, exc.value.col) == (1, col)
+        assert "nested deeper than 100 levels" in str(exc.value)
+
+
+def test_nesting_limit_counts_blocks_and_expressions_together():
+    ifs = "if 0 == 0 { " * 60
+    inner = "(" * 40 + "1" + ")" * 40
+    parse_program("thread t { " + ifs + f"write x {inner}; " + "} " * 60 + "}")
+    with pytest.raises(ParseError):
+        parse_program("thread t { " + ifs + f"write x -{inner}; " + "} " * 60 + "}")
 
 
 def test_repeat_unrolls():

@@ -1,4 +1,4 @@
-"""Reads-from, causal order, visible writes, and the three equivalence keys."""
+"""Reads-from, causal order, vector-clock orders, and the three equivalence keys."""
 
 import itertools
 import random
@@ -8,32 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvfmc import (
-    Event,
     causal_order,
     census,
     empty_trace,
     enumerate_maximal_traces,
     extend,
-    is_lower_set,
     maz_key,
     parse_program,
-    project,
     reads_from,
-    refines,
     rf_key,
     rvf_key,
-    visible_writes,
 )
-from rvfmc.semantics import (
-    ClockOrder,
-    CycleError,
-    PartialOrder,
-    format_key,
-    partial_order,
-    program_order,
-    sequence_order,
-)
+from rvfmc.semantics import ClockOrder, CycleError, format_key
 from corpus import PROGRAMS
+from reference_closure import _Cycle, _Order, respects
 
 # The running example trace: three threads, events listed in execution order
 #   t1: w(x,1) r(x)   t2: w(x,1) r(x) w(y,2)   t3: w(y,1) r(y)
@@ -83,9 +71,10 @@ def test_causal_order_example():
     t = example_trace()
     co = causal_order(t)
     assert co.less((2, 3), (3, 2))  # w(y,2) before r(y) via reads-from
-    assert not co.ordered((3, 1), (1, 2))  # w(y,1) and t1's r(x) unrelated
-    # refined by the trace's own total order
-    assert refines(sequence_order(t.events), co)
+    # w(y,1) and t1's r(x) unrelated
+    assert not co.less((3, 1), (1, 2)) and not co.less((1, 2), (3, 1))
+    # respected by the trace's own total order
+    assert respects(t.events, co)
 
 
 def test_causal_order_single_thread_is_total():
@@ -96,7 +85,7 @@ def test_causal_order_single_thread_is_total():
     co = causal_order(t)
     ids = sorted(e.eid for e in t.events)
     for a, b in itertools.combinations(ids, 2):
-        assert co.ordered(a, b)
+        assert co.less(a, b) or co.less(b, a)
 
 
 def test_causal_order_disjoint_threads_only_po():
@@ -109,38 +98,20 @@ def test_causal_order_disjoint_threads_only_po():
 
 
 def test_rf_in_visible_writes_of_causal_order():
+    """Each read's source is visible to it in the causal order: a program
+    write comes before the read with no conflicting write strictly between;
+    with the initial write as source, no conflicting write comes before."""
     for name in ("unanimous", "store_buffer", "mutex_three", "lost_update"):
         p = parse_program(PROGRAMS[name])
         for ex in enumerate_maximal_traces(p):
-            co = causal_order(ex)
-            inits = p.init_events
-            elems = frozenset([e.eid for e in ex.events] + [i.eid for i in inits])
-            full = PartialOrder(elems, co.pairs)
-            pool = set(ex.events) | set(inits)
+            less = causal_order(ex).less
             for r, w in reads_from(ex).items():
-                assert w in visible_writes(full, pool, r)
-
-
-def test_visible_writes_unordered_write_and_init():
-    events = [Event(1, 1, "W", "x", 5), Event(2, 1, "R", "x"), Event(0, 1, "W", "x", 0)]
-    po = partial_order([e.eid for e in events], [((0, 1), (1, 1)), ((0, 1), (2, 1))])
-    vis = visible_writes(po, events, events[1])
-    assert {e.eid for e in vis} == {(1, 1), (0, 1)}
-
-
-def test_visible_writes_hidden_by_interposed_write():
-    w1, w2, r = Event(1, 1, "W", "x", 1), Event(1, 2, "W", "x", 2), Event(2, 1, "R", "x")
-    po = partial_order(
-        [w1.eid, w2.eid, r.eid], [(w1.eid, w2.eid), (w2.eid, r.eid)]
-    )
-    vis = visible_writes(po, [w1, w2, r], r)
-    assert {e.eid for e in vis} == {w2.eid}
-
-
-def test_visible_writes_excludes_later_write():
-    w, r = Event(1, 1, "W", "x", 1), Event(2, 1, "R", "x")
-    po = partial_order([w.eid, r.eid], [(r.eid, w.eid)])
-    assert visible_writes(po, [w, r], r) == set()
+                conf = [x.eid for x in ex.events if x.kind == "W" and x.var == r.var]
+                if w.thread == 0:
+                    assert not any(less(x, r.eid) for x in conf)
+                else:
+                    assert less(w.eid, r.eid)
+                    assert not any(less(w.eid, x) and less(x, r.eid) for x in conf)
 
 
 def test_unanimous_census_counts():
@@ -221,26 +192,26 @@ def test_partition_coarseness_chain(name):
     assert n_rvf <= n_rf <= n_maz
 
 
-def test_lower_set_and_projection():
-    po = partial_order(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert is_lower_set([], po)
-    assert is_lower_set(["a"], po)
-    assert is_lower_set(["a", "b"], po)
-    assert not is_lower_set(["b"], po)  # missing predecessor a
-    pr = project(po, ["a", "c"])
-    assert pr.pairs == frozenset({("a", "c")})
-
-
-def test_total_order_refines_suborder():
-    po = partial_order([1, 2, 3], [(1, 2)])
-    total = partial_order([1, 2, 3], [(1, 2), (2, 3)])
-    assert refines(total, po)
-    assert not refines(po, total)
-
-
 def test_cycle_rejected():
-    with pytest.raises(ValueError):
-        partial_order([1, 2], [(1, 2), (2, 1)])
+    order = ClockOrder.program_order({1: 2, 2: 1})
+    order.add((1, 2), (2, 1))
+    with pytest.raises(CycleError):
+        order.add((2, 1), (1, 1))
+    with pytest.raises(CycleError):
+        order.add((1, 2), (1, 1))
+
+
+def test_clock_order_less_outside_the_order():
+    """Ids outside the order (initial writes, an absent thread, index 0, an
+    index past the chain) are unordered in either position."""
+    order = ClockOrder.program_order({1: 2, 2: 2})
+    order.add((1, 1), (2, 2))
+    inside = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    for x in [(0, 1), (3, 1), (1, 0), (2, 0), (1, 3), (2, 3)]:
+        for y in inside + [x]:
+            assert not order.less(x, y) and not order.less(y, x)
+    want = {((1, 1), (1, 2)), ((2, 1), (2, 2)), ((1, 1), (2, 2))}
+    assert {(a, b) for a in inside for b in inside if order.less(a, b)} == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,8 +223,9 @@ def test_causal_order_refined_by_any_schedule(data):
     while t.enabled:
         e = data.draw(st.sampled_from(sorted(t.enabled, key=lambda e: e.eid)))
         t = extend(t, e)
-    assert refines(sequence_order(t.events), causal_order(t))
-    assert refines(causal_order(t), program_order(t))
+    co = causal_order(t)
+    assert respects(t.events, co)
+    assert all(co.less((e.thread, e.index - 1), e.eid) for e in t.events if e.index > 1)
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
@@ -266,11 +238,16 @@ def test_causal_order_equals_closure_of_po_and_reads_from(name):
         t = empty_trace(p)
         while t.enabled:
             t = extend(t, rng.choice(sorted(t.enabled, key=lambda e: e.eid)))
-        edges = set(program_order(t).pairs)
-        edges |= {(w.eid, r.eid) for r, w in reads_from(t).items() if w.thread != 0}
+        want = _Order(e.eid for e in t.events)
+        for e in t.events:
+            if e.index > 1:
+                want.add((e.thread, e.index - 1), e.eid)
+        for r, w in reads_from(t).items():
+            if w.thread != 0:
+                want.add(w.eid, r.eid)
         co = causal_order(t)
-        assert co.elements == frozenset(e.eid for e in t.events)
-        assert co.pairs == partial_order(co.elements, edges).pairs
+        assert tuple(len(chain) for chain in co.rows) == t.counts
+        assert co.pairs == want.pairs
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,12 +264,15 @@ def test_clock_order_add_matches_partial_order(lengths, raw_edges):
         return
     edges = [(eids[a % len(eids)], eids[b % len(eids)]) for a, b in raw_edges]
     edges = [(a, b) for a, b in edges if a != b]
-    po = [((t, i), (t, i + 1)) for t, n in lengths.items() for i in range(1, n)]
+    want = _Order(eids)
+    for t, n in lengths.items():
+        for i in range(1, n):
+            want.add((t, i), (t, i + 1))
     order = ClockOrder.program_order(lengths)
-    for n, (a, b) in enumerate(edges):
+    for a, b in edges:
         try:
-            want = partial_order(eids, po + edges[: n + 1])
-        except ValueError:
+            want.add(a, b)
+        except _Cycle:
             with pytest.raises(CycleError):
                 order.add(a, b)
             return
