@@ -12,6 +12,7 @@ bounded by the recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 from .program import Event, EventId, Execution, Program, Trace, empty_trace, extend
@@ -114,7 +115,7 @@ def count_classes(
 ) -> ClassCount:
     """Streaming census over all maximal traces, without materializing them.
 
-    Reads-from pairs, per-variable write orders, and causal predecessor
+    Reads-from sources, per-variable write orders, and causal predecessor
     bitmasks are maintained incrementally along the DFS, so the per-trace
     cost stays linear in trace length.  Same answers as ``census`` over
     ``enumerate_maximal_traces``; that equality is a test obligation.
@@ -122,48 +123,62 @@ def count_classes(
     eqs = tuple(equivalences)
     want_rvf = "rvf" in eqs
     want_rf = "rf" in eqs or "maz" in eqs
-    want_maz = "maz" in eqs
     globs = program.globals
-    ordinal = {v: i + 1 for i, v in enumerate(globs)}
 
     sets: dict[str, set] = {eq: set() for eq in eqs}
+    rf_set, maz_set = sets.get("rf"), sets.get("maz")
     violations: set[str] = set()
     total = deadlocks = 0
 
+    # The rf and maz keys are flat tuples of ints: each event id gets a dense
+    # code when the search first executes it, so the millions of keys a large
+    # census holds carry no nested tuples.
+    codes: dict[EventId, int] = {}
+    init_of = {v: codes.setdefault((0, i + 1), i) for i, v in enumerate(globs)}
+
     # incremental per-prefix structures; the event-id set of a prefix is
-    # exactly its per-thread counts vector, so no per-leaf sorting is needed
-    rf_pairs: list[tuple[EventId, EventId]] = []
-    write_orders: dict[str, list[EventId]] = {v: [] for v in globs}  # last is active
+    # exactly its per-thread counts vector.  Per thread, the code of each
+    # read followed by the code of its source, in program order, so these
+    # lists concatenated by thread are a canonical form of reads-from.
+    sources: list[list[int]] = [[] for _ in program.threads]
+    write_orders: list[list[int]] = [[] for _ in globs]  # codes; last is active
+    writes_of = dict(zip(globs, write_orders))
     masks: list[int] = []  # causal predecessor bitmask per position
-    pos_of: dict[EventId, int] = {}
+    # position of each event in the trace, by code; an undone event's entry
+    # is only read again after the event runs again and overwrites it
+    pos_of: dict[int, int] = {}
 
     def push(e: Event) -> None:
         eid = (e.thread, e.index)
-        writes = write_orders[e.var]
+        c = codes.get(eid)
+        if c is None:
+            c = codes[eid] = len(codes)
+        writes = writes_of[e.var]
         if e.kind == "R":
-            rf_pairs.append((eid, writes[-1] if writes else (0, ordinal[e.var])))
+            reads = sources[e.thread - 1]
+            reads.append(c)
+            reads.append(writes[-1] if writes else init_of[e.var])
         if want_rvf:
             pos = len(masks)
             m = 1 << pos
             if e.index > 1:  # after its program-order predecessor
-                prev = pos_of[(e.thread, e.index - 1)]
+                prev = pos_of[codes[(e.thread, e.index - 1)]]
                 m |= masks[prev] | (1 << prev)
             if e.kind == "R" and writes:  # after the write it reads from
                 src = pos_of[writes[-1]]
                 m |= masks[src] | (1 << src)
             masks.append(m)
-            pos_of[eid] = pos
+            pos_of[c] = pos
         if e.kind == "W":
-            writes.append(eid)
+            writes.append(c)
 
     def pop(e: Event) -> None:
         if e.kind == "W":
-            write_orders[e.var].pop()
+            writes_of[e.var].pop()
         else:
-            rf_pairs.pop()
+            del sources[e.thread - 1][-2:]
         if want_rvf:
             masks.pop()
-            del pos_of[(e.thread, e.index)]
 
     for trace in _maximal(empty_trace(program), budget, push, pop):
         total += 1
@@ -171,12 +186,15 @@ def count_classes(
         violations.update(trace.violations)
         ev_key = trace.counts
         if want_rf:
-            rfk = tuple(sorted(rf_pairs))
-            if "rf" in sets:
-                sets["rf"].add((ev_key, rfk))
-            if want_maz:
-                orders = tuple(tuple(write_orders[v]) for v in globs)
-                sets["maz"].add((ev_key, rfk, orders))
+            # ev_key has one entry per thread and the write lists one length
+            # per variable, so each key splits back into its parts
+            rfk = tuple(chain.from_iterable(sources))
+            if rf_set is not None:
+                rf_set.add((*ev_key, *rfk))
+            if maz_set is not None:
+                maz_set.add(
+                    (*ev_key, len(rfk), *rfk, *map(len, write_orders), *chain.from_iterable(write_orders))
+                )
         if want_rvf:
             vkey = tuple(v for _, v in sorted(trace.values.items()))
             # positions are indices into the trace, so this is in trace order

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional
 
 EventId = tuple[int, int]
@@ -589,6 +590,13 @@ def _advance(thread: Thread, pc: int, env: dict[str, int], violations: list[str]
     return pc
 
 
+# Events are immutable values, so equal ones can be shared: the same pending
+# event recurs at every node of a search tree that reaches that thread state,
+# and looking it up is several times cheaper than constructing a frozen
+# dataclass.
+_event = lru_cache(maxsize=1 << 12)(Event)
+
+
 def _thread_state(thread: Thread, pc: int, env: dict[str, int], acc: int) -> tuple:
     """A thread's state stopped at ``pc`` after ``acc`` events, with the
     event it would execute next and the mutex that event acquires."""
@@ -597,11 +605,11 @@ def _thread_state(thread: Thread, pc: int, env: dict[str, int], acc: int) -> tup
     op = thread.ops[pc]
     tag = op[0]
     if tag == "write":
-        event = Event(thread.tid, acc + 1, "W", op[1], _eval(op[2], env))
+        event = _event(thread.tid, acc + 1, "W", op[1], _eval(op[2], env))
     elif tag == "unlock":  # a release writes 0
-        event = Event(thread.tid, acc + 1, "W", op[1], 0)
+        event = _event(thread.tid, acc + 1, "W", op[1], 0)
     else:  # reads and lock acquires read
-        event = Event(thread.tid, acc + 1, "R", op[1])
+        event = _event(thread.tid, acc + 1, "R", op[1], None)
     return (pc, env, acc, event, op[1] if tag == "lock" else None)
 
 
