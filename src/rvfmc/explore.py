@@ -21,6 +21,13 @@ A node works on the trace it is given, extending it in place, and undoes its
 own steps before it returns, so a direct witness costs one step and one
 undo; only solver witnesses are replayed into fresh traces.
 
+With closure on, a node's solver calls share the closure of its trace under
+its good writes, filled by the first of them (``vsc.Relaxation``).  It starts
+from the nearest ancestor's closure: a solver-witness child's from the
+closure of the call that produced its witness, a direct-witness child's from
+its parent's.  Instances only grow down the recursion, so each closure
+extends one already closed instead of closing from program order.
+
 A plain read processed without ever receiving a backtrack signal ends the
 loop: no compatible schedule assigns it a source beyond the current trace,
 so the remaining mutations cannot reach new behavior.  Mutex acquires are
@@ -37,11 +44,11 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .program import Event, EventId, Execution, Program, Trace, empty_trace, extend, replay
 from .semantics import rvf_key
-from .vsc import ClosureBase, SolverOptions, VscInstance, verify_sc
+from .vsc import Closure, Relaxation, SolverOptions, VscInstance, verify_sc
 
 CausalMap = dict[EventId, dict[int, int]]
 
@@ -158,7 +165,7 @@ class _Explorer:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, 4 * self.program.access_count() + 200))
         try:
-            self._node({}, empty_trace(self.program), {})
+            self._node({}, empty_trace(self.program), {}, None)
         finally:
             sys.setrecursionlimit(limit)
         self.report.wall_time_ms = (time.perf_counter() - start) * 1000.0
@@ -185,8 +192,15 @@ class _Explorer:
 
     # -- the recursion -------------------------------------------------------
 
-    def _node(self, goodw: dict[EventId, frozenset[EventId]], trace: Trace, cmap: CausalMap) -> None:
-        """Explore below ``trace``, which is extended in place and left as it was found."""
+    def _node(
+        self,
+        goodw: dict[EventId, frozenset[EventId]],
+        trace: Trace,
+        cmap: CausalMap,
+        start: Union[Closure, Relaxation, None],
+    ) -> None:
+        """Explore below ``trace``, which is extended in place and left as it
+        was found; ``start`` closes a relaxation of the node's instance."""
         before = len(trace.events)
         extend_nonreads(trace)
         update_backtrack_signals(trace.events[before:], self.signals)
@@ -198,11 +212,21 @@ class _Explorer:
             if ex.deadlocked:
                 self.report.deadlocks += 1
         else:
-            self._mutate(goodw, trace, cmap)
+            self._mutate(goodw, trace, cmap, start)
         for _ in range(len(trace.events) - before):
             trace.undo()
 
-    def _mutate(self, goodw: dict[EventId, frozenset[EventId]], trace: Trace, cmap: CausalMap) -> None:
+    def _mutate(
+        self,
+        goodw: dict[EventId, frozenset[EventId]],
+        trace: Trace,
+        cmap: CausalMap,
+        start: Union[Closure, Relaxation, None],
+    ) -> None:
+        if self.options.closure:
+            # the closure of this node's trace under goodw, filled by the
+            # first solver call here; every solver call here starts from it
+            start = Relaxation(start, dict(enumerate(trace.counts, 1)), goodw)
         mutate = sorted(trace.enabled, key=lambda e: (e.eid in cmap, e.eid))
         for read in mutate:
             fresh = read.eid not in cmap
@@ -217,20 +241,19 @@ class _Explorer:
                 (e for e in reversed(trace.events) if e.kind == "W" and e.var == read.var),
                 self.program.init_event(read.var),
             ).eid
-            # a closure base pays off once two solver calls share it
-            solved = sum(active not in g for g in groups)
-            base = ClosureBase(read.eid) if self.options.closure and solved > 1 else None
             for group in groups:
                 goodw2 = dict(goodw)
                 goodw2[read.eid] = group
                 if active in group:
-                    witness_trace = extend(trace, read)  # the current trace already satisfies it
+                    # the current trace already satisfies it
+                    witness_trace, child_start = extend(trace, read), start
                 else:
-                    witness_trace = self._witness(trace, read, goodw2, base)
-                    if witness_trace is None:
+                    found = self._witness(trace, read, goodw2, start)
+                    if found is None:
                         continue
+                    witness_trace, child_start = found
                 child_cmap = {rid: dict(tc) for rid, tc in cmap.items()}
-                self._node(goodw2, witness_trace, child_cmap)
+                self._node(goodw2, witness_trace, child_cmap, child_start)
                 if witness_trace is trace:
                     trace.undo()  # the read the direct witness appended
 
@@ -247,23 +270,26 @@ class _Explorer:
         trace: Trace,
         read: Event,
         goodw: dict[EventId, frozenset[EventId]],
-        base: Optional[ClosureBase],
-    ) -> Optional[Trace]:
+        start: Optional[Relaxation],
+    ) -> Optional[tuple[Trace, Optional[Closure]]]:
         """A fresh replay of a solver witness over Events(trace)+read that
-        satisfies ``goodw``, or None.  The instance is made of a trace's own
-        events and writes, so it is well-formed and skips validation."""
+        satisfies ``goodw`` and the closure of that instance (with closure
+        on), or None.  The instance is made of a trace's own events and
+        writes, so it is well-formed and skips validation."""
         events = (*trace.events, read)
         inst = VscInstance(events, goodw, universe=self.program.globals, check=False)
         aux = events if self.options.aux_trace else None
-        result = verify_sc(inst, self.solver_options, aux=aux, base=base)
+        result = verify_sc(inst, self.solver_options, aux=aux, start=start)
         self.report.vsc_calls += 1
         self.report.witness_states += result.states_processed
         if result.witness is None:
             return None
-        return replay(self.program, result.witness)
+        return replay(self.program, result.witness), result.closure
 
 
 def explore(program: Program, options: Optional[ExploreOptions] = None) -> ExplorationReport:
     """Run the exploration from the empty trace and report every maximal
-    trace reached, one per realizable value assignment."""
+    trace reached, one per realizable value assignment.  Each solver call's
+    closure extends the closure of its node's trace (see the module
+    docstring); only the recursion path's closures are kept."""
     return _Explorer(program, options or ExploreOptions()).run()

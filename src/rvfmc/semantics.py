@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Optional, Union
 
 from .program import Event, EventId, Execution, Trace
 
@@ -59,25 +59,6 @@ class ClockOrder:
         self.pos = {t: u for u, t in enumerate(self.threads)}
         self.rows: list[list[tuple[int, ...]]] = [[] for _ in self.threads]
 
-    @classmethod
-    def program_order(cls, lengths: Mapping[int, int]) -> "ClockOrder":
-        """Per-thread chains alone; ``lengths`` maps thread id to event count."""
-        order = cls(sorted(lengths))
-        k = len(order.threads)
-        for u, (t, chain) in enumerate(zip(order.threads, order.rows)):
-            for j in range(lengths[t]):
-                clock = [0] * k
-                clock[u] = j
-                chain.append(tuple(clock))
-        return order
-
-    def copy(self) -> "ClockOrder":
-        """An independent order with the same clocks; the clock tuples are shared."""
-        new = ClockOrder.__new__(ClockOrder)
-        new.threads, new.pos = self.threads, self.pos
-        new.rows = [chain.copy() for chain in self.rows]
-        return new
-
     def clock(self, eid: EventId) -> tuple[int, ...]:
         return self.rows[self.pos[eid[0]]][eid[1] - 1]
 
@@ -87,13 +68,15 @@ class ClockOrder:
             return False
         return 1 <= a[1] <= self.rows[v][b[1] - 1][u]
 
-    def add(self, a: EventId, b: EventId) -> bool:
+    def add(self, a: EventId, b: EventId, touched: Optional[list] = None) -> bool:
         """Order ``a`` before ``b``, with everything that implies.
 
         Returns False when the order already has the edge (or ``a == b``);
         raises CycleError when ``b`` precedes ``a``.  Every successor of ``b``
         joins ``a``'s clock: per thread, a suffix found by bisection, walked
-        until a row already dominates the join.
+        until a row already dominates the join.  With ``touched``, each
+        thread's rewritten rows are appended to it as ``(u, first, end)``:
+        ``rows[u][first:end]`` changed.
         """
         pa, pb = self.pos[a[0]], self.pos[b[0]]
         rows = self.rows
@@ -110,6 +93,7 @@ class ClockOrder:
                 j = bi - 1
             else:
                 j = bisect_left(chain, bi, key=after_b)
+            first = j
             while j < len(chain):
                 old = chain[j]
                 new = tuple(map(max, old, join))
@@ -117,6 +101,8 @@ class ClockOrder:
                     break
                 chain[j] = new
                 j += 1
+            if touched is not None and j > first:
+                touched.append((u, first, j))
         return True
 
     @property

@@ -23,9 +23,11 @@ Three independently switchable accelerations:
   witness must refine; failure proves the instance unrealizable, success
   restricts the search to order-respecting extensions.  The order is a
   ``semantics.ClockOrder``, one vector clock per event, so a read costs
-  O(k^2 log W) per pass over k threads and W conflicting writes instead of
+  O(k^2 log W) per step over k threads and W conflicting writes instead of
   the O(W^2) of explicit pairs, and the search reads each event's
-  predecessors off its clock;
+  predecessors off its clock.  A closure can start from the closure of a
+  relaxation of its instance and step only the reads that the new events
+  and constraints concern;
 * guided search -- with an auxiliary trace over the same events, the
   depth-first stack is fed candidates in reverse trace order so that they
   pop in trace order.
@@ -34,10 +36,11 @@ Three independently switchable accelerations:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .program import Event, EventId
 from .semantics import ClockOrder, CycleError
@@ -112,7 +115,7 @@ class VscInstance:
     @cached_property
     def by_thread(self) -> dict[int, tuple[Event, ...]]:
         out: dict[int, list[Event]] = {}
-        for e in sorted(self.events, key=lambda e: e.eid):
+        for e in sorted(self.events, key=attrgetter("thread", "index")):
             out.setdefault(e.thread, []).append(e)
         return {t: tuple(v) for t, v in out.items()}
 
@@ -142,24 +145,73 @@ class VscInstance:
 # ---------------------------------------------------------------------------
 
 
-def _prepare(inst: VscInstance, free: Optional[EventId] = None):
-    """The program order of ``inst``, per variable and writing thread
-    position the sorted write indices, and the entries of its reads other
-    than ``free`` in event order."""
-    threads = inst.threads
-    chains = [inst.by_thread[t] for t in threads]
-    order = ClockOrder.program_order({t: len(chain) for t, chain in zip(threads, chains)})
-    writes_of: dict[str, dict[int, list[int]]] = {}
-    for u, chain in enumerate(chains):
-        for e in chain:
-            if e.kind == "W":
-                writes_of.setdefault(e.var, {}).setdefault(u, []).append(e.index)
-    reads = [
-        _read_entry(r, inst.good_writes[r.eid], inst.init_eid(r.var), order.pos, writes_of)
-        for r in inst.events
-        if r.kind == "R" and r.eid != free
-    ]
-    return order, writes_of, reads
+class Closure(ClockOrder):
+    """A closed order with the tables that extending it needs.
+
+    ``writes_of[var][u]`` lists the indices of the writes of ``var`` by the
+    thread at position ``u``, sorted; ``entries`` maps each constrained read
+    to what ``_step`` needs of it, and ``reads_of[var]`` lists the
+    constrained reads of ``var``.  A closure is not changed after ``closure``
+    returns it: extending one copies its rows and tables.
+    """
+
+    __slots__ = ("writes_of", "entries", "reads_of")
+
+    def __init__(self, threads: Iterable[int]):
+        super().__init__(threads)
+        self.writes_of: dict[str, dict[int, list[int]]] = {}
+        self.entries: dict[EventId, tuple] = {}
+        self.reads_of: dict[str, list[EventId]] = {}
+
+    def copy(self) -> "Closure":
+        new = Closure.__new__(Closure)
+        new.threads, new.pos = self.threads, self.pos
+        new.rows = [chain.copy() for chain in self.rows]
+        new.writes_of, new.entries, new.reads_of = dict(self.writes_of), dict(self.entries), dict(self.reads_of)
+        return new
+
+
+class Relaxation:
+    """The closure of a relaxation of the instances it starts, filled on first use.
+
+    The relaxation of an instance keeps the first ``counts[t]`` events of
+    each thread ``t`` and constrains the reads among them that
+    ``good_writes`` names, which must give them the instance's good writes.
+    Its order covers the threads of ``counts``, which must include every
+    thread of the instance.  The first ``closure`` call given the relaxation
+    fills it from ``start``: a ``Closure`` of a relaxation of it, a
+    ``Relaxation`` of one, or None for program order.  An unfilled
+    ``Relaxation`` start is passed over for the nearest filled one it starts
+    from, so no closure is computed that no call asked for.
+    """
+
+    __slots__ = ("start", "counts", "good_writes", "filled", "order")
+
+    def __init__(
+        self,
+        start: Union[Closure, "Relaxation", None],
+        counts: Mapping[int, int],
+        good_writes: Mapping[EventId, frozenset[EventId]],
+    ):
+        self.start = start
+        self.counts = counts
+        self.good_writes = good_writes
+        self.filled = False
+        self.order: Optional[Closure] = None  # stays None when the relaxation has no closure
+
+    def closed(self, inst: VscInstance) -> Closure:
+        """The closure of this relaxation of ``inst``; raises CycleError when it has none."""
+        if not self.filled:
+            self.filled = True
+            base = self.start
+            while isinstance(base, Relaxation) and not base.filled:
+                base = base.start
+            if isinstance(base, Relaxation):
+                base = base.closed(inst)
+            self.order = _extend(base, inst, self.counts, self.good_writes)
+        if self.order is None:
+            raise CycleError("the relaxation has no closure")
+        return self.order
 
 
 def _read_entry(r: Event, gw: frozenset[EventId], init: EventId, pos: dict[int, int], writes_of):
@@ -177,10 +229,13 @@ def _read_entry(r: Event, gw: frozenset[EventId], init: EventId, pos: dict[int, 
     return (r.eid, ru, r.index, itemgetter(ru), gw, init in gw, writes_of.get(r.var, {}), good)
 
 
-def _step(order: ClockOrder, read) -> bool:
-    """Apply the four rules for one read entry; True when an edge was added.
+def _step(order: ClockOrder, read, touched: list) -> None:
+    """Apply the four rules for one read entry; the rows that new edges
+    rewrite go to ``touched`` (see ``ClockOrder.add``).
 
-    Raises CycleError when rule 1 fails or an edge would close a cycle.
+    The rules read only the read's own row and the rows and index lists of
+    the conflicting writes.  Raises CycleError when rule 1 fails or an edge
+    would close a cycle.
     """
     reid, ru, ri, after_r, gw, init_good, conf, good = read
     threads, rows = order.threads, order.rows
@@ -217,14 +272,13 @@ def _step(order: ClockOrder, read) -> bool:
     if not mins and not init_in_cl:
         raise CycleError(f"no good write of {reid} stays visible")
 
-    changed = False
     # rule 2: the least member goes before r; the initial write, when in
     # Cl(r), is least and adds nothing
     if not init_in_cl:
         for u, i in mins:
             if all(i <= rows[v][j - 1][u] for v, j in mins if v != u):
                 if i > clock[u]:
-                    changed = order.add((threads[u], i), reid)
+                    order.add((threads[u], i), reid, touched)
                     clock = rows[ru][ri - 1]
                 break
     # rule 3: bad writes below r end, per thread, in the last one
@@ -243,7 +297,7 @@ def _step(order: ClockOrder, read) -> bool:
         if all(j <= rows[gu][gi - 1][v] for v, j in maxs if v != gu):
             for u, i in bad_below:
                 if i > rows[gu][gi - 1][u]:
-                    changed |= order.add((threads[u], i), (threads[gu], gi))
+                    order.add((threads[u], i), (threads[gu], gi), touched)
             break
     # rule 4: in each thread the conflicting writes after every
     # per-thread maximum of Cl(r) form a suffix; its first bad write
@@ -255,62 +309,102 @@ def _step(order: ClockOrder, read) -> bool:
         while lo < len(indices) and (t, indices[lo]) in gw:
             lo += 1
         if lo < len(indices) and ri > chain[indices[lo] - 1][ru]:
-            changed |= order.add(reid, (t, indices[lo]))
-    return changed
+            order.add(reid, (t, indices[lo]), touched)
 
 
-def _fixpoint(order: ClockOrder, reads) -> None:
-    """Pass over ``reads`` in order until a whole pass adds no edge."""
-    changed = True
-    while changed:
-        changed = False
-        for read in reads:
-            changed |= _step(order, read)
+def _extend(
+    base: Optional[Closure],
+    inst: VscInstance,
+    counts: Optional[Mapping[int, int]] = None,
+    good_writes: Optional[Mapping[EventId, frozenset[EventId]]] = None,
+) -> Closure:
+    """The closure of ``inst``, or of the relaxation of it that ``counts``
+    and ``good_writes`` describe (see ``Relaxation``), started from ``base``,
+    the closure of a relaxation of that, or from program order.  Raises
+    CycleError when there is none.
 
-
-class ClosureBase:
-    """What the closures of one read's instances share.
-
-    The explorer asks the solver about instances that differ only in the good
-    writes of one read: the same events, the same good writes for every other
-    read, and one value group after another for ``read``.  Their shared part
-    is the closure of those events with ``read`` left unconstrained, with the
-    tables that go with it.  A base fills itself from the first instance that
-    ``closure`` is given with it; every later instance must have the same
-    events and the same good writes for the other reads.
+    New events get program-order rows and new writes join copies of their
+    variables' write lists.  The worklist starts with the newly constrained
+    reads and the reads of every variable with new writes.  A step that adds
+    edges puts back every read whose own row they rewrote and every read of
+    a variable one of whose write rows they rewrote; no other read's rules
+    can have changed.
     """
+    if good_writes is None:
+        good_writes = inst.good_writes
+    chains = inst.by_thread
+    if counts is None:
+        counts = {t: len(chain) for t, chain in chains.items()}
+    if base is None:
+        base = Closure(sorted(counts))
+    pos = base.pos
+    for t in chains:
+        if t not in pos:
+            raise VscError(f"thread {t} is outside the order of the start")
+    fresh = [reid for reid in good_writes if reid not in base.entries and reid[1] <= counts.get(reid[0], 0)]
+    grown = [t for t, chain in chains.items() if len(base.rows[pos[t]]) < min(len(chain), counts.get(t, 0))]
+    if not fresh and not grown:
+        return base  # the relaxation is the start's own instance
+    closed = base.copy()
+    threads, rows, writes_of, entries, reads_of = (
+        closed.threads, closed.rows, closed.writes_of, closed.entries, closed.reads_of
+    )
+    k = len(threads)
+    new_writes: set[str] = set()  # variables whose write lists were copied
+    for t in grown:
+        u = pos[t]
+        chain = rows[u]
+        for e in chains[t][len(chain) : counts[t]]:
+            prev = chain[-1] if chain else (0,) * k
+            chain.append(prev[:u] + (e.index - 1,) + prev[u + 1 :])
+            if e.kind == "W":
+                if e.var not in new_writes:
+                    new_writes.add(e.var)
+                    writes_of[e.var] = {v: indices.copy() for v, indices in writes_of.get(e.var, {}).items()}
+                writes_of[e.var].setdefault(u, []).append(e.index)
+    queue: deque[EventId] = deque()
+    for var in new_writes:
+        conf = writes_of[var]
+        for reid in reads_of.get(var, ()):
+            entries[reid] = (*entries[reid][:6], conf, entries[reid][7])
+            queue.append(reid)
+    new_reads: set[str] = set()  # variables whose read lists were copied
+    for reid in fresh:
+        r = chains[reid[0]][reid[1] - 1]
+        entries[reid] = _read_entry(r, good_writes[reid], inst.init_eid(r.var), pos, writes_of)
+        if r.var not in new_reads:
+            new_reads.add(r.var)
+            reads_of[r.var] = list(reads_of.get(r.var, ()))
+        reads_of[r.var].append(reid)
+        queue.append(reid)
 
-    __slots__ = ("read", "filled", "order", "event", "init", "writes_of", "reads", "at")
-
-    def __init__(self, read: EventId):
-        self.read = read
-        self.filled = False
-        self.order: Optional[ClockOrder] = None  # stays None when the other reads have no closure
-
-    def _fill(self, inst: VscInstance) -> None:
-        order, self.writes_of, self.reads = _prepare(inst, self.read)
-        # the read's place among the read entries, for passes in event order
-        reads = [e for e in inst.events if e.kind == "R"]
-        self.at = next(i for i, e in enumerate(reads) if e.eid == self.read)
-        self.event = reads[self.at]
-        self.init = inst.init_eid(self.event.var)
-        self.filled = True
-        _fixpoint(order, self.reads)
-        self.order = order
-
-    def start(self, inst: VscInstance):
-        """A fresh copy of the shared order and the entry of ``read`` under
-        ``inst``; raises CycleError when the shared part has no closure."""
-        if not self.filled:
-            self._fill(inst)
-        if self.order is None:
-            raise CycleError(f"the other reads of {self.read} have no closure")
-        order = self.order.copy()
-        gw = inst.good_writes[self.read]
-        return order, _read_entry(self.event, gw, self.init, order.pos, self.writes_of)
+    queued = set(queue)
+    touched: list[tuple[int, int, int]] = []
+    while queue:
+        reid = queue.popleft()
+        queued.discard(reid)
+        _step(closed, entries[reid], touched)
+        again = []
+        for u, first, end in touched:
+            t = threads[u]
+            again.extend((t, i) for i in range(first + 1, end + 1) if (t, i) in entries)
+            for var, conf in writes_of.items():
+                indices = conf.get(u)
+                if indices:
+                    a = bisect_right(indices, first)
+                    if a < len(indices) and indices[a] <= end:
+                        again.extend(reads_of.get(var, ()))
+        touched.clear()
+        for reid in again:
+            if reid not in queued:
+                queued.add(reid)
+                queue.append(reid)
+    return closed
 
 
-def closure(inst: VscInstance, base: Optional[ClosureBase] = None) -> Optional[ClockOrder]:
+def closure(
+    inst: VscInstance, start: Union[Closure, Relaxation, None] = None
+) -> Optional[Closure]:
     """Weakest order that every witness respects, or None when none can exist.
 
     Fixpoint over four per-read conditions on Cl(r), the good writes of r
@@ -334,32 +428,31 @@ def closure(inst: VscInstance, base: Optional[ClosureBase] = None) -> Optional[C
     (conflicting, not good) write below r, and rule 4 only each thread's
     first bad write after every per-thread maximum of Cl(r); program order
     carries the edge to the other bad writes.  With k threads and W
-    conflicting writes a read costs O(k^2 log W) per pass, plus a step per
-    good write passed over while looking for a bad one and the clock rows
-    that new edges update.  Rules, rule order, passes and the resulting
-    order equal those of the explicit-pairs reference that the tests keep in
-    ``tests/reference_closure.py``.
+    conflicting writes a step costs O(k^2 log W), plus a step per good write
+    passed over while looking for a bad one and the clock rows that new
+    edges update.
 
-    With ``base``, a ``ClosureBase`` for one read r of ``inst``, the fixpoint
-    does not start from program order.  It starts from a copy of the base's
-    order, already closed under the rules of every other read, and applies
-    r's rules first.  When they add no edge the copy is the closure;
-    otherwise full passes run as above.  The tests check that this gives the
-    same order as the computation from program order on every read of the
-    acceptance fuzz corpus.
+    The fixpoint is a worklist of reads: a read is stepped again only when
+    an edge rewrote its own clock row or a row of one of its variable's
+    writes, the only rows its rules read.  Without ``start`` it begins at
+    program order with every read on it.  With ``start``, the closure of a
+    relaxation of ``inst`` (per-thread prefixes of its events, some of its
+    reads constrained by the same good writes), it begins at a copy of that
+    closure, which every rule of the relaxation already holds in: the new
+    events get program-order rows, and the worklist holds only the newly
+    constrained reads and the reads of variables with new writes.  A
+    ``Relaxation`` start is filled by its first call.  The order covers the
+    threads of the start, which must include every thread of ``inst``.  The
+    tests check against the explicit-pairs reference in
+    ``tests/reference_closure.py`` that the order is the one passes in
+    event order reach from program order, and on the acceptance fuzz corpus
+    that starting from a relaxation changes nothing.
     """
     try:
-        if base is None:
-            order, _, reads = _prepare(inst)
-        else:
-            order, read = base.start(inst)
-            if not _step(order, read):
-                return order
-            reads = [*base.reads[: base.at], read, *base.reads[base.at :]]
-        _fixpoint(order, reads)
+        base = start.closed(inst) if isinstance(start, Relaxation) else start
+        return _extend(base, inst)
     except CycleError:
         return None
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +462,13 @@ def closure(inst: VscInstance, base: Optional[ClosureBase] = None) -> Optional[C
 
 @dataclass(frozen=True)
 class VscResult:
+    """A witness or None, the popped states, and with closure on the
+    closure of the instance, from which closures of larger instances can
+    start."""
+
     witness: Optional[tuple[Event, ...]]
     states_processed: int
+    closure: Optional[Closure] = None
 
     @property
     def realizable(self) -> bool:
@@ -426,10 +524,13 @@ class _Steps:
         # counts: (i, c) means thread position i must have run c events first
         self.cpred: dict[EventId, tuple[tuple[int, int], ...]] = {}
         if order is not None:
+            # the order may cover threads without events here, so its clock
+            # positions map to this instance's by thread id
+            at = [self.tindex.get(t) for t in order.threads]
             for e in inst.events:
                 own = self.tindex[e.thread]
                 clock = order.clock(e.eid)
-                self.cpred[e.eid] = tuple((i, c) for i, c in enumerate(clock) if c and i != own)
+                self.cpred[e.eid] = tuple((at[i], c) for i, c in enumerate(clock) if c and at[i] != own)
         if aux is None:
             self.push_key = attrgetter("eid")
         else:
@@ -515,7 +616,7 @@ def verify_sc(
     inst: VscInstance,
     options: SolverOptions = SolverOptions(),
     aux: Optional[Sequence[Event]] = None,
-    base: Optional[ClosureBase] = None,
+    start: Union[Closure, Relaxation, None] = None,
 ) -> VscResult:
     """Decide realizability; return a validated witness when one exists.
 
@@ -523,12 +624,13 @@ def verify_sc(
     the path that reached it; a successor is pushed only when its witness
     state is new.  ``states_processed`` counts popped states and never
     exceeds ``inst.state_bound()``.  With closure on, the pre-pass is one
-    call of ``closure(inst, base)``: a ``base`` shared by the calls about
-    one read's value groups lets each start from that read's shared closure.
+    call of ``closure(inst, start)``, whose order the result keeps: a
+    ``start`` that closes a relaxation of ``inst`` lets the pre-pass extend
+    that closure instead of closing ``inst`` from program order.
     """
     order = None
     if options.closure:
-        order = closure(inst, base)
+        order = closure(inst, start)
         if order is None:
             return VscResult(None, 0)
     steps = _Steps(inst, order, aux if options.guided else None)
@@ -549,7 +651,7 @@ def verify_sc(
                 seq.append(e)
             witness = tuple(reversed(seq))
             _validate_witness(inst, witness)
-            return VscResult(witness, processed)
+            return VscResult(witness, processed, order)
 
         cands = steps.candidates(counts, active)
         if options.greedy and cands:
@@ -563,7 +665,7 @@ def verify_sc(
                 done.add(key)
                 stack.append(((e, path), depth + 1, ncounts, nactive))
 
-    return VscResult(None, processed)
+    return VscResult(None, processed, order)
 
 
 # ---------------------------------------------------------------------------

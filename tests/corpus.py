@@ -190,6 +190,25 @@ PROGRAMS: dict[str, str] = {
 }
 
 
+# Programs that release a mutex their thread does not hold, on every
+# schedule or on some.  Every entry point raises ``InterpreterError`` on them
+# and the CLI exits 2.
+MISUSE: dict[str, str] = {
+    "unheld_unlock": """
+        thread t1 { write x 1; unlock m; }
+        thread t2 { a = read x; }
+    """,
+    "unlock_in_one_branch": """
+        thread t1 { write x 1; }
+        thread t2 { lock m; a = read x; if a == 1 { unlock m; } unlock m; }
+    """,
+    "double_unlock": """
+        thread t1 { lock m; write x 1; unlock m; unlock m; }
+        thread t2 { lock m; a = read x; unlock m; }
+    """,
+}
+
+
 # Programs nested ``n`` levels deep, one per kind of nesting; the parser
 # accepts up to 100 levels.  ``deep_program(shape, n)[1]`` is the 1-based
 # column of the token that opens level ``n``.

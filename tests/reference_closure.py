@@ -61,7 +61,10 @@ def respects(seq: Sequence[Event], order) -> bool:
 def reference_closure(inst: VscInstance) -> Optional[_Order]:
     """The closure of ``inst`` as explicit pairs, or None when none exists.
 
-    Same rules, rule order and pass structure as ``rvfmc.vsc.closure``.
+    Same rules and rule order as ``rvfmc.vsc.closure``, applied in passes
+    over the reads in event order until a pass adds no edge, where
+    ``closure`` runs a worklist that re-steps only the reads an edge may
+    concern; the tests check that both reach the same order.
     """
     order = _Order([e.eid for e in inst.events])
     for chain in inst.by_thread.values():

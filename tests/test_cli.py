@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from rvfmc.cli import main
-from corpus import PROGRAMS, deep_program
+from corpus import MISUSE, PROGRAMS, deep_program
 
 
 @pytest.fixture
@@ -74,6 +74,17 @@ def test_unheld_unlock_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "rvf-mc: thread t releases mutex 'm' it does not hold\n"
+
+
+@pytest.mark.parametrize("name", sorted(MISUSE))
+def test_misuse_programs_exit_2(name, tmp_path, capsys):
+    f = tmp_path / f"{name}.prog"
+    f.write_text(MISUSE[name])
+    for mode in ("explore", "census"):
+        assert main([mode, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not hold" in captured.err
 
 
 def test_missing_file_exit_2(capsys):

@@ -269,6 +269,28 @@ def test_long_n_closure_keeps_keys():
     assert rep.rvf_keys == explore(p, ExploreOptions(closure=False)).rvf_keys
 
 
+def test_long_n_closure_steps_per_solver_call(monkeypatch):
+    """Each solver call extends a closure the explorer already has instead
+    of closing its instance from program order: on long-n 40 the closure
+    steps a read at most 4 times per solver call (28 when every call starts
+    from program order)."""
+    vsc = sys.modules["rvfmc.vsc"]
+    steps = 0
+    step = vsc._step
+
+    def counting(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(vsc, "_step", counting)
+    p = parse_program("thread w { repeat 40 { write x 1; } }\nthread r { repeat 40 { a = read x; } }")
+    rep = explore(p)
+    assert rep.leaf_count == 41
+    assert rep.vsc_calls > 0
+    assert steps <= 4 * rep.vsc_calls, (steps, rep.vsc_calls)
+
+
 def test_explore_restores_recursion_limit():
     """Exploring a 5000-event trace raises the recursion limit only for the
     duration of the call."""

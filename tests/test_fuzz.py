@@ -18,7 +18,7 @@ from rvfmc import (
 )
 from rvfmc.oracle import brute_force_vsc, iter_vsc_witnesses
 from rvfmc.program import Event
-from rvfmc.vsc import ClosureBase, SolverOptions, VscInstance, closure, verify_sc
+from rvfmc.vsc import Relaxation, SolverOptions, VscInstance, closure, verify_sc
 from reference_closure import reference_closure, respects
 
 ALL_SOLVER_OPTIONS = [SolverOptions(*bits) for bits in itertools.product([False, True], repeat=3)]
@@ -110,16 +110,47 @@ def test_closure_matches_reference_on_fuzz_corpus():
         assert_closure_matches_reference(inst)
 
 
-def test_closure_from_base_matches_on_fuzz_corpus():
-    """Every read of every acceptance fuzz instance: the closure started from
-    the read's ``ClosureBase`` equals the closure from program order, for
-    the instance, which fills the base, and for a variant that gives the
-    read the other candidate writes, which reuses it."""
+def prefix_cuts(inst: VscInstance):
+    """Every per-thread prefix cut of ``inst`` whose reads' good writes lie
+    inside it, as the counts and good writes of a ``Relaxation``.  The
+    counts name every thread id up to the largest, as a program's threads
+    do, so some orders cover threads without events in ``inst``."""
+    threads = range(1, max(inst.threads) + 1)
+    lengths = [len(inst.by_thread.get(t, ())) for t in threads]
+    for cut in itertools.product(*(range(n + 1) for n in lengths)):
+        counts = dict(zip(threads, cut))
+        kept = {reid: gw for reid, gw in inst.good_writes.items() if reid[1] <= counts[reid[0]]}
+        if all(w[0] == 0 or w[1] <= counts[w[0]] for gw in kept.values() for w in gw):
+            yield counts, kept
+
+
+def test_closure_from_relaxation_matches_on_fuzz_corpus():
+    """The acceptance fuzz corpus: a closure started from the closure of a
+    relaxation equals the closure from program order.  Two kinds of
+    relaxation: every prefix cut whose reads' good writes lie inside it,
+    and the instance with one read left unconstrained, where the variant
+    that gives the read the other candidate writes starts from the same
+    relaxation, so a closure that changed its start would show.  A start
+    may be an unfilled relaxation of a relaxation, and the solver started
+    from the empty cut, whose order covers every thread id, finds the same
+    witness in as many states."""
     rng = random.Random(20260808)
     for _ in range(10000):
         inst = random_instance(rng)
         random_linearization(inst, rng)
         want = closure(inst)
+        want_pairs = want and want.pairs
+        full = {t: len(chain) for t, chain in inst.by_thread.items()}
+        cuts = list(prefix_cuts(inst))
+        for counts, kept in cuts:
+            got = closure(inst, Relaxation(None, counts, kept))
+            assert (got and got.pairs) == want_pairs, (counts, inst.events, inst.good_writes)
+        counts, kept = cuts[len(cuts) // 2]
+        chained = Relaxation(Relaxation(Relaxation(None, counts, kept), full, {}), full, inst.good_writes)
+        assert_same_closure(closure(inst, chained), want, inst)
+        empty = Relaxation(None, dict.fromkeys(range(1, max(inst.threads) + 1), 0), {})
+        got, plain = verify_sc(inst, start=empty), verify_sc(inst)
+        assert (got.witness, got.states_processed) == (plain.witness, plain.states_processed), inst.events
         for r in inst.events:
             if r.kind != "R":
                 continue
@@ -127,9 +158,10 @@ def test_closure_from_base_matches_on_fuzz_corpus():
             cands.add(inst.init_eid(r.var))
             other = frozenset(cands - inst.good_writes[r.eid]) or frozenset(cands)
             variant = VscInstance(inst.events, {**inst.good_writes, r.eid: other})
-            base = ClosureBase(r.eid)
-            assert_same_closure(closure(inst, base), want, inst)
-            assert_same_closure(closure(variant, base), closure(variant), variant)
+            rest = {reid: gw for reid, gw in inst.good_writes.items() if reid != r.eid}
+            start = Relaxation(None, full, rest)
+            assert_same_closure(closure(inst, start), want, inst)
+            assert_same_closure(closure(variant, start), closure(variant), variant)
 
 
 @st.composite

@@ -21,7 +21,7 @@ from rvfmc import (
 )
 from rvfmc.oracle import BudgetExceeded, brute_force_vsc, count_classes, iter_vsc_witnesses
 from rvfmc.program import InterpreterError
-from corpus import PROGRAMS
+from corpus import MISUSE, PROGRAMS
 
 
 def test_unanimous_schedule_count_is_multinomial():
@@ -64,6 +64,16 @@ def test_unheld_unlock_raises(source):
         enumerate_maximal_traces(p)
     with pytest.raises(InterpreterError, match="does not hold"):
         explore(p)
+
+
+@pytest.mark.parametrize("name", sorted(MISUSE))
+def test_misuse_programs_raise(name):
+    """The explorer and both oracle searches reject each misuse program of
+    the corpus, whether every schedule misuses the mutex or only some."""
+    p = parse_program(MISUSE[name])
+    for run in (explore, count_classes, enumerate_maximal_traces):
+        with pytest.raises(InterpreterError, match="does not hold"):
+            run(p)
 
 
 def test_long_trace_within_default_recursion_limit():

@@ -192,8 +192,17 @@ def test_partition_coarseness_chain(name):
     assert n_rvf <= n_rf <= n_maz
 
 
+def program_order(lengths: dict[int, int]) -> ClockOrder:
+    """Per-thread chains alone; ``lengths`` maps thread id to event count."""
+    order = ClockOrder(sorted(lengths))
+    k = len(order.threads)
+    for u, (t, chain) in enumerate(zip(order.threads, order.rows)):
+        chain.extend(tuple(j if v == u else 0 for v in range(k)) for j in range(lengths[t]))
+    return order
+
+
 def test_cycle_rejected():
-    order = ClockOrder.program_order({1: 2, 2: 1})
+    order = program_order({1: 2, 2: 1})
     order.add((1, 2), (2, 1))
     with pytest.raises(CycleError):
         order.add((2, 1), (1, 1))
@@ -204,7 +213,7 @@ def test_cycle_rejected():
 def test_clock_order_less_outside_the_order():
     """Ids outside the order (initial writes, an absent thread, index 0, an
     index past the chain) are unordered in either position."""
-    order = ClockOrder.program_order({1: 2, 2: 2})
+    order = program_order({1: 2, 2: 2})
     order.add((1, 1), (2, 2))
     inside = [(1, 1), (1, 2), (2, 1), (2, 2)]
     for x in [(0, 1), (3, 1), (1, 0), (2, 0), (1, 3), (2, 3)]:
@@ -257,7 +266,8 @@ def test_causal_order_equals_closure_of_po_and_reads_from(name):
 )
 def test_clock_order_add_matches_partial_order(lengths, raw_edges):
     """Edges added one at a time give the transitive closure of program
-    order and the edges; a cycle raises exactly when the closure has one."""
+    order and the edges; a cycle raises exactly when the closure has one,
+    and each add reports the rows it rewrote."""
     lengths = {t: n for t, n in enumerate(lengths, start=1) if n}
     eids = [(t, i) for t, n in lengths.items() for i in range(1, n + 1)]
     if not eids:
@@ -268,7 +278,7 @@ def test_clock_order_add_matches_partial_order(lengths, raw_edges):
     for t, n in lengths.items():
         for i in range(1, n):
             want.add((t, i), (t, i + 1))
-    order = ClockOrder.program_order(lengths)
+    order = program_order(lengths)
     for a, b in edges:
         try:
             want.add(a, b)
@@ -277,6 +287,11 @@ def test_clock_order_add_matches_partial_order(lengths, raw_edges):
                 order.add(a, b)
             return
         before = order.less(a, b)
-        assert order.add(a, b) == (not before)
+        rows = [chain.copy() for chain in order.rows]
+        touched = []
+        assert order.add(a, b, touched) == (not before)
+        # ``touched`` names exactly the rewritten rows
+        changed = {(u, j) for u, chain in enumerate(rows) for j, clock in enumerate(chain) if order.rows[u][j] != clock}
+        assert changed == {(u, j) for u, first, end in touched for j in range(first, end)}
         assert order.pairs == want.pairs
         assert all(order.less(x, y) == want.less(x, y) for x in eids for y in eids)
