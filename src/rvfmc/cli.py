@@ -34,6 +34,7 @@ def _base_record(mode: str, path: str) -> dict:
         "maz_classes": None,
         "leaves": None,
         "vsc_calls": None,
+        "node_refutations": None,
         "witness_states": None,
         "assertion_violations": [],
         "deadlocks": None,
@@ -62,6 +63,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         rvf_classes=report.distinct_rvf_classes(),
         leaves=report.leaf_count,
         vsc_calls=report.vsc_calls,
+        node_refutations=report.node_refutations,
         witness_states=report.witness_states,
         assertion_violations=report.assertion_violations,
         deadlocks=report.deadlocks,

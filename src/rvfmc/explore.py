@@ -21,12 +21,15 @@ A node works on the trace it is given, extending it in place, and undoes its
 own steps before it returns, so a direct witness costs one step and one
 undo; only solver witnesses are replayed into fresh traces.
 
-With closure on, a node's solver calls share the closure of its trace under
-its good writes, filled by the first of them (``vsc.Relaxation``).  It starts
-from the nearest ancestor's closure: a solver-witness child's from the
-closure of the call that produced its witness, a direct-witness child's from
-its parent's.  Instances only grow down the recursion, so each closure
-extends one already closed instead of closing from program order.
+With closure on, a node keeps the closure of its trace under its good
+writes (``vsc.Relaxation``), filled by the first group that needs a witness.
+Each such group is checked against it first: a group whose read has no good
+write left visible there (closure rule 1) is refuted without a solver call,
+and every other one goes to the solver, whose closure starts from it.  The
+node's closure starts from the nearest ancestor's: a solver-witness child's
+from the closure of the call that produced its witness, a direct-witness
+child's from its parent's.  Instances only grow down the recursion, so each
+closure extends one already closed instead of closing from program order.
 
 A plain read processed without ever receiving a backtrack signal ends the
 loop: no compatible schedule assigns it a source beyond the current trace,
@@ -76,6 +79,7 @@ class ExplorationReport:
     traces: list[Execution] = field(default_factory=list)
     rvf_keys: list = field(default_factory=list)
     vsc_calls: int = 0
+    node_refutations: int = 0
     witness_states: int = 0
     deadlocks: int = 0
     wall_time_ms: float = 0.0
@@ -123,32 +127,24 @@ def update_backtrack_signals(extension: Iterable[Event], signals: dict[EventId, 
                 sig.fired = True
 
 
-def viable_sources(trace: Trace, read: Event, cmap: CausalMap) -> set[Event]:
-    """Writes of the trace (plus the initial write) that conflict with the
-    read and are not forbidden by its causal-map entry."""
-    sources = {e for e in trace.events if e.kind == "W" and e.var == read.var}
-    sources.add(trace.program.init_event(read.var))
+def viable_sources(trace: Trace, read: Event, cmap: CausalMap) -> list[Event]:
+    """Writes of the trace that conflict with the read, after the initial
+    write, in trace order, less those its causal-map entry forbids."""
+    sources = [trace.program.init_event(read.var)]
+    sources.extend(e for e in trace.events if e.kind == "W" and e.var == read.var)
     bounds = cmap.get(read.eid)
     if bounds:
-        sources = {w for w in sources if w.index > bounds.get(w.thread, 0)}
+        sources = [w for w in sources if w.index > bounds.get(w.thread, 0)]
     return sources
 
 
-def group_by_value(sources: set[Event], trace: Trace) -> list[tuple[int, frozenset[Event]]]:
-    """Partition sources by written value, ordered by first writer position
-    in the trace (the initial write sorts first)."""
-    pos = {e.eid: i for i, e in enumerate(trace.events)}
-    groups: dict[int, list[Event]] = {}
+def group_by_value(sources: Iterable[Event]) -> list[tuple[int, frozenset[EventId]]]:
+    """Partition sources by written value into groups of event ids, ordered
+    by each value's first source (trace order for ``viable_sources``)."""
+    groups: dict[int, list[EventId]] = {}
     for w in sources:
-        groups.setdefault(w.value, []).append(w)
-
-    def first_pos(ws: list[Event]) -> int:
-        return min(-1 if w.thread == 0 else pos[w.eid] for w in ws)
-
-    return [
-        (value, frozenset(ws))
-        for value, ws in sorted(groups.items(), key=lambda kv: first_pos(kv[1]))
-    ]
+        groups.setdefault(w.value, []).append(w.eid)
+    return [(value, frozenset(ids)) for value, ids in groups.items()]
 
 
 class _Explorer:
@@ -174,8 +170,8 @@ class _Explorer:
     # -- per-read source grouping -------------------------------------------
 
     def _groups(
-        self, read: Event, sources: set[Event], trace: Trace, goodw: dict[EventId, frozenset[EventId]]
-    ) -> list[frozenset[Event]]:
+        self, read: Event, sources: list[Event], trace: Trace, goodw: dict[EventId, frozenset[EventId]]
+    ) -> list[frozenset[EventId]]:
         if read.var in self.mutexes:
             # Each release feeds at most one acquire; sources already claimed
             # by another acquire of this mutex are gone, and every remaining
@@ -184,11 +180,8 @@ class _Explorer:
             for e in trace.events:
                 if e.kind == "R" and e.var == read.var and e.eid in goodw:
                     consumed |= goodw[e.eid]
-            pos = {e.eid: i for i, e in enumerate(trace.events)}
-            usable = [w for w in sources if w.eid not in consumed]
-            usable.sort(key=lambda w: -1 if w.thread == 0 else pos[w.eid])
-            return [frozenset({w}) for w in usable]
-        return [group for _, group in group_by_value(sources, trace)]
+            return [frozenset((w.eid,)) for w in sources if w.eid not in consumed]
+        return [group for _, group in group_by_value(sources)]
 
     # -- the recursion -------------------------------------------------------
 
@@ -223,9 +216,15 @@ class _Explorer:
         cmap: CausalMap,
         start: Union[Closure, Relaxation, None],
     ) -> None:
+        """Fix each value group of each enabled read in turn and explore
+        below it.  A group the trace satisfies is a direct witness; any
+        other one becomes an instance, the trace plus the read, that with
+        closure on is first checked against the node's closure (see
+        ``vsc.Relaxation.refutes``) and otherwise goes to the solver."""
         if self.options.closure:
             # the closure of this node's trace under goodw, filled by the
-            # first solver call here; every solver call here starts from it
+            # first group that needs a witness; every check and solver call
+            # here starts from it
             start = Relaxation(start, dict(enumerate(trace.counts, 1)), goodw)
         mutate = sorted(trace.enabled, key=lambda e: (e.eid in cmap, e.eid))
         for read in mutate:
@@ -234,8 +233,7 @@ class _Explorer:
             if fresh and plain:
                 self.signals[read.eid] = _Signal(read.var, read.thread)
 
-            sources = viable_sources(trace, read, cmap)
-            groups = [frozenset(w.eid for w in g) for g in self._groups(read, sources, trace, goodw)]
+            groups = self._groups(read, viable_sources(trace, read, cmap), trace, goodw)
             # the trace is the same for every group: children undo their steps
             active = next(
                 (e for e in reversed(trace.events) if e.kind == "W" and e.var == read.var),
@@ -248,7 +246,12 @@ class _Explorer:
                     # the current trace already satisfies it
                     witness_trace, child_start = extend(trace, read), start
                 else:
-                    found = self._witness(trace, read, goodw2, start)
+                    events = (*trace.events, read)
+                    inst = VscInstance(events, goodw2, universe=self.program.globals, check=False)
+                    if self.options.closure and start.refutes(inst, read):
+                        self.report.node_refutations += 1
+                        continue
+                    found = self._witness(inst, start)
                     if found is None:
                         continue
                     witness_trace, child_start = found
@@ -266,19 +269,14 @@ class _Explorer:
             cmap[read.eid] = counts
 
     def _witness(
-        self,
-        trace: Trace,
-        read: Event,
-        goodw: dict[EventId, frozenset[EventId]],
-        start: Optional[Relaxation],
+        self, inst: VscInstance, start: Optional[Relaxation]
     ) -> Optional[tuple[Trace, Optional[Closure]]]:
-        """A fresh replay of a solver witness over Events(trace)+read that
-        satisfies ``goodw`` and the closure of that instance (with closure
-        on), or None.  The instance is made of a trace's own events and
-        writes, so it is well-formed and skips validation."""
-        events = (*trace.events, read)
-        inst = VscInstance(events, goodw, universe=self.program.globals, check=False)
-        aux = events if self.options.aux_trace else None
+        """A fresh replay of a solver witness of ``inst``, the node's trace
+        plus one read, and the closure of ``inst`` (with closure on), or
+        None.  The instance is made of a trace's own events and writes, so
+        it is well-formed and skips validation; its events in trace order
+        are the auxiliary trace."""
+        aux = inst.events if self.options.aux_trace else None
         result = verify_sc(inst, self.solver_options, aux=aux, start=start)
         self.report.vsc_calls += 1
         self.report.witness_states += result.states_processed
@@ -289,7 +287,9 @@ class _Explorer:
 
 def explore(program: Program, options: Optional[ExploreOptions] = None) -> ExplorationReport:
     """Run the exploration from the empty trace and report every maximal
-    trace reached, one per realizable value assignment.  Each solver call's
-    closure extends the closure of its node's trace (see the module
-    docstring); only the recursion path's closures are kept."""
+    trace reached, one per realizable value assignment.  With closure on, a
+    value group whose read fails closure rule 1 on its node's closure counts
+    in ``node_refutations`` instead of ``vsc_calls``, and each solver call's
+    closure extends its node's (see the module docstring); only the
+    recursion path's closures are kept."""
     return _Explorer(program, options or ExploreOptions()).run()

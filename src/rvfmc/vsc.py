@@ -178,11 +178,11 @@ class Relaxation:
     each thread ``t`` and constrains the reads among them that
     ``good_writes`` names, which must give them the instance's good writes.
     Its order covers the threads of ``counts``, which must include every
-    thread of the instance.  The first ``closure`` call given the relaxation
-    fills it from ``start``: a ``Closure`` of a relaxation of it, a
-    ``Relaxation`` of one, or None for program order.  An unfilled
-    ``Relaxation`` start is passed over for the nearest filled one it starts
-    from, so no closure is computed that no call asked for.
+    thread of the instance.  The first ``closure`` or ``refutes`` call
+    given the relaxation fills it from ``start``: a ``Closure`` of a
+    relaxation of it, a ``Relaxation`` of one, or None for program order.
+    An unfilled ``Relaxation`` start is passed over for the nearest filled
+    one it starts from, so no closure is computed that no call asked for.
     """
 
     __slots__ = ("start", "counts", "good_writes", "filled", "order")
@@ -213,6 +213,32 @@ class Relaxation:
             raise CycleError("the relaxation has no closure")
         return self.order
 
+    def refutes(self, inst: VscInstance, read: Event) -> bool:
+        """True when rule 1 fails for ``read`` on this relaxation's closure,
+        which is where ``closure(inst, self)`` steps it first; the
+        relaxation is filled from ``inst`` as by ``closed``.
+
+        ``inst`` must be the relaxation plus ``read``, the next event of its
+        thread: with other new events, a check that ignored them could
+        refute a realizable instance.  The read is stepped at its
+        program-order clock, its predecessor's row with its own entry at
+        ``index - 1``.  A relaxation without a closure refutes every
+        instance it relaxes.
+        """
+        counts = self.counts
+        if len(inst.events) != sum(counts.values()) + 1 or read.index != counts.get(read.thread, -1) + 1:
+            raise VscError(f"the instance is not the relaxation plus read {read.eid}")
+        try:
+            order = self.closed(inst)
+        except CycleError:
+            return True
+        gw, init = inst.good_writes[read.eid], inst.init_eid(read.var)
+        entry = _read_entry(read, gw, init, order.pos, order.writes_of)
+        ru = entry[1]
+        chain = order.rows[ru]
+        prev = chain[-1] if chain else (0,) * len(order.threads)
+        return _visible(order.rows, entry, prev[:ru] + (read.index - 1,) + prev[ru + 1 :]) is None
+
 
 def _read_entry(r: Event, gw: frozenset[EventId], init: EventId, pos: dict[int, int], writes_of):
     """What ``_step`` needs of read ``r``: its id and position, its good
@@ -229,17 +255,13 @@ def _read_entry(r: Event, gw: frozenset[EventId], init: EventId, pos: dict[int, 
     return (r.eid, ru, r.index, itemgetter(ru), gw, init in gw, writes_of.get(r.var, {}), good)
 
 
-def _step(order: ClockOrder, read, touched: list) -> None:
-    """Apply the four rules for one read entry; the rows that new edges
-    rewrite go to ``touched`` (see ``ClockOrder.add``).
-
-    The rules read only the read's own row and the rows and index lists of
-    the conflicting writes.  Raises CycleError when rule 1 fails or an edge
-    would close a cycle.
-    """
-    reid, ru, ri, after_r, gw, init_good, conf, good = read
-    threads, rows = order.threads, order.rows
-    clock = rows[ru][ri - 1]
+def _visible(rows: list, read, clock: tuple[int, ...]):
+    """Rule 1 for one read entry whose clock row is ``clock``: None when no
+    good write stays visible, else the per-thread least and greatest members
+    of Cl(r), as ``(u, index)`` lists, and whether the initial write is in
+    Cl(r).  A read outside ``rows`` has no event after it, so every write
+    not below it may be visible."""
+    _, ru, ri, after_r, _, init_good, conf, good = read
     last = {}
     for u, indices in conf.items():
         n = bisect_right(indices, clock[u])
@@ -270,7 +292,25 @@ def _step(order: ClockOrder, read, touched: list) -> None:
             maxs.append((u, g[b - 1]))
     init_in_cl = init_good and not last
     if not mins and not init_in_cl:
+        return None
+    return mins, maxs, init_in_cl
+
+
+def _step(order: ClockOrder, read, touched: list) -> None:
+    """Apply the four rules for one read entry; the rows that new edges
+    rewrite go to ``touched`` (see ``ClockOrder.add``).
+
+    The rules read only the read's own row and the rows and index lists of
+    the conflicting writes.  Raises CycleError when rule 1 fails or an edge
+    would close a cycle.
+    """
+    reid, ru, ri, _, gw, _, conf, _ = read
+    threads, rows = order.threads, order.rows
+    clock = rows[ru][ri - 1]
+    cl = _visible(rows, read, clock)
+    if cl is None:
         raise CycleError(f"no good write of {reid} stays visible")
+    mins, maxs, init_in_cl = cl
 
     # rule 2: the least member goes before r; the initial write, when in
     # Cl(r), is least and adds nothing
@@ -325,10 +365,14 @@ def _extend(
 
     New events get program-order rows and new writes join copies of their
     variables' write lists.  The worklist starts with the newly constrained
-    reads and the reads of every variable with new writes.  A step that adds
-    edges puts back every read whose own row they rewrote and every read of
-    a variable one of whose write rows they rewrote; no other read's rules
-    can have changed.
+    reads and each read r of a variable with new writes of which some is not
+    yet ordered after r.  A write ordered after r is never below r, never
+    ends one of r's visible ranges and is never a rule-4 target that still
+    lacks its edge, and rules 2 and 3 read only good writes and writes below
+    r, so it changes no rule of r.  Edges only add predecessors, so it stays
+    after r.  A step that adds edges puts back every read whose own row
+    they rewrote and every read of a variable one of whose write rows they
+    rewrote; no other read's rules can have changed.
     """
     if good_writes is None:
         good_writes = inst.good_writes
@@ -350,7 +394,10 @@ def _extend(
         closed.threads, closed.rows, closed.writes_of, closed.entries, closed.reads_of
     )
     k = len(threads)
-    new_writes: set[str] = set()  # variables whose write lists were copied
+    # per variable whose write lists were copied, per thread position its
+    # first new write: a read that any new write of the thread is not yet
+    # ordered after, this one is not ordered after either
+    new_writes: dict[str, dict[int, int]] = {}
     for t in grown:
         u = pos[t]
         chain = rows[u]
@@ -359,15 +406,19 @@ def _extend(
             chain.append(prev[:u] + (e.index - 1,) + prev[u + 1 :])
             if e.kind == "W":
                 if e.var not in new_writes:
-                    new_writes.add(e.var)
+                    new_writes[e.var] = {}
                     writes_of[e.var] = {v: indices.copy() for v, indices in writes_of.get(e.var, {}).items()}
+                new_writes[e.var].setdefault(u, e.index)
                 writes_of[e.var].setdefault(u, []).append(e.index)
     queue: deque[EventId] = deque()
-    for var in new_writes:
+    for var, first in new_writes.items():
         conf = writes_of[var]
         for reid in reads_of.get(var, ()):
-            entries[reid] = (*entries[reid][:6], conf, entries[reid][7])
-            queue.append(reid)
+            entry = entries[reid]
+            entries[reid] = (*entry[:6], conf, entry[7])
+            ru, ri = entry[1], entry[2]
+            if any(rows[u][i - 1][ru] < ri for u, i in first.items()):
+                queue.append(reid)
     new_reads: set[str] = set()  # variables whose read lists were copied
     for reid in fresh:
         r = chains[reid[0]][reid[1] - 1]
@@ -440,10 +491,12 @@ def closure(
     reads constrained by the same good writes), it begins at a copy of that
     closure, which every rule of the relaxation already holds in: the new
     events get program-order rows, and the worklist holds only the newly
-    constrained reads and the reads of variables with new writes.  A
-    ``Relaxation`` start is filled by its first call.  The order covers the
-    threads of the start, which must include every thread of ``inst``.  The
-    tests check against the explicit-pairs reference in
+    constrained reads and the reads of variables with new writes that not
+    all of those writes already follow.  A ``Relaxation`` start is filled
+    by its first call, or by ``Relaxation.refutes``, which decides rule 1
+    for a read added to the relaxation without copying it.  The order
+    covers the threads of the start, which must include every thread of
+    ``inst``.  The tests check against the explicit-pairs reference in
     ``tests/reference_closure.py`` that the order is the one passes in
     event order reach from program order, and on the acceptance fuzz corpus
     that starting from a relaxation changes nothing.

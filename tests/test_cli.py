@@ -51,6 +51,23 @@ def test_census_unanimous(capsys, demo_file):
     assert rec["rvf_classes"] == 1
 
 
+def test_explore_reports_node_refutations(tmp_path, capsys):
+    """On a lock counter every group that needs a witness fails the closure
+    at its node, so no solver call is made; without closure none is refuted
+    there and the solver takes them all."""
+    f = tmp_path / "lock_counter.prog"
+    body = "lock m; a = read x; write x a + 1; unlock m;"
+    f.write_text("\n".join(f"thread t{i} {{ {body} }}" for i in range(1, 4)))
+    _, rec = run_cli(capsys, "explore", str(f))
+    assert rec["leaves"] == 6
+    assert rec["node_refutations"] > 0 and rec["vsc_calls"] == 0
+    _, plain = run_cli(capsys, "explore", str(f), "--no-closure")
+    assert plain["node_refutations"] == 0
+    assert plain["vsc_calls"] == rec["node_refutations"]
+    _, census = run_cli(capsys, "census", str(f))
+    assert census["node_refutations"] is None and census["vsc_calls"] is None
+
+
 def test_output_deterministic_modulo_time(capsys, demo_file):
     _, a = run_cli(capsys, "explore", demo_file)
     _, b = run_cli(capsys, "explore", demo_file)

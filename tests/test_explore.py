@@ -26,6 +26,7 @@ from rvfmc.explore import (
     update_backtrack_signals,
     viable_sources,
 )
+from rvfmc.vsc import Relaxation
 from corpus import PROGRAMS, one_var_family, many_threads_family
 
 ALL_EXPLORE_OPTIONS = [ExploreOptions(*bits) for bits in itertools.product([True, False], repeat=4)]
@@ -144,6 +145,7 @@ def test_viable_sources_without_map_entry():
     st = _trace_after_writes(PROGRAMS["unanimous"])
     r = next(e for e in st.enabled if e.eid == (2, 3))
     srcs = viable_sources(st, r, {})
+    assert [w.eid for w in srcs] == [(0, 1)] + [e.eid for e in st.events if e.kind == "W" and e.var == r.var]
     assert {w.eid for w in srcs} == {(1, 1), (2, 1), (3, 1), (0, 1)}
 
 
@@ -151,7 +153,7 @@ def test_viable_sources_respects_causal_map():
     st = _trace_after_writes(PROGRAMS["unanimous"])
     r = next(e for e in st.enabled if e.eid == (2, 3))
     cmap = {r.eid: {1: 2, 2: 2, 3: 2, 0: 2}}  # forbid everything current
-    assert viable_sources(st, r, cmap) == set()
+    assert viable_sources(st, r, cmap) == []
     cmap = {r.eid: {1: 2, 0: 2}}  # forbid only thread 1 and the initial write
     assert {w.eid for w in viable_sources(st, r, cmap)} == {(2, 1), (3, 1)}
 
@@ -170,25 +172,23 @@ def test_group_by_value_orders_and_partitions():
     )
     st = extend_nonreads(empty_trace(p))
     r = st.enabled[0]
-    srcs = {w for w in viable_sources(st, r, {}) if w.thread != 0}
-    groups = group_by_value(srcs, st)
-    assert [(v, len(g)) for v, g in groups] == [(1, 2), (2, 1)]
+    srcs = [w for w in viable_sources(st, r, {}) if w.thread != 0]
+    groups = group_by_value(srcs)
+    assert groups == [(1, frozenset({(1, 1), (1, 2)})), (2, frozenset({(1, 3)}))]
 
 
 def test_group_by_value_init_joins_zero_group():
     p = parse_program("thread t1 { write x 0; }\nthread t2 { r = read x; }")
     st = extend_nonreads(empty_trace(p))
     r = st.enabled[0]
-    groups = group_by_value(viable_sources(st, r, {}), st)
+    groups = group_by_value(viable_sources(st, r, {}))
     assert len(groups) == 1  # the zero-writing program write groups with init
     value, members = groups[0]
     assert value == 0 and len(members) == 2
 
 
 def test_group_by_value_empty_sources():
-    p = parse_program("thread t1 { r = read x; }")
-    st = extend_nonreads(empty_trace(p))
-    assert group_by_value(set(), st) == []
+    assert group_by_value([]) == []
 
 
 # -- mutexes and deadlocks -----------------------------------------------------------
@@ -269,11 +269,8 @@ def test_long_n_closure_keeps_keys():
     assert rep.rvf_keys == explore(p, ExploreOptions(closure=False)).rvf_keys
 
 
-def test_long_n_closure_steps_per_solver_call(monkeypatch):
-    """Each solver call extends a closure the explorer already has instead
-    of closing its instance from program order: on long-n 40 the closure
-    steps a read at most 4 times per solver call (28 when every call starts
-    from program order)."""
+def explore_counting_steps(monkeypatch, source: str):
+    """``explore(source)`` and the number of closure steps it took."""
     vsc = sys.modules["rvfmc.vsc"]
     steps = 0
     step = vsc._step
@@ -284,11 +281,59 @@ def test_long_n_closure_steps_per_solver_call(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(vsc, "_step", counting)
-    p = parse_program("thread w { repeat 40 { write x 1; } }\nthread r { repeat 40 { a = read x; } }")
-    rep = explore(p)
+    return explore(parse_program(source)), steps
+
+
+def test_long_n_closure_steps_per_solver_call(monkeypatch):
+    """Each value group that needs a witness is checked against a closure
+    the explorer already has instead of closing its instance from program
+    order: on long-n 40 the closure steps a read at most 4 times per such
+    group (28 when every solver call starts from program order).  A group
+    is either refuted at its node or sent to the solver, 820 in all."""
+    rep, steps = explore_counting_steps(
+        monkeypatch, "thread w { repeat 40 { write x 1; } }\nthread r { repeat 40 { a = read x; } }"
+    )
     assert rep.leaf_count == 41
-    assert rep.vsc_calls > 0
-    assert steps <= 4 * rep.vsc_calls, (steps, rep.vsc_calls)
+    groups = rep.vsc_calls + rep.node_refutations
+    assert groups == 820
+    assert steps <= 4 * groups, (steps, rep.vsc_calls, rep.node_refutations)
+
+
+def test_lock_counter_closure_steps_per_group(monkeypatch):
+    """On a lock counter of five threads every group that needs a witness
+    fails rule 1 at its node, and node fills re-step only the reads that a
+    new write is not yet ordered after: at most 1.5 closure steps per group
+    (3.5 with neither)."""
+    source = "\n".join(
+        f"thread t{i} {{ lock m; a = read x; write x a + 1; unlock m; }}" for i in range(1, 6)
+    )
+    rep, steps = explore_counting_steps(monkeypatch, source)
+    assert rep.leaf_count == 120
+    groups = rep.vsc_calls + rep.node_refutations
+    assert groups > 0
+    assert steps <= 1.5 * groups, (steps, rep.vsc_calls, rep.node_refutations)
+
+
+def leaf_outputs(rep):
+    return [(ex.events, ex.values, ex.violations, ex.deadlocked) for ex in rep.traces], rep.rvf_keys
+
+
+def test_node_refutations_change_no_output(monkeypatch):
+    """Refuting groups at their node only saves solver calls: with the node
+    check off, every option setting gives the same leaves, keys and witness
+    states on the corpus, and the solver takes exactly the refuted groups."""
+    programs = [parse_program(source) for source in PROGRAMS.values()]
+    default = [explore(p, options) for p in programs for options in ALL_EXPLORE_OPTIONS]
+    monkeypatch.setattr(Relaxation, "refutes", lambda self, inst, read: False)
+    patched = [explore(p, options) for p in programs for options in ALL_EXPLORE_OPTIONS]
+    assert sum(rep.node_refutations for rep in default) > 0
+    for rep, plain in zip(default, patched):
+        assert leaf_outputs(plain) == leaf_outputs(rep)
+        assert (plain.witness_states, plain.deadlocks) == (rep.witness_states, rep.deadlocks)
+        assert plain.node_refutations == 0
+        assert plain.vsc_calls == rep.vsc_calls + rep.node_refutations
+        if not rep.options.closure:
+            assert rep.node_refutations == 0
 
 
 def test_explore_restores_recursion_limit():

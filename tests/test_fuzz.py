@@ -7,6 +7,7 @@ repeats the same drivers at full scale.
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,8 @@ from rvfmc import (
 )
 from rvfmc.oracle import brute_force_vsc, iter_vsc_witnesses
 from rvfmc.program import Event
-from rvfmc.vsc import Relaxation, SolverOptions, VscInstance, closure, verify_sc
+from rvfmc.semantics import CycleError
+from rvfmc.vsc import Relaxation, SolverOptions, VscError, VscInstance, closure, verify_sc
 from reference_closure import reference_closure, respects
 
 ALL_SOLVER_OPTIONS = [SolverOptions(*bits) for bits in itertools.product([False, True], repeat=3)]
@@ -162,6 +164,54 @@ def test_closure_from_relaxation_matches_on_fuzz_corpus():
             start = Relaxation(None, full, rest)
             assert_same_closure(closure(inst, start), want, inst)
             assert_same_closure(closure(variant, start), closure(variant), variant)
+
+
+def test_node_refutation_sound_on_fuzz_corpus():
+    """The acceptance fuzz corpus: for every thread whose last event is a
+    read r and whose relaxation without r has a closure, as an explorer
+    node's does, the relaxation refutes the instance only when the instance
+    has no closure and no witness."""
+    rng = random.Random(20260808)
+    checks = refuted = 0
+    for _ in range(10000):
+        inst = random_instance(rng)
+        random_linearization(inst, rng)
+        full = {t: len(chain) for t, chain in inst.by_thread.items()}
+        for t, chain in inst.by_thread.items():
+            r = chain[-1]
+            if r.kind != "R":
+                continue
+            rest = {reid: gw for reid, gw in inst.good_writes.items() if reid != r.eid}
+            node = Relaxation(None, {**full, t: len(chain) - 1}, rest)
+            try:
+                node.closed(inst)
+            except CycleError:
+                continue  # an explorer node's trace always closes
+            checks += 1
+            if node.refutes(inst, r):
+                refuted += 1
+                assert closure(inst) is None, (inst.events, inst.good_writes)
+                assert brute_force_vsc(inst) is None, (inst.events, inst.good_writes)
+    assert (checks, refuted) == (6067, 786)
+
+
+def test_node_refutation_needs_one_new_read():
+    """A relaxation decides rule 1 only for an instance that is the
+    relaxation plus the read: a second new event, or a read inside the
+    relaxation, is an error."""
+    inst = VscInstance(
+        (Event(1, 1, "W", "x", 1), Event(1, 2, "R", "x"), Event(2, 1, "W", "x", 2)),
+        {(1, 2): frozenset({(2, 1)})},
+    )
+    read = inst.events[1]
+    with pytest.raises(VscError):
+        Relaxation(None, {1: 1, 2: 0}, {}).refutes(inst, read)
+    with pytest.raises(VscError):
+        Relaxation(None, {1: 2, 2: 0}, {}).refutes(inst, read)
+    assert not Relaxation(None, {1: 1, 2: 1}, {}).refutes(inst, read)
+    # reading the initial write after the thread's own write of x fails rule 1
+    stale = VscInstance(inst.events, {(1, 2): frozenset({(0, 1)})})
+    assert Relaxation(None, {1: 1, 2: 1}, {}).refutes(stale, read)
 
 
 @st.composite
