@@ -8,6 +8,10 @@ be written, on parse errors, on interpreter errors such as releasing a mutex
 the thread does not hold, and when the census budget runs out, each with a
 one-line reason on stderr; 1 when --fail-on-violation is set and an
 assertion violation was found; 0 otherwise.
+
+In vsc mode the order of the instance file's E records is the auxiliary
+trace that guides the witness search; --no-aux-trace searches in event-id
+order instead.
 """
 
 from __future__ import annotations
@@ -114,7 +118,7 @@ def _cmd_vsc(args: argparse.Namespace) -> int:
         guided=not args.no_aux_trace,
     )
     start = time.perf_counter()
-    result = verify_sc(inst, options)
+    result = verify_sc(inst, options, aux=inst.events)
     record = _base_record("vsc", args.instance)
     record.update(
         witness_states=result.states_processed,

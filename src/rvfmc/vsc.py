@@ -8,11 +8,20 @@ in which every read reads-from one of its good writes.
 
 ``verify_sc`` decides witness existence by a depth-first search over witness
 prefixes, memoized on the *witness state*: the per-thread event counts plus,
-per variable, the thread of its active (latest) write.  Two prefixes with
-equal witness state are extendable by exactly the same suffixes, so one of
-them can be dropped.  The number of distinct states is at most
-prod_t(n_t + 1) * (k + 1)^d, which bounds the search.  The search is a loop
-over one set of step functions, ``_Steps``, which the unit tests drive too.
+per variable, its active (latest) write.  Two prefixes with equal witness
+state are extendable by exactly the same suffixes, so one of them can be
+dropped.  The search is a loop over one set of step functions, ``_Steps``,
+which the unit tests drive too.  ``_Steps`` compiles the instance to
+integers once per call: threads and variables become positions, the
+initial write of every variable is write code 0 and the program writes are
+codes 1..W, and each read carries its good writes as a bitmask over codes.
+A state is ``(counts, active)``, with ``active`` the write code per
+variable, and it is its own memo key.  This merges exactly the states that
+a key of per-variable writing *threads* merges: given ``counts``, the
+active write of ``v`` by thread ``u`` is ``u``'s last write of ``v`` among
+its first ``counts[u]`` events, so the code and the thread determine each
+other.  The number of distinct states is therefore at most
+prod_t(n_t + 1) * (k + 1)^d, which bounds the search.
 
 Three independently switchable accelerations:
 
@@ -546,17 +555,38 @@ def _validate_witness(inst: VscInstance, seq: tuple[Event, ...]) -> None:
 
 
 class _Steps:
-    """The step functions of the witness search on one instance.
+    """The step functions of the witness search, compiled to integers once
+    per ``verify_sc`` call.
 
-    A search state is ``(counts, active)``: per thread position, how many of
-    its events have run, and per variable, the id of its active (latest)
-    write, the initial write's id before any.  ``order`` is the closure
-    order, whose cross-thread predecessors every executable event needs;
-    with ``aux``, candidates are pushed in reverse position in that trace
-    instead of reverse event-id order.
+    Threads are named by their position ``u`` in ``inst.threads`` and
+    variables by their index ``j`` in ``inst.variables``.  Write code 0 is
+    the initial write of every variable, and codes 1..W are the instance's
+    program writes.  ``chains[u][i]`` is the record of the (i+1)-th event of
+    thread ``u``: ``(is_read, j, bits, cpred, key, event)``, where ``bits``
+    is a read's good-write bitmask (bit c set when write c is good) or a
+    write's code, ``cpred`` lists closure predecessors as ``(v, c)``, thread
+    ``v`` must have run ``c`` events first, and ``key`` is the push key.
+    ``reads_of[j]`` holds ``(u, index, need)`` for each read of variable j,
+    where ``need`` pairs each writing thread with the index of its last good
+    write, and ``readers[c]`` the ``(u, index)`` of the reads that count
+    write c good; ``lengths[u]`` is the number of events of thread ``u``.
+
+    A search state is ``(counts, active)``: per thread, how many of its
+    events have run, and per variable, the code of its active (latest)
+    write.  The state is the memo key; given ``counts``, the code of an
+    active write and the thread that wrote it determine each other (see the
+    module docstring), so this merges the same prefixes as a key of writing
+    threads.  ``cpred`` holds only the components of an event's closure
+    clock that grew since its thread's previous event.  The others held
+    when that event ran, since it was executable then, and counts never
+    decrease along a path; an event is asked about only when it is next in
+    its thread, after that previous event, so ``candidates`` answers as if
+    it compared the whole clock.  With ``aux``, the push key is the
+    event's position in that trace; without, it is the thread position,
+    which orders a frontier, one event per thread, by event id.
     """
 
-    __slots__ = ("tindex", "vindex", "chains", "gw", "reads_of_var", "cpred", "push_key", "start")
+    __slots__ = ("chains", "lengths", "reads_of", "readers", "start")
 
     def __init__(
         self,
@@ -564,105 +594,150 @@ class _Steps:
         order: Optional[ClockOrder] = None,
         aux: Optional[Sequence[Event]] = None,
     ):
-        threads = inst.threads
-        self.tindex = {t: i for i, t in enumerate(threads)}
-        self.vindex = {v: i for i, v in enumerate(inst.variables)}
-        self.chains = [inst.by_thread[t] for t in threads]
-        self.gw = inst.good_writes
-        self.reads_of_var: dict[str, list[Event]] = {}
-        for e in inst.events:
-            if e.kind == "R":
-                self.reads_of_var.setdefault(e.var, []).append(e)
-        # cross-thread closure predecessors, the only ones not implied by
-        # counts: (i, c) means thread position i must have run c events first
-        self.cpred: dict[EventId, tuple[tuple[int, int], ...]] = {}
+        threads, variables, by_thread = inst.threads, inst.variables, inst.by_thread
+        tpos = {t: u for u, t in enumerate(threads)}
+        vpos = {v: j for j, v in enumerate(variables)}
+        code: dict[EventId, int] = {}
+        for t in threads:
+            for e in by_thread[t]:
+                if e.kind == "W":
+                    code[t, e.index] = len(code) + 1
         if order is not None:
             # the order may cover threads without events here, so its clock
             # positions map to this instance's by thread id
-            at = [self.tindex.get(t) for t in order.threads]
-            for e in inst.events:
-                own = self.tindex[e.thread]
-                clock = order.clock(e.eid)
-                self.cpred[e.eid] = tuple((at[i], c) for i, c in enumerate(clock) if c and at[i] != own)
-        if aux is None:
-            self.push_key = attrgetter("eid")
-        else:
-            pos = {e.eid: i for i, e in enumerate(aux)}
-            self.push_key = lambda e: pos[e.eid]
-        self.start = ((0,) * len(threads), tuple(inst.init_eid(v) for v in inst.variables))
+            at = [tpos.get(t) for t in order.threads]
+        keys = None if aux is None else {(e.thread, e.index): i for i, e in enumerate(aux)}
+        good_writes = inst.good_writes
+        self.reads_of: list[list[tuple]] = [[] for _ in variables]
+        self.readers: list[list[tuple[int, int]]] = [[] for _ in range(len(code) + 1)]
+        self.chains: list[list[tuple]] = []
+        for u, t in enumerate(threads):
+            chain = []
+            if order is not None:
+                ou = order.pos[t]
+                clocks = order.rows[ou]
+                # the own entry grows by one from event to event (from -1
+                # to 0 at the first), so a larger growth of the clock's sum
+                # means that another entry grew
+                prev, total = (0,) * len(at), -1
+                others = [v for v in range(len(at)) if v != ou]
+            for i, e in enumerate(by_thread[t]):
+                cpred = ()
+                if order is not None:
+                    clock = clocks[i]
+                    s = sum(clock)
+                    if s > total + 1:
+                        cpred = tuple([(at[v], clock[v]) for v in others if clock[v] != prev[v]])
+                    prev, total = clock, s
+                key = u if keys is None else keys[t, e.index]
+                j = vpos[e.var]
+                if e.kind == "W":
+                    chain.append((False, j, code[t, e.index], cpred, key, e))
+                    continue
+                bits = 0
+                need: dict[int, int] = {}
+                for w in good_writes[t, e.index]:
+                    if w[0]:
+                        c = code[w]
+                        bits |= 1 << c
+                        self.readers[c].append((u, e.index))
+                        v = tpos[w[0]]
+                        need[v] = max(need.get(v, 0), w[1])
+                    else:
+                        bits |= 1
+                self.reads_of[j].append((u, e.index, tuple(need.items())))
+                chain.append((True, j, bits, cpred, key, e))
+            self.chains.append(chain)
+        self.lengths = tuple(map(len, self.chains))
+        self.start = ((0,) * len(threads), (0,) * len(variables))
 
-    def advance(self, e: Event, counts: tuple[int, ...], active: tuple[EventId, ...]):
-        """The state after running ``e``."""
-        i = self.tindex[e.thread]
-        counts = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
-        if e.kind == "W":
-            j = self.vindex[e.var]
-            active = active[:j] + (e.eid,) + active[j + 1 :]
+    def advance(self, u: int, counts: tuple[int, ...], active: tuple[int, ...]):
+        """The state after running the next event of thread ``u``."""
+        read, j, bits, _, _, _ = self.chains[u][counts[u]]
+        counts = counts[:u] + (counts[u] + 1,) + counts[u + 1 :]
+        if not read:
+            active = active[:j] + (bits,) + active[j + 1 :]
         return counts, active
 
-    def held(self, var: str, counts: tuple[int, ...]) -> bool:
-        """True when some unexecuted read of ``var`` has all its good writes executed."""
-        tindex = self.tindex
-        for r in self.reads_of_var.get(var, ()):
-            if r.index > counts[tindex[r.thread]] and all(
-                w[0] == 0 or w[1] <= counts[tindex[w[0]]] for w in self.gw[r.eid]
-            ):
-                return True
+    def held(self, j: int, counts: tuple[int, ...]) -> bool:
+        """True when some unexecuted read of variable ``j`` has all its good writes executed."""
+        for u, i, need in self.reads_of[j]:
+            if i > counts[u]:
+                for v, n in need:
+                    if counts[v] < n:
+                        break
+                else:
+                    return True
         return False
 
-    def useless(self, var: str, weid: EventId, counts: tuple[int, ...]) -> bool:
-        """True when no unexecuted read of ``var`` counts ``weid`` among its good writes."""
-        tindex = self.tindex
-        for r in self.reads_of_var.get(var, ()):
-            if r.index > counts[tindex[r.thread]] and weid in self.gw[r.eid]:
+    def useless(self, c: int, counts: tuple[int, ...]) -> bool:
+        """True when no unexecuted read counts write ``c`` among its good writes."""
+        for u, i in self.readers[c]:
+            if i > counts[u]:
                 return False
         return True
 
-    def executable(self, e: Event, counts: tuple[int, ...], active: tuple[EventId, ...]) -> bool:
-        """True when ``e``, the next event of its thread, has its closure
-        predecessors run and is a read with a good write active or a write
-        whose variable is not held."""
-        for i, c in self.cpred.get(e.eid, ()):
-            if counts[i] < c:
-                return False
-        if e.kind == "R":
-            return active[self.vindex[e.var]] in self.gw[e.eid]
-        return not self.held(e.var, counts)
+    def candidates(self, counts: tuple[int, ...], active: tuple[int, ...]) -> list[int]:
+        """The threads whose next event is executable, in position order: it
+        has its closure predecessors run, and it is a read with a good write
+        active, a bitmask test, or a write whose variable is not held."""
+        chains = self.chains
+        out = []
+        for u, (n, c) in enumerate(zip(self.lengths, counts)):
+            if c < n:
+                read, j, bits, cpred, _, _ = chains[u][c]
+                for v, k in cpred:
+                    if counts[v] < k:
+                        break
+                else:
+                    if read:
+                        if (bits >> active[j]) & 1:
+                            out.append(u)
+                    elif not self.held(j, counts):
+                        out.append(u)
+        return out
 
-    def candidates(self, counts: tuple[int, ...], active: tuple[EventId, ...]) -> list[Event]:
-        """The executable events of the frontier, the next event of each thread."""
-        return [
-            chain[c]
-            for chain, c in zip(self.chains, counts)
-            if c < len(chain) and self.executable(chain[c], counts, active)
-        ]
-
-    def greedy(
-        self, cands: list[Event], counts: tuple[int, ...], active: tuple[EventId, ...]
-    ) -> Optional[Event]:
+    def greedy(self, cands: list[int], counts: tuple[int, ...], active: tuple[int, ...]) -> Optional[int]:
         """The forced step among ``cands``, if one applies.
 
-        Rule 1: an executable read is taken (lowest event id on ties).
-        Rule 2: when the active write of some variable is useless to every
-        remaining read, an equally useless executable write to that variable
-        replaces it.  Returns None when neither rule fires.
+        Rule 1: an executable read is taken, the first in position order,
+        which has the least event id.  Rule 2: when the active write of some
+        variable is useless to every remaining read, an equally useless
+        executable write to that variable replaces it (the first such in
+        position order).  Returns None when neither rule fires.
         """
-        reads = [e for e in cands if e.kind == "R"]
-        if reads:
-            return min(reads, key=attrgetter("eid"))
-        best = None
-        for e in cands:
-            aw = active[self.vindex[e.var]]
-            if aw[0] == 0:
-                continue  # rule 2 needs an active write in the sequence
-            if self.useless(e.var, aw, counts) and self.useless(e.var, e.eid, counts):
-                if best is None or e.eid < best.eid:
-                    best = e
-        return best
+        chains = self.chains
+        for u in cands:
+            if chains[u][counts[u]][0]:
+                return u
+        for u in cands:
+            _, j, c, _, _, _ = chains[u][counts[u]]
+            aw = active[j]
+            # rule 2 needs an active write in the sequence, not the initial one
+            if aw and self.useless(aw, counts) and self.useless(c, counts):
+                return u
+        return None
 
-    def push_order(self, cands: list[Event]) -> list[Event]:
-        """``cands`` in reverse guidance order, so that LIFO pops follow it."""
-        return sorted(cands, key=self.push_key, reverse=True)
+    def push_order(self, cands: list[int], counts: tuple[int, ...]) -> list[int]:
+        """``cands`` in reverse push-key order, so that LIFO pops follow it."""
+        if len(cands) < 2:
+            return cands
+        chains = self.chains
+        return sorted(cands, key=lambda u: chains[u][counts[u]][4], reverse=True)
+
+    def witness(self, path) -> tuple[Event, ...]:
+        """The events of ``path``, a chain of ``(u, parent)`` ending in None
+        for the empty prefix, from the start."""
+        order = []
+        while path is not None:
+            u, path = path
+            order.append(u)
+        ran = [0] * len(self.chains)
+        seq = []
+        for u in reversed(order):
+            seq.append(self.chains[u][ran[u]][5])
+            ran[u] += 1
+        return tuple(seq)
 
 
 def verify_sc(
@@ -689,20 +764,15 @@ def verify_sc(
     steps = _Steps(inst, order, aux if options.guided else None)
     n = len(inst.events)
 
-    counts, active = steps.start
-    done = {(counts, tuple(a[0] for a in active))}
-    # a path is (last event, parent path), or None for the empty prefix
-    stack = [(None, 0, counts, active)]
+    done = {steps.start}
+    # a path is (thread position, parent path), or None for the empty prefix
+    stack = [(None, 0, steps.start)]
     processed = 0
     while stack:
-        path, depth, counts, active = stack.pop()
+        path, depth, (counts, active) = stack.pop()
         processed += 1
         if depth == n:
-            seq = []
-            while path is not None:
-                e, path = path
-                seq.append(e)
-            witness = tuple(reversed(seq))
+            witness = steps.witness(path)
             _validate_witness(inst, witness)
             return VscResult(witness, processed, order)
 
@@ -711,12 +781,11 @@ def verify_sc(
             forced = steps.greedy(cands, counts, active)
             if forced is not None:
                 cands = [forced]
-        for e in steps.push_order(cands):
-            ncounts, nactive = steps.advance(e, counts, active)
-            key = (ncounts, tuple(a[0] for a in nactive))
-            if key not in done:
-                done.add(key)
-                stack.append(((e, path), depth + 1, ncounts, nactive))
+        for u in steps.push_order(cands, counts):
+            state = steps.advance(u, counts, active)
+            if state not in done:
+                done.add(state)
+                stack.append(((u, path), depth + 1, state))
 
     return VscResult(None, processed, order)
 

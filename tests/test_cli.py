@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from rvfmc.cli import main
+from rvfmc.vsc import parse_instance
 from corpus import MISUSE, PROGRAMS, deep_program
 
 
@@ -145,6 +146,28 @@ def test_vsc_mode_unrealizable(tmp_path, capsys):
     assert code == 0
     assert rec["realizable"] is False
     assert rec["witness"] is None
+
+
+def test_vsc_aux_trace_is_file_order(tmp_path, capsys):
+    """The E records, in file order, guide the search; --no-aux-trace
+    searches in event-id order."""
+    f = tmp_path / "inst.txt"
+    f.write_text("E 2 1 W y 1\nE 1 1 W x 1\n")
+    _, guided = run_cli(capsys, "vsc", str(f))
+    assert guided["witness"] == "2.1 1.1"
+    assert guided["options"]["aux_trace"] is True
+    _, plain = run_cli(capsys, "vsc", str(f), "--no-aux-trace")
+    assert plain["witness"] == "1.1 2.1"
+    assert plain["options"]["aux_trace"] is False
+
+
+def test_bundled_instance_unrealizable(capsys):
+    path = PROGRAMS_DIR / "store_buffer.inst"
+    inst = parse_instance(path.read_text())
+    assert len(inst.events) == 4 and len(inst.good_writes) == 2
+    code, rec = run_cli(capsys, "vsc", str(path))
+    assert code == 0
+    assert rec["realizable"] is False and rec["witness"] is None
 
 
 def test_vsc_parse_error(tmp_path, capsys):

@@ -314,6 +314,34 @@ def test_lock_counter_closure_steps_per_group(monkeypatch):
     assert steps <= 1.5 * groups, (steps, rep.vsc_calls, rep.node_refutations)
 
 
+def sb_ring(k):
+    """Store-buffer ring: thread ti writes xi, then reads x(i-1) and x(i+1)."""
+    return "\n".join(
+        f"thread t{i} {{ write x{i} 1; a = read x{(i - 2) % k + 1}; b = read x{i % k + 1}; }}"
+        for i in range(1, k + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "k, states",
+    [(4, (816, 1031, 1052)), (5, (3294, 4609, 4986))],
+)
+def test_sb_ring_witness_states_pinned(k, states):
+    """The witness search's state counts on store-buffer rings, with
+    backtrack signals on, under every closure, greedy and aux setting:
+    closure on, closure off with greedy on, and both off.  The auxiliary
+    trace changes no count.  A change to the search that merges or splits
+    states shows here."""
+    closed, greedy_only, plain = states
+    program = parse_program(sb_ring(k))
+    for closure, greedy, aux in itertools.product([True, False], repeat=3):
+        rep = explore(program, ExploreOptions(True, closure, greedy, aux))
+        want = closed if closure else greedy_only if greedy else plain
+        assert rep.witness_states == want, (closure, greedy, aux)
+        if k == 5 and closure:
+            assert (rep.vsc_calls, rep.node_refutations) == (230, 166), (greedy, aux)
+
+
 def leaf_outputs(rep):
     return [(ex.events, ex.values, ex.violations, ex.deadlocked) for ex in rep.traces], rep.rvf_keys
 

@@ -115,18 +115,38 @@ def test_malformed_instances_rejected():
 # -- search steps ---------------------------------------------------------------
 
 
-def state_after(steps, seq):
-    """The search state ``(counts, active)`` after running ``seq`` from the start."""
+def position(inst, e):
+    """The thread position of ``e``, as the search steps take it."""
+    return inst.threads.index(e.thread)
+
+
+def state_after(inst, steps, seq):
+    """The search state ``(counts, active)`` after running ``seq`` from the
+    start, each event given to ``_Steps.advance`` as its thread position."""
     counts, active = steps.start
     for e in seq:
-        counts, active = steps.advance(e, counts, active)
+        u = position(inst, e)
+        assert steps.chains[u][counts[u]][5] == e, f"{e!r} is not next in its thread"
+        counts, active = steps.advance(u, counts, active)
     return counts, active
 
 
-def greedy_step(steps, seq):
-    """The greedy choice among the executable frontier events after ``seq``."""
-    counts, active = state_after(steps, seq)
-    return steps.greedy(steps.candidates(counts, active), counts, active)
+def executable(steps, u, counts, active):
+    """True when the next event of thread ``u`` is executable in the state."""
+    return u in steps.candidates(counts, active)
+
+
+def code_of(inst, steps, w):
+    """The write code of program write ``w``."""
+    return steps.chains[position(inst, w)][w.index - 1][2]
+
+
+def greedy_step(inst, steps, seq):
+    """The event of the greedy choice among the executable frontier events
+    after ``seq``, or None."""
+    counts, active = state_after(inst, steps, seq)
+    u = steps.greedy(steps.candidates(counts, active), counts, active)
+    return None if u is None else steps.chains[u][counts[u]][5]
 
 
 def test_active_write_progression():
@@ -136,9 +156,12 @@ def test_active_write_progression():
         {(2, 2): frozenset({(1, 1), (1, 2), (2, 1)})},
     )
     steps = _Steps(inst)
-    assert state_after(steps, ()) == ((0, 0), ((0, 1),))  # the initial write of x
-    assert state_after(steps, (w11, w21)) == ((1, 1), ((2, 1),))
-    assert state_after(steps, (w11, w12)) == ((2, 0), ((1, 2),))  # same thread writes twice
+    codes = [code_of(inst, steps, w) for w in (w11, w12, w21)]
+    assert 0 not in codes and len(set(codes)) == 3  # code 0 is the initial write
+    assert state_after(inst, steps, ()) == ((0, 0), (0,))  # the initial write of x
+    assert state_after(inst, steps, (w11, w21)) == ((1, 1), (code_of(inst, steps, w21),))
+    # same thread writes twice
+    assert state_after(inst, steps, (w11, w12)) == ((2, 0), (code_of(inst, steps, w12),))
 
 
 def test_is_held():
@@ -147,25 +170,29 @@ def test_is_held():
     r = Event(3, 1, "R", "x")
     inst = VscInstance((w1, w2, r), {r.eid: frozenset({w1.eid, w2.eid})})
     steps = _Steps(inst)
-    assert not steps.held("x", state_after(steps, ())[0])
-    assert not steps.held("x", state_after(steps, (w1,))[0])  # w2 still missing
-    assert steps.held("x", state_after(steps, (w1, w2))[0])
-    assert not steps.held("x", state_after(steps, (w1, w2, r))[0])  # r finished
+    x = inst.variables.index("x")
+    assert not steps.held(x, state_after(inst, steps, ())[0])
+    assert not steps.held(x, state_after(inst, steps, (w1,))[0])  # w2 still missing
+    assert steps.held(x, state_after(inst, steps, (w1, w2))[0])
+    assert not steps.held(x, state_after(inst, steps, (w1, w2, r))[0])  # r finished
 
 
 def test_executable_conditions():
+    inst = inst_2ev()
     w, r = Event(1, 1, "W", "x", 1), Event(2, 1, "R", "x")
-    steps = _Steps(inst_2ev())
-    assert steps.executable(w, *state_after(steps, ()))
-    assert not steps.executable(r, *state_after(steps, ()))  # good write not active yet
-    assert steps.executable(r, *state_after(steps, (w,)))
+    steps = _Steps(inst)
+    assert executable(steps, position(inst, w), *state_after(inst, steps, ()))
+    # good write not active yet
+    assert not executable(steps, position(inst, r), *state_after(inst, steps, ()))
+    assert executable(steps, position(inst, r), *state_after(inst, steps, (w,)))
     # closure predecessors: r must read w2, so the bad write w1 goes before w2
     w1, r1, w2 = Event(1, 1, "W", "x", 1), Event(1, 2, "R", "x"), Event(2, 1, "W", "x", 2)
     inst = VscInstance((w1, r1, w2), {r1.eid: frozenset({w2.eid})})
     plain, ordered = _Steps(inst), _Steps(inst, closure(inst))
-    assert plain.executable(w2, *state_after(plain, ()))
-    assert not ordered.executable(w2, *state_after(ordered, ()))
-    assert ordered.executable(w2, *state_after(ordered, (w1,)))
+    u2 = position(inst, w2)
+    assert executable(plain, u2, *state_after(inst, plain, ()))
+    assert not executable(ordered, u2, *state_after(inst, ordered, ()))
+    assert executable(ordered, u2, *state_after(inst, ordered, (w1,)))
 
 
 def test_write_to_held_variable_not_executable():
@@ -174,15 +201,16 @@ def test_write_to_held_variable_not_executable():
     r = Event(3, 1, "R", "x")
     inst = VscInstance((w1, w2, r), {r.eid: frozenset({w1.eid})})
     steps = _Steps(inst)
-    counts, active = state_after(steps, (w1,))
-    assert steps.held("x", counts)
-    assert not steps.executable(w2, counts, active)
-    assert steps.executable(r, counts, active)
-    assert steps.candidates(counts, active) == [r]
+    counts, active = state_after(inst, steps, (w1,))
+    assert steps.held(inst.variables.index("x"), counts)
+    assert not executable(steps, position(inst, w2), counts, active)
+    assert executable(steps, position(inst, r), counts, active)
+    assert steps.candidates(counts, active) == [position(inst, r)]
 
 
 def test_greedy_prefers_executable_read():
-    choice = greedy_step(_Steps(inst_2ev()), (Event(1, 1, "W", "x", 1),))
+    inst = inst_2ev()
+    choice = greedy_step(inst, _Steps(inst), (Event(1, 1, "W", "x", 1),))
     assert choice is not None and choice.kind == "R"
 
 
@@ -197,10 +225,11 @@ def test_greedy_rule2_stale_writes():
     )
     inst = VscInstance(events, {(2, 2): frozenset({(2, 1)})})
     steps = _Steps(inst)
-    choice = greedy_step(steps, events[:1])
+    choice = greedy_step(inst, steps, events[:1])
     assert choice is not None and choice.eid == (1, 2)
-    assert steps.useless("x", (1, 1), state_after(steps, events[:1])[0])
-    assert not steps.useless("y", (2, 1), state_after(steps, events[:1])[0])
+    counts = state_after(inst, steps, events[:1])[0]
+    assert steps.useless(code_of(inst, steps, events[0]), counts)
+    assert not steps.useless(code_of(inst, steps, events[2]), counts)
     fast = verify_sc(inst, SolverOptions(greedy=True, closure=False, guided=False))
     slow = verify_sc(inst, SolverOptions.none())
     assert fast.realizable == slow.realizable == (brute_force_vsc(inst) is not None)
@@ -211,7 +240,7 @@ def test_greedy_neither_rule_applies():
     r = Event(2, 1, "R", "x")
     inst = VscInstance((w1, r), {r.eid: frozenset({w1.eid})})
     # no executable read (w1 not active), no active write in the sequence
-    assert greedy_step(_Steps(inst), ()) is None
+    assert greedy_step(inst, _Steps(inst), ()) is None
 
 
 # -- closure -----------------------------------------------------------------
@@ -278,12 +307,14 @@ def test_guided_order_reverses_aux_positions():
     a, b, c = (Event(1, 1, "W", "x", 1), Event(2, 1, "W", "x", 1), Event(3, 1, "W", "x", 1))
     inst = VscInstance((a, b, c), {})
     guided = _Steps(inst, aux=[a, b, c])
-    assert guided.push_order([a, c]) == [c, a]
-    assert guided.push_order([b]) == [b]
-    assert guided.push_order([a, b, c]) == [c, b, a]
+    ua, ub, uc = (position(inst, e) for e in (a, b, c))
+    counts = guided.start[0]
+    assert guided.push_order([ua, uc], counts) == [uc, ua]
+    assert guided.push_order([ub], counts) == [ub]
+    assert guided.push_order([ua, ub, uc], counts) == [uc, ub, ua]
     # an aux trace out of event-id order, and no aux trace at all
-    assert _Steps(inst, aux=[b, a, c]).push_order([a, b, c]) == [c, a, b]
-    assert _Steps(inst).push_order([c, a, b]) == [c, b, a]
+    assert _Steps(inst, aux=[b, a, c]).push_order([ua, ub, uc], counts) == [uc, ua, ub]
+    assert _Steps(inst).push_order([uc, ua, ub], counts) == [uc, ub, ua]
 
 
 def test_guided_search_same_verdicts():
