@@ -3,7 +3,7 @@ sequential consistency, exploring one representative per reads-value-from
 behavior class."""
 
 from .explore import ExplorationReport, ExploreOptions, explore
-from .oracle import brute_force_vsc, census, count_classes, enumerate_maximal_traces
+from .oracle import count_classes
 from .program import (
     Event,
     Execution,
@@ -15,14 +15,7 @@ from .program import (
     parse_program,
     replay,
 )
-from .semantics import (
-    ClockOrder,
-    causal_order,
-    maz_key,
-    reads_from,
-    rf_key,
-    rvf_key,
-)
+from .semantics import ClockOrder, rvf_key
 from .vsc import (
     SolverOptions,
     VscInstance,
@@ -44,21 +37,14 @@ __all__ = [
     "Trace",
     "VscInstance",
     "VscResult",
-    "brute_force_vsc",
-    "causal_order",
-    "census",
     "closure",
     "count_classes",
     "empty_trace",
-    "enumerate_maximal_traces",
     "explore",
     "extend",
-    "maz_key",
     "parse_instance",
     "parse_program",
-    "reads_from",
     "replay",
-    "rf_key",
     "rvf_key",
     "verify_sc",
 ]

@@ -1,12 +1,19 @@
-"""Ground-truth engines: exhaustive schedule enumeration and brute-force realizability.
+"""Ground truth by exhaustive schedule enumeration: every maximal trace, and
+the census of their equivalence classes.
 
-Everything here is deliberately heuristic-free so it can stand as an
-independent oracle for the explorer and the witness solver: the independence
-comes from enumerating every schedule, not from a second interpreter.  The
-depth-first search drives one ``program.Trace`` through ``extend`` and
-``Trace.undo`` over an explicit stack, so full enumeration of six-figure
-schedule spaces stays within desk-scale budgets and trace length is not
-bounded by the recursion limit.
+``iter_maximal_traces`` yields every maximal trace, and ``count_classes``
+counts their reads-value-from, reads-from and commutation (Mazurkiewicz)
+classes without keeping the traces.  Everything here is deliberately
+heuristic-free so it can stand as an independent oracle for the explorer:
+the independence comes from enumerating every schedule, not from a second
+interpreter or a second key.  The rvf key is the explorer's own
+``semantics.rvf_key``, which the tests check against a key built on
+explicit pairs.  The depth-first search drives one
+``program.Trace`` through ``extend`` and ``Trace.undo`` over an explicit
+stack, so full enumeration of six-figure schedule spaces stays within
+desk-scale budgets and trace length is not bounded by the recursion limit.
+The materializing census and the brute-force realizability oracle that the
+tests compare against live in ``tests/reference_oracle.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +23,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 from .program import Event, EventId, Execution, Program, Trace, empty_trace, extend
-from .semantics import maz_key, rf_key, rvf_key
-from .vsc import VscInstance
+from .semantics import rvf_key
 
 
 class BudgetExceeded(RuntimeError):
@@ -69,33 +75,11 @@ def iter_maximal_traces(program: Program, budget: int = 10_000_000) -> Iterator[
         yield trace.freeze()
 
 
-def enumerate_maximal_traces(program: Program, budget: int = 10_000_000) -> list[Execution]:
-    return list(iter_maximal_traces(program, budget))
-
-
 # ---------------------------------------------------------------------------
-# Equivalence-class censuses
+# Equivalence-class census
 # ---------------------------------------------------------------------------
 
-_KEY_FN = {"rvf": rvf_key, "rf": rf_key, "maz": maz_key}
-
-
-@dataclass
-class CensusResult:
-    equivalence: str
-    count: int
-    representatives: dict
-
-
-def census(traces: Iterable[Execution], equivalence: str) -> CensusResult:
-    """Count distinct equivalence keys over the given traces."""
-    key_fn = _KEY_FN[equivalence]
-    reps: dict = {}
-    for t in traces:
-        k = key_fn(t)
-        if k not in reps:
-            reps[k] = t
-    return CensusResult(equivalence, len(reps), reps)
+_EQUIVALENCES = ("rvf", "rf", "maz")
 
 
 @dataclass
@@ -105,28 +89,27 @@ class ClassCount:
     assertion_violations: list[str]
     deadlocks: int
 
-    def csv_lines(self) -> list[str]:
-        """``equivalence,count`` lines in a fixed order, for golden files."""
-        return [f"{eq},{self.classes[eq]}" for eq in sorted(self.classes)]
-
 
 def count_classes(
-    program: Program, equivalences: Iterable[str] = ("rvf", "rf", "maz"), budget: int = 10_000_000
+    program: Program, equivalences: Iterable[str] = _EQUIVALENCES, budget: int = 10_000_000
 ) -> ClassCount:
     """Streaming census over all maximal traces, without materializing them.
 
-    Reads-from sources, per-variable write orders, and causal predecessor
-    bitmasks are maintained incrementally along the DFS, so the per-trace
-    cost stays linear in trace length.  Same answers as ``census`` over
-    ``enumerate_maximal_traces``; that equality is a test obligation.
+    ``equivalences`` names any of "rvf", "rf" and "maz"; another name raises
+    ValueError.  Reads-from sources and per-variable write orders are
+    maintained incrementally along the DFS, and each maximal trace gets its
+    ``rvf_key``, so the per-trace cost stays linear in trace length outside
+    the key's read pairs.
     """
     eqs = tuple(equivalences)
-    want_rvf = "rvf" in eqs
+    for eq in eqs:
+        if eq not in _EQUIVALENCES:
+            raise ValueError(f"unknown equivalence {eq!r}; expected one of {', '.join(_EQUIVALENCES)}")
     want_rf = "rf" in eqs or "maz" in eqs
     globs = program.globals
 
     sets: dict[str, set] = {eq: set() for eq in eqs}
-    rf_set, maz_set = sets.get("rf"), sets.get("maz")
+    rvf_set, rf_set, maz_set = sets.get("rvf"), sets.get("rf"), sets.get("maz")
     violations: set[str] = set()
     total = deadlocks = 0
 
@@ -143,10 +126,6 @@ def count_classes(
     sources: list[list[int]] = [[] for _ in program.threads]
     write_orders: list[list[int]] = [[] for _ in globs]  # codes; last is active
     writes_of = dict(zip(globs, write_orders))
-    masks: list[int] = []  # causal predecessor bitmask per position
-    # position of each event in the trace, by code; an undone event's entry
-    # is only read again after the event runs again and overwrites it
-    pos_of: dict[int, int] = {}
 
     def push(e: Event) -> None:
         eid = (e.thread, e.index)
@@ -158,18 +137,7 @@ def count_classes(
             reads = sources[e.thread - 1]
             reads.append(c)
             reads.append(writes[-1] if writes else init_of[e.var])
-        if want_rvf:
-            pos = len(masks)
-            m = 1 << pos
-            if e.index > 1:  # after its program-order predecessor
-                prev = pos_of[codes[(e.thread, e.index - 1)]]
-                m |= masks[prev] | (1 << prev)
-            if e.kind == "R" and writes:  # after the write it reads from
-                src = pos_of[writes[-1]]
-                m |= masks[src] | (1 << src)
-            masks.append(m)
-            pos_of[c] = pos
-        if e.kind == "W":
+        else:
             writes.append(c)
 
     def pop(e: Event) -> None:
@@ -177,15 +145,13 @@ def count_classes(
             writes_of[e.var].pop()
         else:
             del sources[e.thread - 1][-2:]
-        if want_rvf:
-            masks.pop()
 
     for trace in _maximal(empty_trace(program), budget, push, pop):
         total += 1
         deadlocks += trace.deadlocked
         violations.update(trace.violations)
-        ev_key = trace.counts
         if want_rf:
+            ev_key = trace.counts
             # ev_key has one entry per thread and the write lists one length
             # per variable, so each key splits back into its parts
             rfk = tuple(chain.from_iterable(sources))
@@ -195,67 +161,7 @@ def count_classes(
                 maz_set.add(
                     (*ev_key, len(rfk), *rfk, *map(len, write_orders), *chain.from_iterable(write_orders))
                 )
-        if want_rvf:
-            vkey = tuple(v for _, v in sorted(trace.values.items()))
-            # positions are indices into the trace, so this is in trace order
-            rpos = [(i, (e.thread, e.index)) for i, e in enumerate(trace.events) if e.kind == "R"]
-            ro = []
-            for i in range(len(rpos)):
-                pi, ei = rpos[i]
-                for j in range(i + 1, len(rpos)):
-                    pj, ej = rpos[j]
-                    if masks[pj] >> pi & 1:
-                        ro.append((ei, ej))
-            sets["rvf"].add((ev_key, vkey, tuple(sorted(ro))))
+        if rvf_set is not None:
+            rvf_set.add(rvf_key(trace))
 
     return ClassCount(total, {eq: len(sets[eq]) for eq in eqs}, sorted(violations), deadlocks)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force realizability
-# ---------------------------------------------------------------------------
-
-
-def iter_vsc_witnesses(inst: VscInstance) -> Iterator[tuple[Event, ...]]:
-    """All witnesses of the instance, by plain enumeration of program-order
-    linearizations with reads-from pruning."""
-    chains = [inst.by_thread[t] for t in inst.threads]
-    counts = [0] * len(chains)
-    active = {v: inst.init_eid(v) for v in inst.variables}
-    seq: list[Event] = []
-    n = len(inst.events)
-
-    def rec() -> Iterator[tuple[Event, ...]]:
-        if len(seq) == n:
-            yield tuple(seq)
-            return
-        for i, chain in enumerate(chains):
-            if counts[i] >= len(chain):
-                continue
-            e = chain[counts[i]]
-            if e.kind == "R":
-                if active[e.var] not in inst.good_writes[e.eid]:
-                    continue
-                counts[i] += 1
-                seq.append(e)
-                yield from rec()
-                seq.pop()
-                counts[i] -= 1
-            else:
-                old = active[e.var]
-                active[e.var] = e.eid
-                counts[i] += 1
-                seq.append(e)
-                yield from rec()
-                seq.pop()
-                counts[i] -= 1
-                active[e.var] = old
-
-    return rec()
-
-
-def brute_force_vsc(inst: VscInstance, limit: int = 12) -> Optional[tuple[Event, ...]]:
-    """First witness by exhaustive enumeration, or None; guarded to small instances."""
-    if len(inst.events) > limit:
-        raise ValueError(f"instance too large for brute force ({len(inst.events)} events)")
-    return next(iter_vsc_witnesses(inst), None)

@@ -87,9 +87,6 @@ class Event:
     def eid(self) -> EventId:
         return (self.thread, self.index)
 
-    def conflicts(self, other: "Event") -> bool:
-        return self.var == other.var and (self.kind == "W" or other.kind == "W")
-
     def __repr__(self) -> str:  # compact, for test diagnostics
         v = "" if self.value is None else f"={self.value}"
         return f"<{self.thread}.{self.index} {self.kind} {self.var}{v}>"

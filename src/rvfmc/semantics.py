@@ -1,33 +1,28 @@
-"""Derived semantic objects over traces: reads-from, causal order, equivalence keys.
+"""Orders over trace events and the reads-value-from equivalence key.
 
-All functions here are pure and accept either a live ``Trace`` or a frozen
-``Execution`` (anything with ``program``, ``events`` and ``values``).
+``rvf_key`` accepts either a live ``Trace`` or a frozen ``Execution``
+(anything with ``events`` and ``values``) and returns a canonical hashable
+key: two traces get equal keys iff they have the same events, the same value
+function, and the same causal ordering restricted to read events.  Event
+identity across traces is the (thread, index) pair alone; diverging control
+flow always shows up as a differing earlier read value, which the value
+component of the key already separates.  The key is computed in one pass
+with a causal-predecessor bitmask per event; the explorer keys every leaf
+with it, and ``oracle.count_classes`` every maximal trace.
 
-Three trace equivalences get canonical hashable keys:
-
-* ``maz_key``  -- equal iff the traces order every conflicting event pair
-  identically (the classic commutation-based equivalence).
-* ``rf_key``   -- equal iff same events and same reads-from function.
-* ``rvf_key``  -- equal iff same events, same value function, and the same
-  causal ordering restricted to read events.
-
-Event identity across traces is the (thread, index) pair alone; diverging
-control flow always shows up as a differing earlier read value, which the
-value component of ``rvf_key`` already separates.
-
-Causal orders, and the closure orders of ``vsc``, are ``ClockOrder``s: one
-vector clock per event, as in FastTrack (Flanagan and Freund, PLDI 2009).
-``ClockOrder`` is the one order type here; the explicit-pairs reference that
-tests compare it against lives in ``tests/reference_closure.py``.
+The closure orders of ``vsc`` are ``ClockOrder``s: one vector clock per
+event, as in FastTrack (Flanagan and Freund, PLDI 2009).  The explicit-pairs
+reference that tests compare ``ClockOrder`` and ``rvf_key`` against lives in
+``tests/reference_closure.py`` and ``tests/reference_oracle.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
-from .program import Event, EventId, Execution, Trace
+from .program import EventId, Execution, Trace
 
 Run = Union[Trace, Execution]
 
@@ -116,110 +111,41 @@ class ClockOrder:
 
 
 # ---------------------------------------------------------------------------
-# Reads-from and the causal order
+# The reads-value-from key
 # ---------------------------------------------------------------------------
-
-
-def reads_from(run: Run) -> dict[Event, Event]:
-    """Map each read to the latest earlier conflicting write (initial write if none)."""
-    active: dict[str, Event] = {}
-    rf: dict[Event, Event] = {}
-    for e in run.events:
-        if e.kind == "W":
-            active[e.var] = e
-        else:
-            rf[e] = active.get(e.var) or run.program.init_event(e.var)
-    return rf
-
-
-def causal_order(run: Run) -> ClockOrder:
-    """Weakest partial order refining program order that puts each read after
-    its reads-from source.
-
-    Computed in one left-to-right pass: an event's clock is its thread
-    predecessor's clock joined, for a read, with the clock of its source.
-    Initial writes precede everything implicitly and are not materialized.
-    """
-    k = len(run.program.threads)
-    order = ClockOrder(range(1, k + 1))
-    rows = order.rows
-    active: dict[str, Event] = {}  # latest write per variable; absent: initial
-    for e in run.events:
-        t = e.thread - 1
-        chain = rows[t]
-        clock = list(chain[-1]) if chain else [0] * k
-        clock[t] = e.index - 1
-        if e.kind == "W":
-            active[e.var] = e
-        else:
-            w = active.get(e.var)
-            if w is not None:
-                clock = list(map(max, clock, rows[w.thread - 1][w.index - 1]))
-                clock[w.thread - 1] = max(clock[w.thread - 1], w.index)
-        chain.append(tuple(clock))
-    return order
-
-
-# ---------------------------------------------------------------------------
-# Equivalence keys
-# ---------------------------------------------------------------------------
-
-
-def _events_key(run: Run) -> tuple[EventId, ...]:
-    return tuple(sorted(e.eid for e in run.events))
 
 
 def rvf_key(run: Run):
-    """Canonical key of the reads-value-from class of a trace."""
-    ev = _events_key(run)
-    vals = tuple(run.values[eid] for eid in ev)
-    rows = causal_order(run).rows
-    # per thread, the indices and ids of its reads; each id is made once and
-    # shared by every pair that holds it
-    indices: list[list[int]] = [[] for _ in rows]
-    ids: list[list[EventId]] = [[] for _ in rows]
+    """Canonical key of the reads-value-from class of a trace:
+    ``("rvf", events, values, read_order)``.
+
+    ``events`` are the sorted event ids, ``values`` their values in that
+    order, and ``read_order`` the sorted pairs ``(a, b)`` of reads with
+    ``a`` before ``b`` in the causal order: the weakest partial order that
+    contains program order and puts each read after the write it reads from.
+    One left-to-right pass gives each event a bitmask of its causal
+    predecessors, bit i standing for the i-th event of the trace: an event
+    inherits its thread's mask and, for a read, the mask of the latest write
+    of its variable, which includes that write's own bit.  Initial writes
+    precede everything implicitly and have no bit.
+    """
+    values = sorted(run.values.items())
+    below: dict[int, int] = {}  # per thread: its latest event and what precedes it
+    source: dict[str, int] = {}  # per variable: its latest write and what precedes it
+    reads: list[tuple[int, int, EventId]] = []  # (bit, predecessors, id)
+    bit = 1
     for e in run.events:
-        if e.kind == "R":
-            indices[e.thread - 1].append(e.index)
-            ids[e.thread - 1].append(e.eid)
-    ro = []
-    for t, (bs, b_ids) in enumerate(zip(indices, ids)):
-        for bi, b in zip(bs, b_ids):
-            clock = rows[t][bi - 1]
-            for u, a_ids in enumerate(ids):
-                if a_ids and indices[u][0] <= clock[u]:
-                    ro.extend((a, b) for a in a_ids[: bisect_right(indices[u], clock[u])])
+        t = e.thread
+        if e.kind == "W":
+            m = below.get(t, 0) | bit
+            source[e.var] = m
+        else:
+            m = below.get(t, 0) | source.get(e.var, 0)
+            reads.append((bit, m, (t, e.index)))
+            m |= bit
+        below[t] = m
+        bit <<= 1
+    ro = [(a, b) for i, (_, m, b) in enumerate(reads) for bit_a, _, a in reads[:i] if m & bit_a]
     ro.sort()
+    ev, vals = zip(*values) if values else ((), ())
     return ("rvf", ev, vals, tuple(ro))
-
-
-def rf_key(run: Run):
-    """Canonical key of the reads-from class of a trace."""
-    rf = reads_from(run)
-    pairs = tuple(sorted((r.eid, w.eid) for r, w in rf.items()))
-    return ("rf", _events_key(run), pairs)
-
-
-def maz_key(run: Run):
-    """Canonical key of the commutation class: orientation of every conflicting pair."""
-    events = run.events
-    oriented = []
-    for i, a in enumerate(events):
-        for b in events[i + 1 :]:
-            if a.conflicts(b):
-                oriented.append((a.eid, b.eid))
-    return ("maz", _events_key(run), tuple(sorted(oriented)))
-
-
-def format_key(key) -> str:
-    """Stable one-line text form of any equivalence key, for golden files."""
-
-    def fmt(x) -> str:
-        if isinstance(x, tuple):
-            if len(x) == 2 and all(isinstance(v, int) for v in x):
-                return f"{x[0]}.{x[1]}"
-            return "(" + ",".join(fmt(v) for v in x) + ")"
-        return str(x)
-
-    tag, *parts = key
-    return tag + "|" + "|".join(fmt(p) for p in parts)

@@ -538,14 +538,23 @@ class VscResult:
 
 
 def _validate_witness(inst: VscInstance, seq: tuple[Event, ...]) -> None:
-    if sorted(e.eid for e in seq) != sorted(e.eid for e in inst.events):
+    """Raise RuntimeError unless ``seq`` is a witness of ``inst``.
+
+    Each event must be the instance's own next event of its thread, which
+    rules out foreign events, duplicates and program-order violations; with
+    as many events as the instance, that runs every thread to its end.
+    """
+    if len(seq) != len(inst.events):
         raise RuntimeError("witness is not a linearization of the instance events")
-    counts = {t: 0 for t in inst.threads}
+    by_thread = inst.by_thread
+    counts: dict[int, int] = {}
     active: dict[str, EventId] = {}
     for e in seq:
-        if e.index != counts[e.thread] + 1:
-            raise RuntimeError("witness violates program order")
-        counts[e.thread] += 1
+        chain = by_thread.get(e.thread, ())
+        i = counts.get(e.thread, 0)
+        if i >= len(chain) or chain[i] is not e:
+            raise RuntimeError(f"witness event {e!r} is not the next event of its thread")
+        counts[e.thread] = i + 1
         if e.kind == "W":
             active[e.var] = e.eid
         else:

@@ -1,8 +1,9 @@
 """The pairs-based reference for the vector-clock orders of ``rvfmc``.
 
 ``_Order`` stores a strict order as transitively closed successor and
-predecessor sets.  The tests check ``ClockOrder.add`` and ``causal_order``
-against it, and ``reference_closure`` computes on it the closure that the
+predecessor sets.  The tests check ``ClockOrder.add`` against it,
+``reference_oracle`` builds on it the causal order behind the reference rvf
+key, and ``reference_closure`` computes on it the closure that the
 clock-based ``vsc.closure`` is checked against: it evaluates the four
 closure rules on every write of a read's variable, so each read costs
 O(W^2) per pass.  It is slow but direct, which is what a reference should

@@ -12,17 +12,11 @@ import time
 
 import pytest
 
-from rvfmc import (
-    ExploreOptions,
-    census,
-    enumerate_maximal_traces,
-    explore,
-    parse_program,
-)
-from rvfmc.oracle import brute_force_vsc, count_classes, iter_vsc_witnesses
+from rvfmc import ExploreOptions, count_classes, explore, parse_program
 from rvfmc.vsc import SolverOptions, closure, verify_sc
 from corpus import PROGRAMS, one_var_family, many_threads_family
 from reference_closure import respects
+from reference_oracle import brute_force_vsc, census, enumerate_maximal_traces, iter_vsc_witnesses
 from test_fuzz import random_instance, random_linearization
 
 FUZZ_COUNT = int(os.environ.get("RVFMC_FUZZ_COUNT", "10000"))

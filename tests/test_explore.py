@@ -14,7 +14,6 @@ from rvfmc import (
     ExploreOptions,
     VscInstance,
     empty_trace,
-    enumerate_maximal_traces,
     explore,
     extend,
     parse_program,
@@ -28,6 +27,7 @@ from rvfmc.explore import (
 )
 from rvfmc.vsc import Relaxation
 from corpus import PROGRAMS, one_var_family, many_threads_family
+from reference_oracle import census, enumerate_maximal_traces
 
 ALL_EXPLORE_OPTIONS = [ExploreOptions(*bits) for bits in itertools.product([True, False], repeat=4)]
 
@@ -53,8 +53,6 @@ def test_one_var_n2_coarser_than_reads_from():
     p = parse_program(one_var_family(2))
     rep = explore(p)
     assert rep.leaf_count == 1
-    from rvfmc import census
-
     assert census(enumerate_maximal_traces(p), "rf").count >= 4
 
 

@@ -11,17 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvfmc import (
-    ExploreOptions,
-    enumerate_maximal_traces,
-    explore,
-    parse_program,
-)
-from rvfmc.oracle import brute_force_vsc, iter_vsc_witnesses
+from rvfmc import ExploreOptions, explore, parse_program, rvf_key
 from rvfmc.program import Event
 from rvfmc.semantics import CycleError
 from rvfmc.vsc import Relaxation, SolverOptions, VscError, VscInstance, closure, verify_sc
 from reference_closure import reference_closure, respects
+from reference_oracle import brute_force_vsc, enumerate_maximal_traces, iter_vsc_witnesses, reference_rvf_key
 
 ALL_SOLVER_OPTIONS = [SolverOptions(*bits) for bits in itertools.product([False, True], repeat=3)]
 
@@ -279,7 +274,9 @@ def test_explorer_complete_on_random_programs():
     for _ in range(120):
         src = random_program(rng)
         p = parse_program(src)
-        want = behavior_set(enumerate_maximal_traces(p))
+        oracle = enumerate_maximal_traces(p)
+        assert all(rvf_key(ex) == reference_rvf_key(ex) for ex in oracle), src
+        want = behavior_set(oracle)
         counts = set()
         for opt in combos:
             rep = explore(p, opt)
@@ -340,7 +337,9 @@ def test_explorer_complete_on_random_mutex_programs():
     for _ in range(80):
         src = random_mutex_program(rng)
         p = parse_program(src)
-        want = mutex_behavior_set(enumerate_maximal_traces(p))
+        oracle = enumerate_maximal_traces(p)
+        assert all(rvf_key(ex) == reference_rvf_key(ex) for ex in oracle), src
+        want = mutex_behavior_set(oracle)
         counts = set()
         for opt in combos:
             rep = explore(p, opt)

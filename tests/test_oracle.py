@@ -1,4 +1,4 @@
-"""Enumeration counts, census consistency, brute-force realizability."""
+"""Enumeration counts, census consistency, and the reference brute-force realizability oracle."""
 
 import math
 import os
@@ -10,18 +10,11 @@ from pathlib import Path
 import pytest
 
 import rvfmc
-from rvfmc import (
-    Event,
-    VscInstance,
-    census,
-    enumerate_maximal_traces,
-    explore,
-    parse_program,
-    replay,
-)
-from rvfmc.oracle import BudgetExceeded, brute_force_vsc, count_classes, iter_vsc_witnesses
+from rvfmc import Event, VscInstance, explore, parse_program, replay
+from rvfmc.oracle import BudgetExceeded, count_classes
 from rvfmc.program import InterpreterError
 from corpus import MISUSE, PROGRAMS
+from reference_oracle import brute_force_vsc, census, enumerate_maximal_traces, iter_vsc_witnesses
 
 
 def test_unanimous_schedule_count_is_multinomial():
@@ -82,14 +75,15 @@ def test_long_trace_within_default_recursion_limit():
     script = textwrap.dedent(
         """
         import sys
-        from rvfmc import count_classes, enumerate_maximal_traces, parse_program
+        from rvfmc import count_classes, parse_program
+        from rvfmc.oracle import iter_maximal_traces
 
         limit = sys.getrecursionlimit()
         p = parse_program("thread t { repeat 5000 { write x 1; } }")
         counts = count_classes(p)
         assert counts.maximal_traces == 1, counts
         assert counts.classes == {"rvf": 1, "rf": 1, "maz": 1}, counts
-        (ex,) = enumerate_maximal_traces(p)
+        (ex,) = iter_maximal_traces(p)
         assert len(ex.events) == 5000
         assert sys.getrecursionlimit() == limit
         """
@@ -139,6 +133,12 @@ def test_streaming_census_matches_materialized(name):
     for t in traces:
         viol |= t.violations
     assert set(cc.assertion_violations) == viol
+
+
+def test_unknown_equivalence_rejected():
+    p = parse_program(PROGRAMS["unanimous"])
+    with pytest.raises(ValueError, match="'bogus'"):
+        count_classes(p, ("rvf", "bogus"))
 
 
 def test_family_censuses():

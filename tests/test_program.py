@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from rvfmc import (
     ParseError,
     empty_trace,
-    enumerate_maximal_traces,
     explore,
     extend,
     parse_program,
     replay,
 )
 from corpus import UNANIMOUS, PROGRAMS, deep_program
+from reference_oracle import enumerate_maximal_traces
 
 
 def test_unanimous_program_shape():

@@ -1,27 +1,37 @@
-"""Reads-from, causal order, vector-clock orders, and the three equivalence keys."""
+"""The rvf key against its reference, vector-clock orders, and the
+reference reads-from, causal order and keys of ``reference_oracle``."""
 
 import itertools
-import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvfmc import (
+from rvfmc import count_classes, empty_trace, extend, parse_program, rvf_key
+from rvfmc.oracle import iter_maximal_traces
+from rvfmc.program import InterpreterError
+from rvfmc.semantics import ClockOrder, CycleError
+from corpus import MISUSE, PROGRAMS
+from reference_closure import _Cycle, _Order
+from reference_oracle import (
     causal_order,
     census,
-    empty_trace,
     enumerate_maximal_traces,
-    extend,
+    format_key,
     maz_key,
-    parse_program,
     reads_from,
+    reference_rvf_key,
     rf_key,
-    rvf_key,
 )
-from rvfmc.semantics import ClockOrder, CycleError, format_key
-from corpus import PROGRAMS
-from reference_closure import _Cycle, _Order, respects
+
+PROGRAM_DIR = Path(__file__).resolve().parent.parent / "programs"
+# the corpus, its misuse programs and the bundled programs, by test id
+KEYED_SOURCES = {
+    **PROGRAMS,
+    **{f"misuse-{name}": src for name, src in MISUSE.items()},
+    **{f"prog-{path.stem}": path.read_text() for path in sorted(PROGRAM_DIR.glob("*.prog"))},
+}
 
 # The running example trace: three threads, events listed in execution order
 #   t1: w(x,1) r(x)   t2: w(x,1) r(x) w(y,2)   t3: w(y,1) r(y)
@@ -68,39 +78,28 @@ def test_reads_from_init():
 
 
 def test_causal_order_example():
+    """t2's r(x) precedes t3's r(y) through w(y,2), which r(y) reads; t1's
+    r(x) is unordered with both."""
     t = example_trace()
-    co = causal_order(t)
-    assert co.less((2, 3), (3, 2))  # w(y,2) before r(y) via reads-from
-    # w(y,1) and t1's r(x) unrelated
-    assert not co.less((3, 1), (1, 2)) and not co.less((1, 2), (3, 1))
-    # respected by the trace's own total order
-    assert respects(t.events, co)
+    assert rvf_key(t)[3] == (((2, 2), (3, 2)),)
+    assert rvf_key(t) == reference_rvf_key(t)
 
 
 def test_causal_order_single_thread_is_total():
-    p = parse_program("thread t1 { write x 1; r = read x; write y 2; }")
+    """In a one-thread trace every pair of reads is ordered."""
+    p = parse_program("thread t1 { write x 1; r = read x; write y 2; s = read y; u = read z; }")
     t = empty_trace(p)
     while t.enabled:
         t = extend(t, t.enabled[0])
-    co = causal_order(t)
-    ids = sorted(e.eid for e in t.events)
-    for a, b in itertools.combinations(ids, 2):
-        assert co.less(a, b) or co.less(b, a)
-
-
-def test_causal_order_disjoint_threads_only_po():
-    p = parse_program("thread t1 { write x 1; write x 2; }\nthread t2 { write y 1; write y 2; }")
-    t = empty_trace(p)
-    while t.enabled:
-        t = extend(t, t.enabled[0])
-    co = causal_order(t)
-    assert co.pairs == frozenset({((1, 1), (1, 2)), ((2, 1), (2, 2))})
+    reads = [e.eid for e in t.events if e.kind == "R"]
+    assert rvf_key(t)[3] == tuple(itertools.combinations(reads, 2))
 
 
 def test_rf_in_visible_writes_of_causal_order():
-    """Each read's source is visible to it in the causal order: a program
-    write comes before the read with no conflicting write strictly between;
-    with the initial write as source, no conflicting write comes before."""
+    """Each read's source is visible to it in the reference causal order: a
+    program write comes before the read with no conflicting write strictly
+    between; with the initial write as source, no conflicting write comes
+    before."""
     for name in ("unanimous", "store_buffer", "mutex_three", "lost_update"):
         p = parse_program(PROGRAMS[name])
         for ex in enumerate_maximal_traces(p):
@@ -163,10 +162,8 @@ def test_key_serialization_golden():
 
 
 def test_census_csv_lines_golden():
-    from rvfmc.oracle import count_classes
-
     cc = count_classes(parse_program(PROGRAMS["unanimous"]))
-    assert cc.csv_lines() == ["maz,98", "rf,9", "rvf,1"]
+    assert [f"{eq},{n}" for eq, n in sorted(cc.classes.items())] == ["maz,98", "rf,9", "rvf,1"]
 
 
 def test_key_equality_is_equivalence_on_corpus():
@@ -226,37 +223,32 @@ def test_clock_order_less_outside_the_order():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_causal_order_refined_by_any_schedule(data):
+    """Every read pair of the key is in trace order, and contains program
+    order among the reads of each thread."""
     name = data.draw(st.sampled_from(sorted(PROGRAMS)))
     p = parse_program(PROGRAMS[name])
     t = empty_trace(p)
     while t.enabled:
         e = data.draw(st.sampled_from(sorted(t.enabled, key=lambda e: e.eid)))
         t = extend(t, e)
-    co = causal_order(t)
-    assert respects(t.events, co)
-    assert all(co.less((e.thread, e.index - 1), e.eid) for e in t.events if e.index > 1)
+    ro = set(rvf_key(t)[3])
+    at = {e.eid: i for i, e in enumerate(t.events)}
+    assert all(at[a] < at[b] for a, b in ro)
+    reads = [e.eid for e in t.events if e.kind == "R"]
+    assert all((a, b) in ro for a, b in itertools.combinations(reads, 2) if a[0] == b[0])
 
 
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
+@pytest.mark.parametrize("name", KEYED_SOURCES)
 def test_causal_order_equals_closure_of_po_and_reads_from(name):
-    """On random schedules, the clock-built causal order has exactly the
-    pairs of the transitive closure of program order and reads-from edges."""
-    p = parse_program(PROGRAMS[name])
-    rng = random.Random(name)
-    for _ in range(5):
-        t = empty_trace(p)
-        while t.enabled:
-            t = extend(t, rng.choice(sorted(t.enabled, key=lambda e: e.eid)))
-        want = _Order(e.eid for e in t.events)
-        for e in t.events:
-            if e.index > 1:
-                want.add((e.thread, e.index - 1), e.eid)
-        for r, w in reads_from(t).items():
-            if w.thread != 0:
-                want.add(w.eid, r.eid)
-        co = causal_order(t)
-        assert tuple(len(chain) for chain in co.rows) == t.counts
-        assert co.pairs == want.pairs
+    """On every maximal trace of the corpus and the bundled programs (of a
+    misuse program, up to its interpreter error), the key equals the
+    reference key: its read pairs are exactly the read pairs of the
+    transitive closure of program order and reads-from edges."""
+    try:
+        for ex in iter_maximal_traces(parse_program(KEYED_SOURCES[name])):
+            assert rvf_key(ex) == reference_rvf_key(ex)
+    except InterpreterError:
+        assert name.startswith("misuse-")
 
 
 @settings(max_examples=200, deadline=None)
@@ -295,3 +287,8 @@ def test_clock_order_add_matches_partial_order(lengths, raw_edges):
         assert changed == {(u, j) for u, first, end in touched for j in range(first, end)}
         assert order.pairs == want.pairs
         assert all(order.less(x, y) == want.less(x, y) for x in eids for y in eids)
+
+
+def test_rvf_key_of_a_trace_without_events():
+    t = empty_trace(parse_program("thread t1 { a = 1; }"))
+    assert rvf_key(t) == reference_rvf_key(t) == ("rvf", (), (), ())

@@ -5,15 +5,16 @@ import itertools
 import pytest
 
 from rvfmc import Event, SolverOptions, VscInstance, closure, verify_sc
-from rvfmc.oracle import brute_force_vsc, iter_vsc_witnesses
 from rvfmc.vsc import (
     VscError,
     _Steps,
+    _validate_witness,
     format_instance,
     format_witness,
     parse_instance,
 )
 from reference_closure import respects
+from reference_oracle import brute_force_vsc, iter_vsc_witnesses
 
 ALL_OPTIONS = [SolverOptions(*bits) for bits in itertools.product([False, True], repeat=3)]
 
@@ -47,6 +48,26 @@ def test_trivial_witness():
         res = verify_sc(inst, opt)
         assert res.witness is not None
         assert [e.eid for e in res.witness] == [(1, 1), (2, 1)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda w1, r, w2: (w1, r),  # missing event
+        lambda w1, r, w2: (w1, r, r),  # duplicated event
+        lambda w1, r, w2: (w1, w2, r),  # two events of one thread swapped
+        lambda w1, r, w2: (Event(1, 1, "W", "x", 5), r, w2),  # foreign event, right id
+        lambda w1, r, w2: (r, w1, w2),  # the read sees the initial write
+    ],
+    ids=["missing", "duplicated", "swapped", "foreign", "non-good-write"],
+)
+def test_validate_witness_rejects(make):
+    """t1: w(x,1); t2: r(x) w(x,2), where r(x) must read w(x,1)."""
+    w1, r, w2 = Event(1, 1, "W", "x", 1), Event(2, 1, "R", "x"), Event(2, 2, "W", "x", 2)
+    inst = VscInstance((w1, r, w2), {r.eid: frozenset({w1.eid})})
+    _validate_witness(inst, (w1, r, w2))
+    with pytest.raises(RuntimeError):
+        _validate_witness(inst, make(w1, r, w2))
 
 
 def test_cyclic_instance_unrealizable_all_options():
