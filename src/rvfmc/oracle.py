@@ -97,9 +97,10 @@ def count_classes(
 
     ``equivalences`` names any of "rvf", "rf" and "maz"; another name raises
     ValueError.  Reads-from sources and per-variable write orders are
-    maintained incrementally along the DFS, and each maximal trace gets its
-    ``rvf_key``, so the per-trace cost stays linear in trace length outside
-    the key's read pairs.
+    maintained incrementally along the DFS, only when "rf" or "maz" is
+    asked for, and each maximal trace gets its ``rvf_key``, the compact
+    ``("rvf", flat, order)``, so the per-trace cost stays linear in trace
+    length outside the key's read masks.
     """
     eqs = tuple(equivalences)
     for eq in eqs:
@@ -128,10 +129,9 @@ def count_classes(
     writes_of = dict(zip(globs, write_orders))
 
     def push(e: Event) -> None:
-        eid = (e.thread, e.index)
-        c = codes.get(eid)
+        c = codes.get(e.eid)
         if c is None:
-            c = codes[eid] = len(codes)
+            c = codes[e.eid] = len(codes)
         writes = writes_of[e.var]
         if e.kind == "R":
             reads = sources[e.thread - 1]
@@ -146,7 +146,8 @@ def count_classes(
         else:
             del sources[e.thread - 1][-2:]
 
-    for trace in _maximal(empty_trace(program), budget, push, pop):
+    hooks = (push, pop) if want_rf else ()
+    for trace in _maximal(empty_trace(program), budget, *hooks):
         total += 1
         deadlocks += trace.deadlocked
         violations.update(trace.violations)

@@ -82,10 +82,11 @@ class Event:
     kind: str  # "R" or "W"
     var: str
     value: Optional[int] = None
+    # (thread, index), made once per event: traces key their values by it
+    eid: EventId = field(init=False, compare=False, repr=False)
 
-    @property
-    def eid(self) -> EventId:
-        return (self.thread, self.index)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eid", (self.thread, self.index))
 
     def __repr__(self) -> str:  # compact, for test diagnostics
         v = "" if self.value is None else f"={self.value}"
@@ -195,13 +196,17 @@ class Program:
     threads: tuple[Thread, ...]
     variables: tuple[str, ...]  # plain shared variables, sorted
     mutexes: tuple[str, ...]  # mutex identifiers, sorted
+    # variables and mutexes, sorted, and the 1-based position of each
+    globals: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    _ordinals: dict[str, int] = field(init=False, compare=False, repr=False)
 
-    @property
-    def globals(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.variables) | set(self.mutexes)))
+    def __post_init__(self) -> None:
+        globs = tuple(sorted(set(self.variables) | set(self.mutexes)))
+        object.__setattr__(self, "globals", globs)
+        object.__setattr__(self, "_ordinals", {v: i for i, v in enumerate(globs, 1)})
 
     def ordinal(self, var: str) -> int:
-        return self.globals.index(var) + 1
+        return self._ordinals[var]
 
     def init_event(self, var: str) -> Event:
         """The salient initial write of ``var``: pseudo-thread 0, value 0."""
@@ -678,7 +683,7 @@ def extend(trace: Trace, event: Event) -> Trace:
     if len(violations) > nviol:
         _drop_repeats(violations, nviol)
     threads[tid - 1] = _thread_state(thread, npc, env, acc + 1)
-    eid = (tid, event.index)
+    eid = event.eid
     trace.events.append(event)
     trace.values[eid] = value
     trace._undo.append((tid, eid, state, nviol, table, var, old))

@@ -1,14 +1,15 @@
 """Orders over trace events and the reads-value-from equivalence key.
 
 ``rvf_key`` accepts either a live ``Trace`` or a frozen ``Execution``
-(anything with ``events`` and ``values``) and returns a canonical hashable
-key: two traces get equal keys iff they have the same events, the same value
-function, and the same causal ordering restricted to read events.  Event
-identity across traces is the (thread, index) pair alone; diverging control
-flow always shows up as a differing earlier read value, which the value
-component of the key already separates.  The key is computed in one pass
-with a causal-predecessor bitmask per event; the explorer keys every leaf
-with it, and ``oracle.count_classes`` every maximal trace.
+(anything with ``program``, ``events`` and ``values``) and returns a
+canonical hashable key of integers, ``("rvf", flat, order)``: two traces get
+equal keys iff they have the same events, the same value function, and the
+same causal ordering restricted to read events.  Event identity across
+traces is the (thread, index) pair alone; diverging control flow always
+shows up as a differing earlier read value, which the values in ``flat``
+already separate.  ``order`` is one int that packs, per read, the bitmask of
+the reads that causally precede it; the explorer keys every leaf with it,
+and ``oracle.count_classes`` every maximal trace.
 
 The closure orders of ``vsc`` are ``ClockOrder``s: one vector clock per
 event, as in FastTrack (Flanagan and Freund, PLDI 2009).  The explicit-pairs
@@ -117,35 +118,51 @@ class ClockOrder:
 
 def rvf_key(run: Run):
     """Canonical key of the reads-value-from class of a trace:
-    ``("rvf", events, values, read_order)``.
+    ``("rvf", flat, order)``, made of integers only.
 
-    ``events`` are the sorted event ids, ``values`` their values in that
-    order, and ``read_order`` the sorted pairs ``(a, b)`` of reads with
-    ``a`` before ``b`` in the causal order: the weakest partial order that
-    contains program order and puts each read after the write it reads from.
-    One left-to-right pass gives each event a bitmask of its causal
-    predecessors, bit i standing for the i-th event of the trace: an event
-    inherits its thread's mask and, for a read, the mask of the latest write
-    of its variable, which includes that write's own bit.  Initial writes
-    precede everything implicitly and have no bit.
+    ``flat`` lists, for each thread with events in thread-id order, its id,
+    its event count and its events' values in program order.  ``order`` is
+    the causal order restricted to reads, the weakest partial order that
+    contains program order and puts each read after the write it reads
+    from.  Number the R reads 0..R-1 in (thread, index) order; bits
+    i*R .. i*R + R - 1 of ``order`` are the mask of the reads that causally
+    precede read i.  Which events are reads follows from ``flat``, so the
+    two parts together determine the class.  A first pass counts each
+    thread's reads, which fixes their numbers; a second gives each thread
+    and each variable's latest write the mask of the reads that precede it:
+    an event inherits its thread's mask and, for a read, the mask of the
+    latest write of its variable; a read of an initial value inherits
+    nothing from it.
     """
-    values = sorted(run.values.items())
-    below: dict[int, int] = {}  # per thread: its latest event and what precedes it
-    source: dict[str, int] = {}  # per variable: its latest write and what precedes it
-    reads: list[tuple[int, int, EventId]] = []  # (bit, predecessors, id)
-    bit = 1
+    k = len(run.program.threads)
+    values = run.values
+    per_thread: list[list[int]] = [[] for _ in range(k + 1)]  # values, by thread id
+    # next_read[t + 1] counts the reads of thread t; the running sum then
+    # makes next_read[t] the number of thread t's first read
+    next_read = [0] * (k + 2)
+    for e in run.events:
+        per_thread[e.thread].append(values[e.eid])
+        if e.kind == "R":
+            next_read[e.thread + 1] += 1
+    for t in range(1, k + 2):
+        next_read[t] += next_read[t - 1]
+    below = [0] * (k + 1)  # per thread: the reads that precede its next event
+    source: dict[str, int] = {}  # per variable: the reads that precede its latest write
+    masks = [0] * next_read[k + 1]
     for e in run.events:
         t = e.thread
         if e.kind == "W":
-            m = below.get(t, 0) | bit
-            source[e.var] = m
+            source[e.var] = below[t]
         else:
-            m = below.get(t, 0) | source.get(e.var, 0)
-            reads.append((bit, m, (t, e.index)))
-            m |= bit
-        below[t] = m
-        bit <<= 1
-    ro = [(a, b) for i, (_, m, b) in enumerate(reads) for bit_a, _, a in reads[:i] if m & bit_a]
-    ro.sort()
-    ev, vals = zip(*values) if values else ((), ())
-    return ("rvf", ev, vals, tuple(ro))
+            i = next_read[t]
+            next_read[t] = i + 1
+            m = masks[i] = below[t] | source.get(e.var, 0)
+            below[t] = m | 1 << i
+    order = 0
+    for m in reversed(masks):
+        order = order << len(masks) | m
+    flat: list[int] = []
+    for t in range(1, k + 1):
+        if per_thread[t]:
+            flat += (t, len(per_thread[t]), *per_thread[t])
+    return ("rvf", tuple(flat), order)

@@ -123,10 +123,22 @@ class VscInstance:
 
     @cached_property
     def by_thread(self) -> dict[int, tuple[Event, ...]]:
+        """Each thread's events in index order, by thread id.  The events
+        are sorted only when they come out of index order, as a parsed
+        instance may; the explorer builds its instances in trace order."""
         out: dict[int, list[Event]] = {}
-        for e in sorted(self.events, key=attrgetter("thread", "index")):
-            out.setdefault(e.thread, []).append(e)
-        return {t: tuple(v) for t, v in out.items()}
+        ordered = True
+        for e in self.events:
+            chain = out.get(e.thread)
+            if chain is None:
+                out[e.thread] = [e]
+            else:
+                ordered = ordered and chain[-1].index < e.index
+                chain.append(e)
+        if not ordered:
+            for chain in out.values():
+                chain.sort(key=attrgetter("index"))
+        return {t: tuple(out[t]) for t in sorted(out)}
 
     @cached_property
     def threads(self) -> tuple[int, ...]:
@@ -610,12 +622,12 @@ class _Steps:
         for t in threads:
             for e in by_thread[t]:
                 if e.kind == "W":
-                    code[t, e.index] = len(code) + 1
+                    code[e.eid] = len(code) + 1
         if order is not None:
             # the order may cover threads without events here, so its clock
             # positions map to this instance's by thread id
             at = [tpos.get(t) for t in order.threads]
-        keys = None if aux is None else {(e.thread, e.index): i for i, e in enumerate(aux)}
+        keys = None if aux is None else {e.eid: i for i, e in enumerate(aux)}
         good_writes = inst.good_writes
         self.reads_of: list[list[tuple]] = [[] for _ in variables]
         self.readers: list[list[tuple[int, int]]] = [[] for _ in range(len(code) + 1)]
@@ -638,14 +650,14 @@ class _Steps:
                     if s > total + 1:
                         cpred = tuple([(at[v], clock[v]) for v in others if clock[v] != prev[v]])
                     prev, total = clock, s
-                key = u if keys is None else keys[t, e.index]
+                key = u if keys is None else keys[e.eid]
                 j = vpos[e.var]
                 if e.kind == "W":
-                    chain.append((False, j, code[t, e.index], cpred, key, e))
+                    chain.append((False, j, code[e.eid], cpred, key, e))
                     continue
                 bits = 0
                 need: dict[int, int] = {}
-                for w in good_writes[t, e.index]:
+                for w in good_writes[e.eid]:
                     if w[0]:
                         c = code[w]
                         bits |= 1 << c

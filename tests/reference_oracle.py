@@ -3,7 +3,9 @@ census, and brute-force realizability.
 
 ``reference_rvf_key`` builds the causal order as explicit pairs, the closure
 of program order and reads-from edges in ``reference_closure._Order``, and
-restricts it to reads; the tests check ``rvfmc.rvf_key`` against it.
+restricts it to reads; the tests check ``rvfmc.rvf_key`` against its
+``encode_rvf_key`` form, and ``read_pairs`` decodes the read order of an
+``rvfmc.rvf_key`` back into pairs.
 ``census`` keys materialized traces, so it checks the streaming
 ``rvfmc.count_classes``.  ``brute_force_vsc`` enumerates every
 linearization, so it checks ``rvfmc.verify_sc``.  All of it is slow but
@@ -13,6 +15,7 @@ direct, which is what a reference should be.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
 from rvfmc.oracle import iter_maximal_traces
@@ -59,12 +62,45 @@ def _events_key(run) -> tuple[EventId, ...]:
     return tuple(sorted(e.eid for e in run.events))
 
 
+def _reads_key(run) -> tuple[EventId, ...]:
+    return tuple(sorted(e.eid for e in run.events if e.kind == "R"))
+
+
 def reference_rvf_key(run):
-    """The key ``rvfmc.rvf_key`` computes, from the definition."""
+    """The rvf key from the definition, with explicit pairs:
+    ``("rvf", events, values, reads, read_pairs)``.  ``encode_rvf_key``
+    turns it into the form ``rvfmc.rvf_key`` computes."""
     ev = _events_key(run)
-    reads = {e.eid for e in run.events if e.kind == "R"}
-    ro = sorted((a, b) for a, b in causal_order(run).pairs if a in reads and b in reads)
-    return ("rvf", ev, tuple(run.values[eid] for eid in ev), tuple(ro))
+    reads = _reads_key(run)
+    rs = set(reads)
+    ro = sorted((a, b) for a, b in causal_order(run).pairs if a in rs and b in rs)
+    return ("rvf", ev, tuple(run.values[eid] for eid in ev), reads, tuple(ro))
+
+
+def encode_rvf_key(key):
+    """The compact ``("rvf", flat, order)`` of a reference key: per thread,
+    its id, event count and values; per read, in (thread, index) order, the
+    bitmask of the reads before it, packed into one int."""
+    _, ev, vals, reads, ro = key
+    flat: list[int] = []
+    for t, group in groupby(zip(ev, vals), key=lambda item: item[0][0]):
+        vs = [v for _, v in group]
+        flat += (t, len(vs), *vs)
+    number = {r: i for i, r in enumerate(reads)}
+    order = 0
+    for a, b in ro:
+        order |= 1 << (number[b] * len(reads) + number[a])
+    return ("rvf", tuple(flat), order)
+
+
+def read_pairs(key, run) -> tuple[tuple[EventId, EventId], ...]:
+    """The sorted read pairs ``(a, b)``, ``a`` causally before ``b``, that
+    the ``order`` of ``rvfmc.rvf_key(run)`` packs."""
+    reads = _reads_key(run)
+    n, order = len(reads), key[2]
+    return tuple(
+        sorted((a, b) for j, b in enumerate(reads) for i, a in enumerate(reads) if order >> (j * n + i) & 1)
+    )
 
 
 def rf_key(run):

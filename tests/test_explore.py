@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,23 @@ def test_long_n_closure_keeps_keys():
     rep = explore(p)
     assert rep.leaf_count == 31
     assert rep.rvf_keys == explore(p, ExploreOptions(closure=False)).rvf_keys
+
+
+def test_lock_counter_memory_peak():
+    """Six threads incrementing one counter under one mutex: 720 leaves,
+    each kept with its key.  Integer keys hold the traced peak under 3 MiB;
+    keys with a pair tuple per ordered pair of reads took about 5.5 MiB."""
+    p = parse_program(
+        "\n".join(f"thread t{t} {{ lock m; a = read x; write x a + 1; unlock m; }}" for t in range(6))
+    )
+    tracemalloc.start()
+    try:
+        rep = explore(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.leaf_count == rep.distinct_rvf_classes() == 720
+    assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def explore_counting_steps(monkeypatch, source: str):

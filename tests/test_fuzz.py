@@ -16,7 +16,13 @@ from rvfmc.program import Event
 from rvfmc.semantics import CycleError
 from rvfmc.vsc import Relaxation, SolverOptions, VscError, VscInstance, closure, verify_sc
 from reference_closure import reference_closure, respects
-from reference_oracle import brute_force_vsc, enumerate_maximal_traces, iter_vsc_witnesses, reference_rvf_key
+from reference_oracle import (
+    brute_force_vsc,
+    encode_rvf_key,
+    enumerate_maximal_traces,
+    iter_vsc_witnesses,
+    reference_rvf_key,
+)
 
 ALL_SOLVER_OPTIONS = [SolverOptions(*bits) for bits in itertools.product([False, True], repeat=3)]
 
@@ -275,7 +281,7 @@ def test_explorer_complete_on_random_programs():
         src = random_program(rng)
         p = parse_program(src)
         oracle = enumerate_maximal_traces(p)
-        assert all(rvf_key(ex) == reference_rvf_key(ex) for ex in oracle), src
+        assert all(rvf_key(ex) == encode_rvf_key(reference_rvf_key(ex)) for ex in oracle), src
         want = behavior_set(oracle)
         counts = set()
         for opt in combos:
@@ -338,7 +344,7 @@ def test_explorer_complete_on_random_mutex_programs():
         src = random_mutex_program(rng)
         p = parse_program(src)
         oracle = enumerate_maximal_traces(p)
-        assert all(rvf_key(ex) == reference_rvf_key(ex) for ex in oracle), src
+        assert all(rvf_key(ex) == encode_rvf_key(reference_rvf_key(ex)) for ex in oracle), src
         want = mutex_behavior_set(oracle)
         counts = set()
         for opt in combos:

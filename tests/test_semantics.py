@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvfmc import count_classes, empty_trace, extend, parse_program, rvf_key
+from rvfmc import count_classes, empty_trace, explore, extend, parse_program, rvf_key
+from rvfmc import oracle
 from rvfmc.oracle import iter_maximal_traces
 from rvfmc.program import InterpreterError
 from rvfmc.semantics import ClockOrder, CycleError
@@ -17,9 +18,11 @@ from reference_closure import _Cycle, _Order
 from reference_oracle import (
     causal_order,
     census,
+    encode_rvf_key,
     enumerate_maximal_traces,
     format_key,
     maz_key,
+    read_pairs,
     reads_from,
     reference_rvf_key,
     rf_key,
@@ -81,8 +84,8 @@ def test_causal_order_example():
     """t2's r(x) precedes t3's r(y) through w(y,2), which r(y) reads; t1's
     r(x) is unordered with both."""
     t = example_trace()
-    assert rvf_key(t)[3] == (((2, 2), (3, 2)),)
-    assert rvf_key(t) == reference_rvf_key(t)
+    assert read_pairs(rvf_key(t), t) == (((2, 2), (3, 2)),)
+    assert rvf_key(t) == encode_rvf_key(reference_rvf_key(t))
 
 
 def test_causal_order_single_thread_is_total():
@@ -92,7 +95,7 @@ def test_causal_order_single_thread_is_total():
     while t.enabled:
         t = extend(t, t.enabled[0])
     reads = [e.eid for e in t.events if e.kind == "R"]
-    assert rvf_key(t)[3] == tuple(itertools.combinations(reads, 2))
+    assert read_pairs(rvf_key(t), t) == tuple(itertools.combinations(reads, 2))
 
 
 def test_rf_in_visible_writes_of_causal_order():
@@ -150,7 +153,7 @@ def test_key_serialization_golden():
     """Canonical one-line text forms are pinned; any encoding drift fails here."""
     t = example_trace()
     assert format_key(rvf_key(t)) == (
-        "rvf|(1.1,1.2,2.1,2.2,2.3,3.1,3.2)|(1,1,1,1,2,1,2)|((2.2,3.2))"
+        "rvf|(1,2,1,1,2,3,1,1,2,3,2,1,2)|128"
     )
     assert format_key(rf_key(t)) == (
         "rf|(1.1,1.2,2.1,2.2,2.3,3.1,3.2)|((1.2,2.1),(2.2,2.1),(3.2,2.3))"
@@ -231,7 +234,7 @@ def test_causal_order_refined_by_any_schedule(data):
     while t.enabled:
         e = data.draw(st.sampled_from(sorted(t.enabled, key=lambda e: e.eid)))
         t = extend(t, e)
-    ro = set(rvf_key(t)[3])
+    ro = set(read_pairs(rvf_key(t), t))
     at = {e.eid: i for i, e in enumerate(t.events)}
     assert all(at[a] < at[b] for a, b in ro)
     reads = [e.eid for e in t.events if e.kind == "R"]
@@ -246,7 +249,7 @@ def test_causal_order_equals_closure_of_po_and_reads_from(name):
     transitive closure of program order and reads-from edges."""
     try:
         for ex in iter_maximal_traces(parse_program(KEYED_SOURCES[name])):
-            assert rvf_key(ex) == reference_rvf_key(ex)
+            assert rvf_key(ex) == encode_rvf_key(reference_rvf_key(ex))
     except InterpreterError:
         assert name.startswith("misuse-")
 
@@ -291,4 +294,34 @@ def test_clock_order_add_matches_partial_order(lengths, raw_edges):
 
 def test_rvf_key_of_a_trace_without_events():
     t = empty_trace(parse_program("thread t1 { a = 1; }"))
-    assert rvf_key(t) == reference_rvf_key(t) == ("rvf", (), (), ())
+    assert rvf_key(t) == encode_rvf_key(reference_rvf_key(t)) == ("rvf", (), 0)
+
+
+def _compact(key) -> bool:
+    """``("rvf", tuple of ints, int)``, with no bools among the ints."""
+    return (
+        type(key) is tuple
+        and len(key) == 3
+        and key[0] == "rvf"
+        and type(key[1]) is tuple
+        and all(type(v) is int for v in key[1])
+        and type(key[2]) is int
+    )
+
+
+def test_explorer_and_census_keys_are_integers_only(monkeypatch):
+    """Every leaf key of the explorer and every key the census counts is a
+    tag, one flat tuple of ints and one int: no pair tuples."""
+    counted = []
+
+    def recording_key(run):
+        counted.append(rvf_key(run))
+        return counted[-1]
+
+    monkeypatch.setattr(oracle, "rvf_key", recording_key)
+    for name in ("unanimous", "store_buffer", "mutex_three", "lost_update", "conditional_on_value"):
+        p = parse_program(PROGRAMS[name])
+        assert all(_compact(k) for k in explore(p).rvf_keys), name
+        counted.clear()
+        cc = count_classes(p, ("rvf",))
+        assert len(counted) == cc.maximal_traces and all(_compact(k) for k in counted), name

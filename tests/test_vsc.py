@@ -1,6 +1,8 @@
 """Witness-state search, greedy rules, closure, guidance, instance format."""
 
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
@@ -390,3 +392,35 @@ def test_witness_output_deterministic():
     w1 = format_witness(verify_sc(inst).witness)
     w2 = format_witness(verify_sc(inst).witness)
     assert w1 == w2
+
+
+SHUFFLED_SOURCES = [
+    INSTANCE_TEXT,
+    (Path(__file__).resolve().parent.parent / "programs" / "store_buffer.inst").read_text(),
+    # three threads of three events each, every read fed by another thread
+    "E 1 1 W x 1\nE 1 2 R y\nE 1 3 W z 2\nE 2 1 W y 1\nE 2 2 R z\nE 2 3 W x 2\n"
+    "E 3 1 R x\nE 3 2 W z 1\nE 3 3 R x\n"
+    "G 1 2 : 2.1\nG 2 2 : 3.2 1.3\nG 3 1 : 1.1\nG 3 3 : 2.3\n",
+]
+
+
+@pytest.mark.parametrize("text", SHUFFLED_SOURCES)
+def test_shuffled_instance_file_same_threads_and_verdicts(text):
+    """An instance file may list its events in any order: ``by_thread``
+    still gives each thread's events in index order, and every solver
+    option gives the same verdict and state count as the sorted file."""
+    lines = text.splitlines()
+    events = [line for line in lines if line.startswith("E ")]
+    rest = [line for line in lines if not line.startswith("E ")]
+    rng = random.Random(7)
+    for _ in range(5):
+        rng.shuffle(events)
+        shuffled = parse_instance("\n".join(events + rest) + "\n")
+        inst = parse_instance(text)
+        assert shuffled.by_thread == inst.by_thread
+        assert all(
+            [e.index for e in chain] == list(range(1, len(chain) + 1)) for chain in shuffled.by_thread.values()
+        )
+        for opt in ALL_OPTIONS:
+            a, b = verify_sc(shuffled, opt), verify_sc(inst, opt)
+            assert (a.witness is None, a.states_processed) == (b.witness is None, b.states_processed)
