@@ -21,6 +21,21 @@ A node works on the trace it is given, extending it in place, and undoes its
 own steps before it returns, so a direct witness costs one step and one
 undo; only solver witnesses are replayed into fresh traces.
 
+What a node reads, it reads without scanning the whole trace:
+
+* undone with the trace: its per-variable write lists and per-thread event
+  chains (``Trace.writes`` and ``Trace.chains``), which ``extend`` and
+  ``undo`` keep.  Viable sources, a read's active write and the sources
+  that a mutex's acquires have consumed come from them, and a read's solver
+  instances get the chains as their ``by_thread``;
+* shared: the value groups.  Each is a ``vsc.GoodWrites``, which also holds
+  its members' indices per writing thread, sorted once and then read by
+  every closure that constrains its read.  The groups of a variable are
+  kept until its sources change, so the nodes down a path that see the
+  same writes group them once;
+* copied per child: the good-writes map, which gains the child's read, and
+  the causal map, shallowly, since an entry is replaced and never changed.
+
 With closure on, a node keeps the closure of its trace under its good
 writes (``vsc.Relaxation``), filled by the first group that needs a witness.
 Each such group is checked against it first: a group whose read has no good
@@ -30,6 +45,9 @@ node's closure starts from the nearest ancestor's: a solver-witness child's
 from the closure of the call that produced its witness, a direct-witness
 child's from its parent's.  Instances only grow down the recursion, so each
 closure extends one already closed instead of closing from program order.
+A direct-witness child names the read its parent fixed as the one its
+closure constrains beyond its start's, so a fill steps it without comparing
+the two good-writes maps.
 
 A plain read processed without ever receiving a backtrack signal ends the
 loop: no compatible schedule assigns it a source beyond the current trace,
@@ -51,7 +69,7 @@ from typing import Iterable, Optional, Union
 
 from .program import Event, EventId, Execution, Program, Trace, empty_trace, extend, replay
 from .semantics import rvf_key
-from .vsc import Closure, Relaxation, SolverOptions, VscInstance, verify_sc
+from .vsc import Closure, GoodWrites, Relaxation, SolverOptions, VscInstance, verify_sc
 
 CausalMap = dict[EventId, dict[int, int]]
 
@@ -130,21 +148,31 @@ def update_backtrack_signals(extension: Iterable[Event], signals: dict[EventId, 
 def viable_sources(trace: Trace, read: Event, cmap: CausalMap) -> list[Event]:
     """Writes of the trace that conflict with the read, after the initial
     write, in trace order, less those its causal-map entry forbids."""
-    sources = [trace.program.init_event(read.var)]
-    sources.extend(e for e in trace.events if e.kind == "W" and e.var == read.var)
+    sources = [trace.program.init_event(read.var), *trace.writes[read.var]]
     bounds = cmap.get(read.eid)
     if bounds:
         sources = [w for w in sources if w.index > bounds.get(w.thread, 0)]
     return sources
 
 
-def group_by_value(sources: Iterable[Event]) -> list[tuple[int, frozenset[EventId]]]:
+def group_by_value(sources: Iterable[Event]) -> list[tuple[int, GoodWrites]]:
     """Partition sources by written value into groups of event ids, ordered
     by each value's first source (trace order for ``viable_sources``)."""
     groups: dict[int, list[EventId]] = {}
     for w in sources:
         groups.setdefault(w.value, []).append(w.eid)
-    return [(value, frozenset(ids)) for value, ids in groups.items()]
+    return [(value, GoodWrites(ids)) for value, ids in groups.items()]
+
+
+def _instance_chains(trace: Trace, read: Event) -> dict[int, tuple[Event, ...]]:
+    """``VscInstance.by_thread`` of the trace plus ``read``."""
+    chains = {}
+    for t, chain in enumerate(trace.chains, 1):
+        if t == read.thread:
+            chains[t] = (*chain, read)
+        elif chain:
+            chains[t] = tuple(chain)
+    return chains
 
 
 class _Explorer:
@@ -153,6 +181,8 @@ class _Explorer:
         self.options = options
         self.mutexes = set(program.mutexes)
         self.signals: dict[EventId, _Signal] = {}
+        # per plain variable, the last sources grouped and their groups
+        self.grouped: dict[str, tuple[list[Event], list[GoodWrites]]] = {}
         self.report = ExplorationReport(options=options)
         self.solver_options = options.solver()
 
@@ -161,7 +191,7 @@ class _Explorer:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, 4 * self.program.access_count() + 200))
         try:
-            self._node({}, empty_trace(self.program), {}, None)
+            self._node({}, empty_trace(self.program), {}, None, ())
         finally:
             sys.setrecursionlimit(limit)
         self.report.wall_time_ms = (time.perf_counter() - start) * 1000.0
@@ -171,17 +201,27 @@ class _Explorer:
 
     def _groups(
         self, read: Event, sources: list[Event], trace: Trace, goodw: dict[EventId, frozenset[EventId]]
-    ) -> list[frozenset[EventId]]:
+    ) -> list[GoodWrites]:
         if read.var in self.mutexes:
             # Each release feeds at most one acquire; sources already claimed
-            # by another acquire of this mutex are gone, and every remaining
-            # one forms its own singleton group.
+            # by another acquire of this mutex in the trace are gone, and
+            # every remaining one forms its own singleton group.
             consumed: set[EventId] = set()
-            for e in trace.events:
-                if e.kind == "R" and e.var == read.var and e.eid in goodw:
-                    consumed |= goodw[e.eid]
-            return [frozenset((w.eid,)) for w in sources if w.eid not in consumed]
-        return [group for _, group in group_by_value(sources)]
+            chains = trace.chains
+            for (t, i), group in goodw.items():
+                chain = chains[t - 1]
+                if i <= len(chain) and chain[i - 1].kind == "R" and chain[i - 1].var == read.var:
+                    consumed |= group
+            return [GoodWrites((w.eid,)) for w in sources if w.eid not in consumed]
+        # The nodes down a path mostly see the same writes of a variable,
+        # and two lists of the same event objects compare without calling
+        # Event.__eq__.
+        last = self.grouped.get(read.var)
+        if last is not None and last[0] == sources:
+            return last[1]
+        groups = [group for _, group in group_by_value(sources)]
+        self.grouped[read.var] = (sources, groups)
+        return groups
 
     # -- the recursion -------------------------------------------------------
 
@@ -191,9 +231,11 @@ class _Explorer:
         trace: Trace,
         cmap: CausalMap,
         start: Union[Closure, Relaxation, None],
+        fresh: tuple[EventId, ...],
     ) -> None:
         """Explore below ``trace``, which is extended in place and left as it
-        was found; ``start`` closes a relaxation of the node's instance."""
+        was found; ``start`` closes a relaxation of the node's instance, and
+        ``fresh`` lists the reads that ``goodw`` constrains and it does not."""
         before = len(trace.events)
         extend_nonreads(trace)
         update_backtrack_signals(trace.events[before:], self.signals)
@@ -205,7 +247,7 @@ class _Explorer:
             if ex.deadlocked:
                 self.report.deadlocks += 1
         else:
-            self._mutate(goodw, trace, cmap, start)
+            self._mutate(goodw, trace, cmap, start, fresh)
         for _ in range(len(trace.events) - before):
             trace.undo()
 
@@ -215,6 +257,7 @@ class _Explorer:
         trace: Trace,
         cmap: CausalMap,
         start: Union[Closure, Relaxation, None],
+        fresh: tuple[EventId, ...],
     ) -> None:
         """Fix each value group of each enabled read in turn and explore
         below it.  A group the trace satisfies is a direct witness; any
@@ -225,42 +268,44 @@ class _Explorer:
             # the closure of this node's trace under goodw, filled by the
             # first group that needs a witness; every check and solver call
             # here starts from it
-            start = Relaxation(start, dict(enumerate(trace.counts, 1)), goodw)
+            start = Relaxation(start, dict(enumerate(trace.counts, 1)), goodw, fresh)
         mutate = sorted(trace.enabled, key=lambda e: (e.eid in cmap, e.eid))
         for read in mutate:
-            fresh = read.eid not in cmap
+            unmapped = read.eid not in cmap
             plain = read.var not in self.mutexes
-            if fresh and plain:
+            if unmapped and plain:
                 self.signals[read.eid] = _Signal(read.var, read.thread)
 
             groups = self._groups(read, viable_sources(trace, read, cmap), trace, goodw)
             # the trace is the same for every group: children undo their steps
-            active = next(
-                (e for e in reversed(trace.events) if e.kind == "W" and e.var == read.var),
-                self.program.init_event(read.var),
-            ).eid
+            writes = trace.writes[read.var]
+            active = writes[-1].eid if writes else self.program.init_event(read.var).eid
+            events = chains = None  # the instance's, made for its first group
             for group in groups:
                 goodw2 = dict(goodw)
                 goodw2[read.eid] = group
                 if active in group:
                     # the current trace already satisfies it
-                    witness_trace, child_start = extend(trace, read), start
+                    witness_trace, child_start, child_fresh = extend(trace, read), start, (read.eid,)
                 else:
-                    events = (*trace.events, read)
-                    inst = VscInstance(events, goodw2, universe=self.program.globals, check=False)
+                    if events is None:
+                        events, chains = (*trace.events, read), _instance_chains(trace, read)
+                    inst = VscInstance(
+                        events, goodw2, universe=self.program.globals, check=False, chains=chains
+                    )
                     if self.options.closure and start.refutes(inst, read):
                         self.report.node_refutations += 1
                         continue
                     found = self._witness(inst, start)
                     if found is None:
                         continue
-                    witness_trace, child_start = found
-                child_cmap = {rid: dict(tc) for rid, tc in cmap.items()}
-                self._node(goodw2, witness_trace, child_cmap, child_start)
+                    (witness_trace, child_start), child_fresh = found, ()
+                # entries are replaced, never changed, so children share them
+                self._node(goodw2, witness_trace, dict(cmap), child_start, child_fresh)
                 if witness_trace is trace:
                     trace.undo()  # the read the direct witness appended
 
-            if fresh and plain:
+            if unmapped and plain:
                 fired = self.signals.pop(read.eid).fired
                 if self.options.backtrack_signals and not fired:
                     break

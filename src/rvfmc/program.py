@@ -113,6 +113,13 @@ class Trace:
     so one trace can be driven through a whole search tree.  ``enabled``,
     ``maximal`` and ``deadlocked`` are computed when read, and ``freeze()``
     takes an immutable snapshot.
+
+    An indexed trace also keeps two indexes of ``events``, which ``extend``
+    and ``undo`` maintain: ``writes[var]`` lists the writes of each global
+    (mutex releases included) and ``chains[tid - 1]`` the events of each
+    thread, both in trace order.  Readers never change them.  A trace made
+    with ``indexed=False`` has None for both and skips their upkeep, which
+    the exhaustive oracles, stepping every schedule, have no use for.
     """
 
     program: "Program"
@@ -125,6 +132,8 @@ class Trace:
     _memory: dict[str, int] = field(repr=False)
     _holders: dict[str, Optional[int]] = field(repr=False)
     _undo: list[tuple] = field(default_factory=list, repr=False, compare=False)
+    writes: Optional[dict[str, list[Event]]] = field(default=None, repr=False, compare=False)
+    chains: Optional[list[list[Event]]] = field(default=None, repr=False, compare=False)
 
     @property
     def enabled(self) -> tuple[Event, ...]:
@@ -158,6 +167,10 @@ class Trace:
         tid, eid, state, nviol, table, var, old = self._undo.pop()
         event = self.events.pop()
         del self.values[eid]
+        if self.chains is not None:
+            self.chains[tid - 1].pop()
+            if event.kind == "W":
+                self.writes[var].pop()
         del self.violations[nviol:]
         self._threads[tid - 1] = state
         if table is not None:
@@ -210,7 +223,7 @@ class Program:
 
     def init_event(self, var: str) -> Event:
         """The salient initial write of ``var``: pseudo-thread 0, value 0."""
-        return Event(0, self.ordinal(var), "W", var, 0)
+        return _event(0, self.ordinal(var), "W", var, 0)
 
     def access_count(self) -> int:
         return sum(1 for t in self.threads for op in t.ops if op[0] in _ACCESS_TAGS)
@@ -621,8 +634,9 @@ def _drop_repeats(violations: list[str], start: int) -> None:
     violations[start:] = [aid for aid in dict.fromkeys(violations[start:]) if aid not in seen]
 
 
-def empty_trace(program: Program) -> Trace:
-    """The initial trace: no events, every global at 0, frontier at each thread's first access."""
+def empty_trace(program: Program, indexed: bool = True) -> Trace:
+    """The initial trace: no events, every global at 0, frontier at each
+    thread's first access; with ``indexed``, its indexes are kept."""
     violations: list[str] = []
     threads = []
     for thread in program.threads:
@@ -632,7 +646,11 @@ def empty_trace(program: Program) -> Trace:
     _drop_repeats(violations, 0)
     memory = {v: 0 for v in program.globals}
     holders: dict[str, Optional[int]] = {m: None for m in program.mutexes}
-    return Trace(program, [], {}, violations, threads, memory, holders)
+    trace = Trace(program, [], {}, violations, threads, memory, holders)
+    if indexed:
+        trace.writes = {v: [] for v in program.globals}
+        trace.chains = [[] for _ in program.threads]
+    return trace
 
 
 def extend(trace: Trace, event: Event) -> Trace:
@@ -687,11 +705,15 @@ def extend(trace: Trace, event: Event) -> Trace:
     trace.events.append(event)
     trace.values[eid] = value
     trace._undo.append((tid, eid, state, nviol, table, var, old))
+    if trace.chains is not None:
+        trace.chains[tid - 1].append(event)
+        if event.kind == "W":
+            trace.writes[var].append(event)
     return trace
 
 
 def replay(program: Program, events: Iterable[Event]) -> Trace:
-    """Re-execute a sequence of events from the empty trace, validating each step."""
+    """Re-execute a sequence of events from the empty indexed trace, validating each step."""
     t = empty_trace(program)
     for e in events:
         extend(t, e)

@@ -49,7 +49,7 @@ from collections import deque
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .program import Event, EventId
 from .semantics import ClockOrder, CycleError
@@ -70,6 +70,25 @@ class SolverOptions:
         return cls(greedy=False, closure=False, guided=False)
 
 
+def _group(events: Iterable[Event]) -> dict[int, tuple[Event, ...]]:
+    """Each thread's events in index order, by thread id.  The events are
+    sorted only when they come out of index order, as a parsed instance's
+    may."""
+    out: dict[int, list[Event]] = {}
+    ordered = True
+    for e in events:
+        chain = out.get(e.thread)
+        if chain is None:
+            out[e.thread] = [e]
+        else:
+            ordered = ordered and chain[-1].index < e.index
+            chain.append(e)
+    if not ordered:
+        for chain in out.values():
+            chain.sort(key=attrgetter("index"))
+    return {t: tuple(out[t]) for t in sorted(out)}
+
+
 @dataclass(frozen=True)
 class VscInstance:
     """Events X and the good-writes function, validated on construction.
@@ -78,14 +97,24 @@ class VscInstance:
     (thread 0, index = 1-based position among sorted variable names); it
     defaults to the variables occurring in the events.  ``check=False``
     skips the validation, for callers that build only well-formed instances.
+    ``chains``, when given, is ``by_thread`` as the caller already has it:
+    per thread id in increasing order, for the threads with events, the
+    tuple of its events in index order.  The explorer passes its trace's
+    chains so that no instance groups its events again; with ``check`` on
+    they must equal the grouping of ``events``.
     """
 
     events: tuple[Event, ...]
     good_writes: dict[EventId, frozenset[EventId]]
     universe: tuple[str, ...] = ()
     check: InitVar[bool] = True
+    chains: InitVar[Optional[Mapping[int, tuple[Event, ...]]]] = None
 
-    def __post_init__(self, check: bool):
+    def __post_init__(self, check: bool, chains: Optional[Mapping[int, tuple[Event, ...]]]):
+        if chains is not None:
+            if check and list(chains.items()) != list(_group(self.events).items()):
+                raise VscError("the chains are not the events grouped by thread")
+            self.__dict__["by_thread"] = chains  # the cached_property's slot
         if not check:
             return
         by_thread: dict[int, dict[int, Event]] = {}
@@ -122,23 +151,10 @@ class VscInstance:
                 raise VscError(f"good-writes entry for non-read {reid}")
 
     @cached_property
-    def by_thread(self) -> dict[int, tuple[Event, ...]]:
-        """Each thread's events in index order, by thread id.  The events
-        are sorted only when they come out of index order, as a parsed
-        instance may; the explorer builds its instances in trace order."""
-        out: dict[int, list[Event]] = {}
-        ordered = True
-        for e in self.events:
-            chain = out.get(e.thread)
-            if chain is None:
-                out[e.thread] = [e]
-            else:
-                ordered = ordered and chain[-1].index < e.index
-                chain.append(e)
-        if not ordered:
-            for chain in out.values():
-                chain.sort(key=attrgetter("index"))
-        return {t: tuple(out[t]) for t in sorted(out)}
+    def by_thread(self) -> Mapping[int, tuple[Event, ...]]:
+        """Each thread's events in index order, by thread id in increasing
+        order: the ``chains`` given, else the grouping of ``events``."""
+        return _group(self.events)
 
     @cached_property
     def threads(self) -> tuple[int, ...]:
@@ -204,19 +220,26 @@ class Relaxation:
     relaxation of it, a ``Relaxation`` of one, or None for program order.
     An unfilled ``Relaxation`` start is passed over for the nearest filled
     one it starts from, so no closure is computed that no call asked for.
+
+    ``fresh``, when the caller knows it, lists in ``good_writes`` order the
+    reads that ``good_writes`` constrains and the instance of ``start``
+    does not.  A fill then steps the fresh reads of the relaxations it
+    passes over and its own without comparing ``good_writes`` with its base.
     """
 
-    __slots__ = ("start", "counts", "good_writes", "filled", "order")
+    __slots__ = ("start", "counts", "good_writes", "fresh", "filled", "order")
 
     def __init__(
         self,
         start: Union[Closure, "Relaxation", None],
         counts: Mapping[int, int],
         good_writes: Mapping[EventId, frozenset[EventId]],
+        fresh: Optional[Sequence[EventId]] = None,
     ):
         self.start = start
         self.counts = counts
         self.good_writes = good_writes
+        self.fresh = fresh
         self.filled = False
         self.order: Optional[Closure] = None  # stays None when the relaxation has no closure
 
@@ -224,12 +247,13 @@ class Relaxation:
         """The closure of this relaxation of ``inst``; raises CycleError when it has none."""
         if not self.filled:
             self.filled = True
-            base = self.start
+            base, fresh = self.start, self.fresh
             while isinstance(base, Relaxation) and not base.filled:
+                fresh = None if fresh is None or base.fresh is None else (*base.fresh, *fresh)
                 base = base.start
             if isinstance(base, Relaxation):
                 base = base.closed(inst)
-            self.order = _extend(base, inst, self.counts, self.good_writes)
+            self.order = _extend(base, inst, self.counts, self.good_writes, fresh)
         if self.order is None:
             raise CycleError("the relaxation has no closure")
         return self.order
@@ -261,17 +285,37 @@ class Relaxation:
         return _visible(order.rows, entry, prev[:ru] + (read.index - 1,) + prev[ru + 1 :]) is None
 
 
+class GoodWrites(frozenset):
+    """A set of good writes that also keeps, per writing thread id, the
+    indices of its members in increasing order, which the closure rules
+    bisect.  The explorer builds one per value group, so every closure that
+    constrains the group's read shares these lists instead of sorting its
+    own.  They are never changed."""
+
+    __slots__ = ("indices",)
+
+    def __new__(cls, eids: Collection[EventId]):
+        self = super().__new__(cls, eids)
+        indices: dict[int, list[int]] = {}
+        # ids in trace order, as the explorer gives them, list each thread's
+        # indices in increasing order, and sorting an ordered list is one pass
+        for t, i in eids:
+            if t:
+                indices.setdefault(t, []).append(i)
+        for g in indices.values():
+            g.sort()
+        self.indices = indices
+        return self
+
+
 def _read_entry(r: Event, gw: frozenset[EventId], init: EventId, pos: dict[int, int], writes_of):
     """What ``_step`` needs of read ``r``: its id and position, its good
     writes, whether the initial write ``init`` is one of them, the
-    conflicting writes, and per writing thread the sorted indices of its
-    good writes."""
-    good: dict[int, list[int]] = {}
-    for t, i in gw:
-        if t:
-            good.setdefault(pos[t], []).append(i)
-    for g in good.values():
-        g.sort()
+    conflicting writes, and per writing thread position the sorted indices
+    of its good writes (see ``GoodWrites``)."""
+    if not isinstance(gw, GoodWrites):
+        gw = GoodWrites(gw)
+    good = {pos[t]: g for t, g in gw.indices.items()}
     ru = pos[r.thread]
     return (r.eid, ru, r.index, itemgetter(ru), gw, init in gw, writes_of.get(r.var, {}), good)
 
@@ -362,11 +406,12 @@ def _step(order: ClockOrder, read, touched: list) -> None:
             break
     # rule 4: in each thread the conflicting writes after every
     # per-thread maximum of Cl(r) form a suffix; its first bad write
-    # carries the edge
+    # carries the edge.  Clocks grow along a thread, so the events after
+    # a maximum (v, i) start at the first whose clock counts i events of v.
     for u, indices in conf.items():
         chain = rows[u]
         t = threads[u]
-        lo = bisect_left(indices, True, key=lambda w: all(i <= chain[w - 1][v] for v, i in maxs))
+        lo = max((bisect_left(indices, bisect_left(chain, i, key=itemgetter(v)) + 1) for v, i in maxs), default=0)
         while lo < len(indices) and (t, indices[lo]) in gw:
             lo += 1
         if lo < len(indices) and ri > chain[indices[lo] - 1][ru]:
@@ -378,11 +423,14 @@ def _extend(
     inst: VscInstance,
     counts: Optional[Mapping[int, int]] = None,
     good_writes: Optional[Mapping[EventId, frozenset[EventId]]] = None,
+    fresh: Optional[Sequence[EventId]] = None,
 ) -> Closure:
     """The closure of ``inst``, or of the relaxation of it that ``counts``
     and ``good_writes`` describe (see ``Relaxation``), started from ``base``,
     the closure of a relaxation of that, or from program order.  Raises
-    CycleError when there is none.
+    CycleError when there is none.  ``fresh`` names the reads that
+    ``good_writes`` constrains and ``base`` does not, in ``good_writes``
+    order; without it they are found by comparing the two.
 
     New events get program-order rows and new writes join copies of their
     variables' write lists.  The worklist starts with the newly constrained
@@ -406,7 +454,8 @@ def _extend(
     for t in chains:
         if t not in pos:
             raise VscError(f"thread {t} is outside the order of the start")
-    fresh = [reid for reid in good_writes if reid not in base.entries and reid[1] <= counts.get(reid[0], 0)]
+    if fresh is None:
+        fresh = [reid for reid in good_writes if reid not in base.entries and reid[1] <= counts.get(reid[0], 0)]
     grown = [t for t, chain in chains.items() if len(base.rows[pos[t]]) < min(len(chain), counts.get(t, 0))]
     if not fresh and not grown:
         return base  # the relaxation is the start's own instance

@@ -8,8 +8,10 @@ restricts it to reads; the tests check ``rvfmc.rvf_key`` against its
 ``rvfmc.rvf_key`` back into pairs.
 ``census`` keys materialized traces, so it checks the streaming
 ``rvfmc.count_classes``.  ``brute_force_vsc`` enumerates every
-linearization, so it checks ``rvfmc.verify_sc``.  All of it is slow but
-direct, which is what a reference should be.
+linearization, so it checks ``rvfmc.verify_sc``.  ``scan_indexes`` and
+``scan_viable_sources`` scan every event of a trace, so they check the
+indexes that ``extend`` and ``undo`` keep and the explorer's sources.  All
+of it is slow but direct, which is what a reference should be.
 """
 
 from __future__ import annotations
@@ -26,6 +28,32 @@ from reference_closure import _Order
 
 def enumerate_maximal_traces(program: Program, budget: int = 10_000_000) -> list[Execution]:
     return list(iter_maximal_traces(program, budget))
+
+
+# ---------------------------------------------------------------------------
+# Trace indexes and viable sources by scanning every event
+# ---------------------------------------------------------------------------
+
+
+def scan_indexes(trace) -> tuple[dict[str, list[Event]], list[list[Event]]]:
+    """``Trace.writes`` and ``Trace.chains`` from one scan of the events."""
+    writes: dict[str, list[Event]] = {v: [] for v in trace.program.globals}
+    chains: list[list[Event]] = [[] for _ in trace.program.threads]
+    for e in trace.events:
+        chains[e.thread - 1].append(e)
+        if e.kind == "W":
+            writes[e.var].append(e)
+    return writes, chains
+
+
+def scan_viable_sources(trace, read: Event, cmap) -> list[Event]:
+    """``explore.viable_sources`` from a scan of every event of the trace."""
+    sources = [trace.program.init_event(read.var)]
+    sources.extend(e for e in trace.events if e.kind == "W" and e.var == read.var)
+    bounds = cmap.get(read.eid)
+    if bounds:
+        sources = [w for w in sources if w.index > bounds.get(w.thread, 0)]
+    return sources
 
 
 # ---------------------------------------------------------------------------

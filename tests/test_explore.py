@@ -26,9 +26,9 @@ from rvfmc.explore import (
     update_backtrack_signals,
     viable_sources,
 )
-from rvfmc.vsc import Relaxation
+from rvfmc.vsc import GoodWrites, Relaxation
 from corpus import PROGRAMS, one_var_family, many_threads_family
-from reference_oracle import census, enumerate_maximal_traces
+from reference_oracle import census, enumerate_maximal_traces, scan_indexes, scan_viable_sources
 
 ALL_EXPLORE_OPTIONS = [ExploreOptions(*bits) for bits in itertools.product([True, False], repeat=4)]
 
@@ -144,17 +144,18 @@ def test_viable_sources_without_map_entry():
     st = _trace_after_writes(PROGRAMS["unanimous"])
     r = next(e for e in st.enabled if e.eid == (2, 3))
     srcs = viable_sources(st, r, {})
-    assert [w.eid for w in srcs] == [(0, 1)] + [e.eid for e in st.events if e.kind == "W" and e.var == r.var]
-    assert {w.eid for w in srcs} == {(1, 1), (2, 1), (3, 1), (0, 1)}
+    assert srcs == scan_viable_sources(st, r, {})
+    assert [w.eid for w in srcs] == [(0, 1), (1, 1), (2, 1), (3, 1)]
 
 
 def test_viable_sources_respects_causal_map():
     st = _trace_after_writes(PROGRAMS["unanimous"])
     r = next(e for e in st.enabled if e.eid == (2, 3))
     cmap = {r.eid: {1: 2, 2: 2, 3: 2, 0: 2}}  # forbid everything current
-    assert viable_sources(st, r, cmap) == []
+    assert viable_sources(st, r, cmap) == scan_viable_sources(st, r, cmap) == []
     cmap = {r.eid: {1: 2, 0: 2}}  # forbid only thread 1 and the initial write
-    assert {w.eid for w in viable_sources(st, r, cmap)} == {(2, 1), (3, 1)}
+    assert viable_sources(st, r, cmap) == scan_viable_sources(st, r, cmap)
+    assert [w.eid for w in viable_sources(st, r, cmap)] == [(2, 1), (3, 1)]
 
 
 def test_viable_sources_unwritten_variable():
@@ -162,7 +163,19 @@ def test_viable_sources_unwritten_variable():
     st = extend_nonreads(empty_trace(p))
     r = next(e for e in st.enabled if e.kind == "R")
     srcs = viable_sources(st, r, {})
-    assert len(srcs) == 1 and next(iter(srcs)).thread == 0
+    assert srcs == scan_viable_sources(st, r, {})
+    assert len(srcs) == 1 and srcs[0].thread == 0
+
+
+def test_viable_sources_follow_undo():
+    """Sources read the trace's write lists, so an undone write is gone."""
+    p = parse_program("thread t1 { write x 1; write x 2; }\nthread t2 { r = read x; }")
+    st = extend_nonreads(empty_trace(p))
+    r = next(e for e in st.enabled if e.kind == "R")
+    assert [w.eid for w in viable_sources(st, r, {})] == [(0, 1), (1, 1), (1, 2)]
+    st.undo()
+    assert viable_sources(st, r, {}) == scan_viable_sources(st, r, {})
+    assert [w.eid for w in viable_sources(st, r, {})] == [(0, 1), (1, 1)]
 
 
 def test_group_by_value_orders_and_partitions():
@@ -174,6 +187,7 @@ def test_group_by_value_orders_and_partitions():
     srcs = [w for w in viable_sources(st, r, {}) if w.thread != 0]
     groups = group_by_value(srcs)
     assert groups == [(1, frozenset({(1, 1), (1, 2)})), (2, frozenset({(1, 3)}))]
+    assert [group.indices for _, group in groups] == [{1: [1, 2]}, {1: [3]}]
 
 
 def test_group_by_value_init_joins_zero_group():
@@ -183,7 +197,40 @@ def test_group_by_value_init_joins_zero_group():
     groups = group_by_value(viable_sources(st, r, {}))
     assert len(groups) == 1  # the zero-writing program write groups with init
     value, members = groups[0]
-    assert value == 0 and len(members) == 2
+    assert value == 0 and members == {(0, 1), (1, 1)}
+    assert members.indices == {1: [1]}  # the initial write has no thread
+
+
+def test_good_writes_sorts_each_thread():
+    """A group keeps its members' indices per writing thread in increasing
+    order, whatever order the ids come in."""
+    group = GoodWrites([(2, 5), (0, 1), (1, 3), (2, 1), (1, 2)])
+    assert group == frozenset({(2, 5), (0, 1), (1, 3), (2, 1), (1, 2)})
+    assert group.indices == {1: [2, 3], 2: [1, 5]}
+    assert GoodWrites(frozenset({(1, 4), (1, 2)})).indices == {1: [2, 4]}
+
+
+def test_viable_sources_match_the_scan_at_every_node(monkeypatch):
+    """At every explorer node, on the corpus under every option setting,
+    the sources read off the trace's write lists equal a scan of every
+    event, and the trace's indexes equal a scan of its events."""
+    module = sys.modules["rvfmc.explore"]
+    calls = 0
+
+    def checked(trace, read, cmap):
+        nonlocal calls
+        calls += 1
+        assert (trace.writes, trace.chains) == scan_indexes(trace)
+        got = viable_sources(trace, read, cmap)
+        assert got == scan_viable_sources(trace, read, cmap), (trace.events, read, cmap)
+        return got
+
+    monkeypatch.setattr(module, "viable_sources", checked)
+    for source in PROGRAMS.values():
+        p = parse_program(source)
+        for options in ALL_EXPLORE_OPTIONS:
+            explore(p, options)
+    assert calls
 
 
 def test_group_by_value_empty_sources():
@@ -406,13 +453,14 @@ def test_explore_restores_recursion_limit():
 
 
 def test_explorer_instances_pass_validation(monkeypatch):
-    """The explorer builds its solver instances with ``check=False``; with
-    validation forced back on, every instance it builds on the corpus under
-    every option setting is valid (a VscError would fail the test)."""
+    """The explorer builds its solver instances with ``check=False`` and
+    its trace's chains; with validation forced back on, every instance it
+    builds on the corpus under every option setting is valid, chains
+    included (a VscError would fail the test)."""
     built = []
 
     def validating(*args, check=True, **kwargs):
-        built.append(check)
+        built.append((check, kwargs.get("chains") is not None))
         return VscInstance(*args, **kwargs)
 
     monkeypatch.setattr(sys.modules["rvfmc.explore"], "VscInstance", validating)
@@ -420,4 +468,4 @@ def test_explorer_instances_pass_validation(monkeypatch):
         p = parse_program(source)
         for options in ALL_EXPLORE_OPTIONS:
             explore(p, options)
-    assert built and not any(built)
+    assert built and set(built) == {(False, True)}

@@ -1,5 +1,7 @@
 """Parser and interpreter behavior."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,9 @@ from rvfmc import (
     parse_program,
     replay,
 )
-from corpus import UNANIMOUS, PROGRAMS, deep_program
-from reference_oracle import enumerate_maximal_traces
+from rvfmc.program import InterpreterError
+from corpus import MISUSE, UNANIMOUS, PROGRAMS, deep_program
+from reference_oracle import enumerate_maximal_traces, scan_indexes
 
 
 def test_unanimous_program_shape():
@@ -267,3 +270,47 @@ def test_undo_restores_every_prefix(data):
         if i:
             t.undo()
     assert t == empty_trace(p)
+
+
+def test_indexes_match_a_scan_on_random_walks():
+    """Seeded random walks of ``extend`` and ``undo`` over the corpus and
+    the programs that misuse a mutex: after every step the write lists and
+    chains equal a scan of the events, and an ``extend`` that raises
+    ``InterpreterError`` leaves them as they were.  The walks reach mutex
+    releases, which are writes of their mutex."""
+    rng = random.Random(20261019)
+    raised = releases = 0
+    for source in [*PROGRAMS.values(), *MISUSE.values()]:
+        p = parse_program(source)
+        for _ in range(10):
+            t = empty_trace(p)
+            for _ in range(40):
+                if not t.enabled or (t.events and rng.random() < 0.3):
+                    if not t.events:
+                        break
+                    t.undo()
+                else:
+                    before = ({v: list(ws) for v, ws in t.writes.items()}, [list(c) for c in t.chains])
+                    try:
+                        extend(t, rng.choice(t.enabled))
+                    except InterpreterError:
+                        raised += 1
+                        assert (t.writes, t.chains) == before
+                releases += sum(len(t.writes[m]) for m in p.mutexes)
+                assert (t.writes, t.chains) == scan_indexes(t)
+    assert raised and releases
+
+
+def test_unindexed_trace_keeps_no_indexes():
+    """A trace made without indexes steps and undoes like an indexed one."""
+    p = parse_program(PROGRAMS["mutex_counter"])
+    indexed, plain = empty_trace(p), empty_trace(p, indexed=False)
+    while indexed.enabled:
+        e = indexed.enabled[-1]
+        extend(indexed, e)
+        extend(plain, e)
+    assert plain.writes is None and plain.chains is None
+    assert plain == indexed and plain.events == indexed.events
+    while plain.events:
+        assert plain.undo() == indexed.undo()
+    assert plain == indexed == empty_trace(p)

@@ -135,6 +135,31 @@ def test_malformed_instances_rejected():
         )
 
 
+def test_instance_chains_checked_against_events():
+    """Chains given to an instance are its ``by_thread``; with ``check`` on
+    they must be the events grouped by thread, in thread-id and index
+    order, and a wrong chain is rejected."""
+    w1, r, w2 = Event(1, 1, "W", "x", 1), Event(1, 2, "R", "x"), Event(2, 1, "W", "x", 2)
+    events, gw = (w1, r, w2), {r.eid: frozenset({w2.eid})}
+    chains = {1: (w1, r), 2: (w2,)}
+    inst = VscInstance(events, gw, chains=chains)
+    assert inst.by_thread is chains and inst.threads == (1, 2)
+    assert verify_sc(inst).witness == verify_sc(VscInstance(events, gw)).witness
+    wrong = [
+        {1: (w1,), 2: (w2,)},  # an event left out
+        {1: (w1, r), 2: (w2, Event(2, 2, "W", "x", 3))},  # an event not in the instance
+        {1: (r, w1), 2: (w2,)},  # out of index order
+        {2: (w2,), 1: (w1, r)},  # out of thread-id order
+        {1: (w1, r), 2: (w2,), 3: ()},  # a thread without events
+        {1: [w1, r], 2: [w2]},  # lists, not tuples
+    ]
+    for bad in wrong:
+        with pytest.raises(VscError, match="chains"):
+            VscInstance(events, gw, chains=bad)
+    # without the check the chains are taken as given
+    assert VscInstance(events, gw, check=False, chains=wrong[0]).by_thread is wrong[0]
+
+
 # -- search steps ---------------------------------------------------------------
 
 
