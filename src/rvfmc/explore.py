@@ -24,8 +24,8 @@ undo; only solver witnesses are replayed into fresh traces.
 What a node reads, it reads without scanning the whole trace:
 
 * undone with the trace: its per-variable write lists and per-thread event
-  chains (``Trace.writes`` and ``Trace.chains``), which ``extend`` and
-  ``undo`` keep.  Viable sources, a read's active write and the sources
+  chains (``Trace.writes`` and ``Trace.chains``), which the trace brings
+  up to date from its steps and undos when they are read.  Viable sources, a read's active write and the sources
   that a mutex's acquires have consumed come from them, and a read's solver
   instances get the chains as their ``by_thread``;
 * shared: the value groups.  Each is a ``vsc.GoodWrites``, which also holds
@@ -45,9 +45,6 @@ node's closure starts from the nearest ancestor's: a solver-witness child's
 from the closure of the call that produced its witness, a direct-witness
 child's from its parent's.  Instances only grow down the recursion, so each
 closure extends one already closed instead of closing from program order.
-A direct-witness child names the read its parent fixed as the one its
-closure constrains beyond its start's, so a fill steps it without comparing
-the two good-writes maps.
 
 A plain read processed without ever receiving a backtrack signal ends the
 loop: no compatible schedule assigns it a source beyond the current trace,
@@ -191,7 +188,7 @@ class _Explorer:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, 4 * self.program.access_count() + 200))
         try:
-            self._node({}, empty_trace(self.program), {}, None, ())
+            self._node({}, empty_trace(self.program), {}, None)
         finally:
             sys.setrecursionlimit(limit)
         self.report.wall_time_ms = (time.perf_counter() - start) * 1000.0
@@ -231,11 +228,9 @@ class _Explorer:
         trace: Trace,
         cmap: CausalMap,
         start: Union[Closure, Relaxation, None],
-        fresh: tuple[EventId, ...],
     ) -> None:
         """Explore below ``trace``, which is extended in place and left as it
-        was found; ``start`` closes a relaxation of the node's instance, and
-        ``fresh`` lists the reads that ``goodw`` constrains and it does not."""
+        was found; ``start`` closes a relaxation of the node's instance."""
         before = len(trace.events)
         extend_nonreads(trace)
         update_backtrack_signals(trace.events[before:], self.signals)
@@ -247,7 +242,7 @@ class _Explorer:
             if ex.deadlocked:
                 self.report.deadlocks += 1
         else:
-            self._mutate(goodw, trace, cmap, start, fresh)
+            self._mutate(goodw, trace, cmap, start)
         for _ in range(len(trace.events) - before):
             trace.undo()
 
@@ -257,7 +252,6 @@ class _Explorer:
         trace: Trace,
         cmap: CausalMap,
         start: Union[Closure, Relaxation, None],
-        fresh: tuple[EventId, ...],
     ) -> None:
         """Fix each value group of each enabled read in turn and explore
         below it.  A group the trace satisfies is a direct witness; any
@@ -268,7 +262,7 @@ class _Explorer:
             # the closure of this node's trace under goodw, filled by the
             # first group that needs a witness; every check and solver call
             # here starts from it
-            start = Relaxation(start, dict(enumerate(trace.counts, 1)), goodw, fresh)
+            start = Relaxation(start, dict(enumerate(trace.counts, 1)), goodw)
         mutate = sorted(trace.enabled, key=lambda e: (e.eid in cmap, e.eid))
         for read in mutate:
             unmapped = read.eid not in cmap
@@ -286,7 +280,7 @@ class _Explorer:
                 goodw2[read.eid] = group
                 if active in group:
                     # the current trace already satisfies it
-                    witness_trace, child_start, child_fresh = extend(trace, read), start, (read.eid,)
+                    witness_trace, child_start = extend(trace, read), start
                 else:
                     if events is None:
                         events, chains = (*trace.events, read), _instance_chains(trace, read)
@@ -299,9 +293,9 @@ class _Explorer:
                     found = self._witness(inst, start)
                     if found is None:
                         continue
-                    (witness_trace, child_start), child_fresh = found, ()
+                    witness_trace, child_start = found
                 # entries are replaced, never changed, so children share them
-                self._node(goodw2, witness_trace, dict(cmap), child_start, child_fresh)
+                self._node(goodw2, witness_trace, dict(cmap), child_start)
                 if witness_trace is trace:
                     trace.undo()  # the read the direct witness appended
 

@@ -71,7 +71,7 @@ def _maximal(
 
 def iter_maximal_traces(program: Program, budget: int = 10_000_000) -> Iterator[Execution]:
     """Yield every maximal trace reachable by any scheduler, in DFS order."""
-    for trace in _maximal(empty_trace(program, indexed=False), budget):
+    for trace in _maximal(empty_trace(program), budget):
         yield trace.freeze()
 
 
@@ -147,7 +147,7 @@ def count_classes(
             del sources[e.thread - 1][-2:]
 
     hooks = (push, pop) if want_rf else ()
-    for trace in _maximal(empty_trace(program, indexed=False), budget, *hooks):
+    for trace in _maximal(empty_trace(program), budget, *hooks):
         total += 1
         deadlocks += trace.deadlocked
         violations.update(trace.violations)

@@ -114,12 +114,13 @@ class Trace:
     ``maximal`` and ``deadlocked`` are computed when read, and ``freeze()``
     takes an immutable snapshot.
 
-    An indexed trace also keeps two indexes of ``events``, which ``extend``
-    and ``undo`` maintain: ``writes[var]`` lists the writes of each global
-    (mutex releases included) and ``chains[tid - 1]`` the events of each
-    thread, both in trace order.  Readers never change them.  A trace made
-    with ``indexed=False`` has None for both and skips their upkeep, which
-    the exhaustive oracles, stepping every schedule, have no use for.
+    A trace also keeps two indexes of ``events``: ``writes[var]`` lists
+    the writes of each global (mutex releases included) and
+    ``chains[tid - 1]`` the events of each thread, both in trace order.
+    Readers never change them.  They are brought up to date when read,
+    from the steps taken and undone since the last read, so ``extend`` and
+    ``undo`` do no work for them and the oracles, which step every
+    schedule and never read them, do not pay for them.
     """
 
     program: "Program"
@@ -131,9 +132,43 @@ class Trace:
     _threads: list[tuple] = field(repr=False)
     _memory: dict[str, int] = field(repr=False)
     _holders: dict[str, Optional[int]] = field(repr=False)
+    _writes: dict[str, list[Event]] = field(repr=False, compare=False)
+    _chains: list[list[Event]] = field(repr=False, compare=False)
     _undo: list[tuple] = field(default_factory=list, repr=False, compare=False)
-    writes: Optional[dict[str, list[Event]]] = field(default=None, repr=False, compare=False)
-    chains: Optional[list[list[Event]]] = field(default=None, repr=False, compare=False)
+    # the undo records of the steps that the indexes hold
+    _indexed: list[tuple] = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def writes(self) -> dict[str, list[Event]]:
+        self._index()
+        return self._writes
+
+    @property
+    def chains(self) -> list[list[Event]]:
+        self._index()
+        return self._chains
+
+    def _index(self) -> None:
+        """Bring the indexes up to date.  Each step has an undo record of
+        its own, and a record on both stacks at one position means that no
+        step at or before it was undone since, so the indexes drop their
+        steps after the last such position and add the trace's."""
+        indexed, undo = self._indexed, self._undo
+        n = min(len(indexed), len(undo))
+        while n and indexed[n - 1] is not undo[n - 1]:
+            n -= 1
+        writes, chains = self._writes, self._chains
+        while len(indexed) > n:
+            e = chains[indexed.pop()[0] - 1].pop()
+            if e.kind == "W":
+                writes[e.var].pop()
+        events = self.events
+        for i in range(n, len(undo)):
+            indexed.append(undo[i])
+            e = events[i]
+            chains[e.thread - 1].append(e)
+            if e.kind == "W":
+                writes[e.var].append(e)
 
     @property
     def enabled(self) -> tuple[Event, ...]:
@@ -167,10 +202,6 @@ class Trace:
         tid, eid, state, nviol, table, var, old = self._undo.pop()
         event = self.events.pop()
         del self.values[eid]
-        if self.chains is not None:
-            self.chains[tid - 1].pop()
-            if event.kind == "W":
-                self.writes[var].pop()
         del self.violations[nviol:]
         self._threads[tid - 1] = state
         if table is not None:
@@ -634,9 +665,8 @@ def _drop_repeats(violations: list[str], start: int) -> None:
     violations[start:] = [aid for aid in dict.fromkeys(violations[start:]) if aid not in seen]
 
 
-def empty_trace(program: Program, indexed: bool = True) -> Trace:
-    """The initial trace: no events, every global at 0, frontier at each
-    thread's first access; with ``indexed``, its indexes are kept."""
+def empty_trace(program: Program) -> Trace:
+    """The initial trace: no events, every global at 0, frontier at each thread's first access."""
     violations: list[str] = []
     threads = []
     for thread in program.threads:
@@ -646,11 +676,9 @@ def empty_trace(program: Program, indexed: bool = True) -> Trace:
     _drop_repeats(violations, 0)
     memory = {v: 0 for v in program.globals}
     holders: dict[str, Optional[int]] = {m: None for m in program.mutexes}
-    trace = Trace(program, [], {}, violations, threads, memory, holders)
-    if indexed:
-        trace.writes = {v: [] for v in program.globals}
-        trace.chains = [[] for _ in program.threads]
-    return trace
+    writes: dict[str, list[Event]] = {v: [] for v in program.globals}
+    chains: list[list[Event]] = [[] for _ in program.threads]
+    return Trace(program, [], {}, violations, threads, memory, holders, writes, chains)
 
 
 def extend(trace: Trace, event: Event) -> Trace:
@@ -705,15 +733,11 @@ def extend(trace: Trace, event: Event) -> Trace:
     trace.events.append(event)
     trace.values[eid] = value
     trace._undo.append((tid, eid, state, nviol, table, var, old))
-    if trace.chains is not None:
-        trace.chains[tid - 1].append(event)
-        if event.kind == "W":
-            trace.writes[var].append(event)
     return trace
 
 
 def replay(program: Program, events: Iterable[Event]) -> Trace:
-    """Re-execute a sequence of events from the empty indexed trace, validating each step."""
+    """Re-execute a sequence of events from the empty trace, validating each step."""
     t = empty_trace(program)
     for e in events:
         extend(t, e)

@@ -220,26 +220,19 @@ class Relaxation:
     relaxation of it, a ``Relaxation`` of one, or None for program order.
     An unfilled ``Relaxation`` start is passed over for the nearest filled
     one it starts from, so no closure is computed that no call asked for.
-
-    ``fresh``, when the caller knows it, lists in ``good_writes`` order the
-    reads that ``good_writes`` constrains and the instance of ``start``
-    does not.  A fill then steps the fresh reads of the relaxations it
-    passes over and its own without comparing ``good_writes`` with its base.
     """
 
-    __slots__ = ("start", "counts", "good_writes", "fresh", "filled", "order")
+    __slots__ = ("start", "counts", "good_writes", "filled", "order")
 
     def __init__(
         self,
         start: Union[Closure, "Relaxation", None],
         counts: Mapping[int, int],
         good_writes: Mapping[EventId, frozenset[EventId]],
-        fresh: Optional[Sequence[EventId]] = None,
     ):
         self.start = start
         self.counts = counts
         self.good_writes = good_writes
-        self.fresh = fresh
         self.filled = False
         self.order: Optional[Closure] = None  # stays None when the relaxation has no closure
 
@@ -247,13 +240,12 @@ class Relaxation:
         """The closure of this relaxation of ``inst``; raises CycleError when it has none."""
         if not self.filled:
             self.filled = True
-            base, fresh = self.start, self.fresh
+            base = self.start
             while isinstance(base, Relaxation) and not base.filled:
-                fresh = None if fresh is None or base.fresh is None else (*base.fresh, *fresh)
                 base = base.start
             if isinstance(base, Relaxation):
                 base = base.closed(inst)
-            self.order = _extend(base, inst, self.counts, self.good_writes, fresh)
+            self.order = _extend(base, inst, self.counts, self.good_writes)
         if self.order is None:
             raise CycleError("the relaxation has no closure")
         return self.order
@@ -423,14 +415,11 @@ def _extend(
     inst: VscInstance,
     counts: Optional[Mapping[int, int]] = None,
     good_writes: Optional[Mapping[EventId, frozenset[EventId]]] = None,
-    fresh: Optional[Sequence[EventId]] = None,
 ) -> Closure:
     """The closure of ``inst``, or of the relaxation of it that ``counts``
     and ``good_writes`` describe (see ``Relaxation``), started from ``base``,
     the closure of a relaxation of that, or from program order.  Raises
-    CycleError when there is none.  ``fresh`` names the reads that
-    ``good_writes`` constrains and ``base`` does not, in ``good_writes``
-    order; without it they are found by comparing the two.
+    CycleError when there is none.
 
     New events get program-order rows and new writes join copies of their
     variables' write lists.  The worklist starts with the newly constrained
@@ -454,8 +443,7 @@ def _extend(
     for t in chains:
         if t not in pos:
             raise VscError(f"thread {t} is outside the order of the start")
-    if fresh is None:
-        fresh = [reid for reid in good_writes if reid not in base.entries and reid[1] <= counts.get(reid[0], 0)]
+    fresh = [reid for reid in good_writes if reid not in base.entries and reid[1] <= counts.get(reid[0], 0)]
     grown = [t for t, chain in chains.items() if len(base.rows[pos[t]]) < min(len(chain), counts.get(t, 0))]
     if not fresh and not grown:
         return base  # the relaxation is the start's own instance

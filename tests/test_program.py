@@ -301,16 +301,17 @@ def test_indexes_match_a_scan_on_random_walks():
     assert raised and releases
 
 
-def test_unindexed_trace_keeps_no_indexes():
-    """A trace made without indexes steps and undoes like an indexed one."""
-    p = parse_program(PROGRAMS["mutex_counter"])
-    indexed, plain = empty_trace(p), empty_trace(p, indexed=False)
-    while indexed.enabled:
-        e = indexed.enabled[-1]
-        extend(indexed, e)
-        extend(plain, e)
-    assert plain.writes is None and plain.chains is None
-    assert plain == indexed and plain.events == indexed.events
-    while plain.events:
-        assert plain.undo() == indexed.undo()
-    assert plain == indexed == empty_trace(p)
+def test_indexes_catch_up_after_many_steps():
+    """Indexes read only now and then, after runs of steps and undos that
+    often take the same events again, still equal a scan of the events."""
+    rng = random.Random(7)
+    for source in PROGRAMS.values():
+        p = parse_program(source)
+        t = empty_trace(p)
+        for _ in range(200):
+            for _ in range(rng.randint(1, 8)):
+                if t.events and (not t.enabled or rng.random() < 0.45):
+                    t.undo()
+                elif t.enabled:
+                    extend(t, rng.choice(t.enabled))
+            assert (t.writes, t.chains) == scan_indexes(t)
