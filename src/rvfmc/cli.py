@@ -131,6 +131,13 @@ def _cmd_vsc(args: argparse.Namespace) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rvf-mc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -147,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_census = sub.add_parser("census", help="enumerate all schedules and count equivalence classes")
     p_census.add_argument("program")
-    p_census.add_argument("--budget", type=int, default=10_000_000, metavar="N")
+    p_census.add_argument("--budget", type=_budget, default=10_000_000, metavar="N")
     p_census.add_argument("--fail-on-violation", action="store_true")
     p_census.set_defaults(fn=_cmd_census)
 

@@ -6,24 +6,23 @@ counts their reads-value-from, reads-from and commutation (Mazurkiewicz)
 classes without keeping the traces.  Everything here is deliberately
 heuristic-free so it can stand as an independent oracle for the explorer:
 the independence comes from enumerating every schedule, not from a second
-interpreter or a second key.  The rvf key is the explorer's own
-``semantics.rvf_key``, which the tests check against a key built on
-explicit pairs.  The depth-first search drives one
-``program.Trace`` through ``extend`` and ``Trace.undo`` over an explicit
-stack, so full enumeration of six-figure schedule spaces stays within
-desk-scale budgets and trace length is not bounded by the recursion limit.
-The materializing census and the brute-force realizability oracle that the
-tests compare against live in ``tests/reference_oracle.py``.
+interpreter or a second key.  The keys come from ``semantics.KeyBuilder``
+(its rvf key is the explorer's), which the tests check against keys built on
+explicit pairs.  The depth-first search drives one ``program.Trace``, and
+the census one builder beside it, over an explicit stack, so six-figure
+schedule spaces stay within desk-scale budgets and trace length is not
+bounded by the recursion limit.  The materializing census and brute-force
+realizability oracle that the tests compare against live in
+``tests/reference_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
-from .program import Event, EventId, Execution, Program, Trace, empty_trace, extend
-from .semantics import rvf_key
+from .program import Event, Execution, Program, Trace, empty_trace, extend
+from .semantics import KeyBuilder
 
 
 class BudgetExceeded(RuntimeError):
@@ -95,74 +94,32 @@ def count_classes(
 ) -> ClassCount:
     """Streaming census over all maximal traces, without materializing them.
 
-    ``equivalences`` names any of "rvf", "rf" and "maz"; another name raises
-    ValueError.  Reads-from sources and per-variable write orders are
-    maintained incrementally along the DFS, only when "rf" or "maz" is
-    asked for, and each maximal trace gets its ``rvf_key``, the compact
-    ``("rvf", flat, order)``, so the per-trace cost stays linear in trace
-    length outside the key's read masks.
+    ``equivalences`` names any of "rvf", "rf" and "maz", or is one such
+    name; another name raises ValueError.  One ``semantics.KeyBuilder`` is
+    pushed and popped with every step of the search, whichever keys are
+    asked for, and keys each maximal trace by concatenating its lists.
     """
-    eqs = tuple(equivalences)
+    eqs = (equivalences,) if isinstance(equivalences, str) else tuple(equivalences)
     for eq in eqs:
         if eq not in _EQUIVALENCES:
             raise ValueError(f"unknown equivalence {eq!r}; expected one of {', '.join(_EQUIVALENCES)}")
-    want_rf = "rf" in eqs or "maz" in eqs
-    globs = program.globals
 
     sets: dict[str, set] = {eq: set() for eq in eqs}
     rvf_set, rf_set, maz_set = sets.get("rvf"), sets.get("rf"), sets.get("maz")
     violations: set[str] = set()
     total = deadlocks = 0
 
-    # The rf and maz keys are flat tuples of ints: each event id gets a dense
-    # code when the search first executes it, so the millions of keys a large
-    # census holds carry no nested tuples.
-    codes: dict[EventId, int] = {}
-    init_of = {v: codes.setdefault((0, i + 1), i) for i, v in enumerate(globs)}
-
-    # incremental per-prefix structures; the event-id set of a prefix is
-    # exactly its per-thread counts vector.  Per thread, the code of each
-    # read followed by the code of its source, in program order, so these
-    # lists concatenated by thread are a canonical form of reads-from.
-    sources: list[list[int]] = [[] for _ in program.threads]
-    write_orders: list[list[int]] = [[] for _ in globs]  # codes; last is active
-    writes_of = dict(zip(globs, write_orders))
-
-    def push(e: Event) -> None:
-        c = codes.get(e.eid)
-        if c is None:
-            c = codes[e.eid] = len(codes)
-        writes = writes_of[e.var]
-        if e.kind == "R":
-            reads = sources[e.thread - 1]
-            reads.append(c)
-            reads.append(writes[-1] if writes else init_of[e.var])
-        else:
-            writes.append(c)
-
-    def pop(e: Event) -> None:
-        if e.kind == "W":
-            writes_of[e.var].pop()
-        else:
-            del sources[e.thread - 1][-2:]
-
-    hooks = (push, pop) if want_rf else ()
-    for trace in _maximal(empty_trace(program), budget, *hooks):
+    trace = empty_trace(program)
+    keys = KeyBuilder(trace)
+    for trace in _maximal(trace, budget, keys.push, keys.pop):
         total += 1
         deadlocks += trace.deadlocked
         violations.update(trace.violations)
-        if want_rf:
-            ev_key = trace.counts
-            # ev_key has one entry per thread and the write lists one length
-            # per variable, so each key splits back into its parts
-            rfk = tuple(chain.from_iterable(sources))
-            if rf_set is not None:
-                rf_set.add((*ev_key, *rfk))
-            if maz_set is not None:
-                maz_set.add(
-                    (*ev_key, len(rfk), *rfk, *map(len, write_orders), *chain.from_iterable(write_orders))
-                )
         if rvf_set is not None:
-            rvf_set.add(rvf_key(trace))
+            rvf_set.add(keys.rvf_key())
+        if rf_set is not None:
+            rf_set.add(keys.rf_key())
+        if maz_set is not None:
+            maz_set.add(keys.maz_key())
 
     return ClassCount(total, {eq: len(sets[eq]) for eq in eqs}, sorted(violations), deadlocks)

@@ -1,25 +1,24 @@
-"""Orders over trace events and the reads-value-from equivalence key.
+"""Class keys of traces, and the vector-clock orders of the closure.
 
-``rvf_key`` accepts either a live ``Trace`` or a frozen ``Execution``
-(anything with ``program``, ``events`` and ``values``) and returns a
-canonical hashable key of integers, ``("rvf", flat, order)``: two traces get
-equal keys iff they have the same events, the same value function, and the
-same causal ordering restricted to read events.  Event identity across
-traces is the (thread, index) pair alone; diverging control flow always
-shows up as a differing earlier read value, which the values in ``flat``
-already separate.  ``order`` is one int that packs, per read, the bitmask of
-the reads that causally precede it; the explorer keys every leaf with it,
-and ``oracle.count_classes`` every maximal trace.
+``KeyBuilder`` keeps the reads-value-from, reads-from and Mazurkiewicz
+class keys of a trace, one ``push`` or ``pop`` per event.  ``rvf_key``
+pushes a whole ``Trace`` or ``Execution`` into a fresh builder; the
+explorer keys every leaf with it, and ``oracle.count_classes`` every
+maximal trace with one builder that it drives beside its search.  Event
+identity across traces is the (thread, index) pair alone; diverging control
+flow always shows up as a differing earlier read value, which the values in
+the rvf key already separate.
 
 The closure orders of ``vsc`` are ``ClockOrder``s: one vector clock per
 event, as in FastTrack (Flanagan and Freund, PLDI 2009).  The explicit-pairs
-reference that tests compare ``ClockOrder`` and ``rvf_key`` against lives in
+reference that tests compare ``ClockOrder`` and the keys against lives in
 ``tests/reference_closure.py`` and ``tests/reference_oracle.py``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
@@ -112,57 +111,90 @@ class ClockOrder:
 
 
 # ---------------------------------------------------------------------------
-# The reads-value-from key
+# Class keys
 # ---------------------------------------------------------------------------
 
 
-def rvf_key(run: Run):
-    """Canonical key of the reads-value-from class of a trace:
-    ``("rvf", flat, order)``, made of integers only.
+class KeyBuilder:
+    """The rvf, rf and maz class keys of a trace, kept step by step.
 
-    ``flat`` lists, for each thread with events in thread-id order, its id,
-    its event count and its events' values in program order.  ``order`` is
-    the causal order restricted to reads, the weakest partial order that
-    contains program order and puts each read after the write it reads
-    from.  Number the R reads 0..R-1 in (thread, index) order; bits
-    i*R .. i*R + R - 1 of ``order`` are the mask of the reads that causally
-    precede read i.  Which events are reads follows from ``flat``, so the
-    two parts together determine the class.  A first pass counts each
-    thread's reads, which fixes their numbers; a second gives each thread
-    and each variable's latest write the mask of the reads that precede it:
-    an event inherits its thread's mask and, for a read, the mask of the
-    latest write of its variable; a read of an initial value inherits
-    nothing from it.
+    ``push(event)`` adds the trace's next event, whose value must already
+    be in ``values``; ``pop(event)`` removes the last.  Numbering does not
+    depend on the trace: with k threads, event (t, i) has code
+    i*(k+1) + t, the initial write of the global of ordinal o has code
+    o*(k+1), and read j (from 0) of thread t is bit j*k + t - 1 of the
+    masks.  A read's mask holds the reads that causally precede it: its
+    thread's so far and, through the reads-from edge, those before the
+    latest write of its variable.  The keys are flat tuples of ints:
+
+    - ``rvf_key()``: ``("rvf", flat, masks)``.  ``flat`` is the event
+      count of each thread, by thread id, then the events' values in
+      (thread, index) order; ``masks`` the reads' masks in the same order.
+      Which events are reads follows from ``flat``.
+    - ``rf_key()``: the counts, then per thread each read's code and its
+      source's code.
+    - ``maz_key()``: the counts, the rf part and its length, then per
+      global the count and codes of its writes, the initial write first.
     """
-    k = len(run.program.threads)
-    values = run.values
-    per_thread: list[list[int]] = [[] for _ in range(k + 1)]  # values, by thread id
-    # next_read[t + 1] counts the reads of thread t; the running sum then
-    # makes next_read[t] the number of thread t's first read
-    next_read = [0] * (k + 2)
-    for e in run.events:
-        per_thread[e.thread].append(values[e.eid])
-        if e.kind == "R":
-            next_read[e.thread + 1] += 1
-    for t in range(1, k + 2):
-        next_read[t] += next_read[t - 1]
-    below = [0] * (k + 1)  # per thread: the reads that precede its next event
-    source: dict[str, int] = {}  # per variable: the reads that precede its latest write
-    masks = [0] * next_read[k + 1]
-    for e in run.events:
+
+    __slots__ = ("_values", "_k", "_threads", "_vars", "_vals", "_masks", "_rf", "_writes")
+
+    def __init__(self, run: Run):
+        program = run.program
+        k = self._k = len(program.threads)
+        self._values = run.values
+        # per thread id (0 unused): values, reads' masks, a stack of the
+        # mask before its next event, and (read, source) code pairs
+        self._threads = [([], [], [0], []) for _ in range(k + 1)]
+        # per global, from the initial write on: write codes and their masks
+        self._vars = {v: ([o * (k + 1)], [0]) for o, v in enumerate(program.globals, 1)}
+        self._vals, self._masks, _, self._rf = ([th[i] for th in self._threads[1:]] for i in range(4))
+        self._writes = [codes for codes, _ in self._vars.values()]
+        for e in run.events:
+            self.push(e)
+
+    def push(self, e) -> None:
         t = e.thread
+        vals, masks, low, rf = self._threads[t]
+        codes, wmasks = self._vars[e.var]
         if e.kind == "W":
-            source[e.var] = below[t]
+            vals.append(e.value)
+            codes.append(e.index * (self._k + 1) + t)
+            wmasks.append(low[-1])
         else:
-            i = next_read[t]
-            next_read[t] = i + 1
-            m = masks[i] = below[t] | source.get(e.var, 0)
-            below[t] = m | 1 << i
-    order = 0
-    for m in reversed(masks):
-        order = order << len(masks) | m
-    flat: list[int] = []
-    for t in range(1, k + 1):
-        if per_thread[t]:
-            flat += (t, len(per_thread[t]), *per_thread[t])
-    return ("rvf", tuple(flat), order)
+            vals.append(self._values[e.eid])
+            m = low[-1] | wmasks[-1]
+            low.append(m | 1 << len(masks) * self._k + t - 1)
+            masks.append(m)
+            rf += (e.index * (self._k + 1) + t, codes[-1])
+
+    def pop(self, e) -> None:
+        vals, masks, low, rf = self._threads[e.thread]
+        vals.pop()
+        if e.kind == "W":
+            codes, wmasks = self._vars[e.var]
+            codes.pop()
+            wmasks.pop()
+        else:
+            masks.pop()
+            low.pop()
+            del rf[-2:]
+
+    def rvf_key(self) -> tuple:
+        vals = self._vals
+        return ("rvf", (*map(len, vals), *chain.from_iterable(vals)), (*chain.from_iterable(self._masks),))
+
+    def rf_key(self) -> tuple:
+        return (*map(len, self._vals), *chain.from_iterable(self._rf))
+
+    def maz_key(self) -> tuple:
+        rf = (*chain.from_iterable(self._rf),)
+        writes = self._writes
+        return (*map(len, self._vals), len(rf), *rf, *map(len, writes), *chain.from_iterable(writes))
+
+
+def rvf_key(run: Run) -> tuple:
+    """Canonical key of the reads-value-from class of a trace: equal iff
+    the traces have the same events, the same values and the same causal
+    order restricted to reads.  See ``KeyBuilder``."""
+    return KeyBuilder(run).rvf_key()

@@ -96,39 +96,44 @@ def _reads_key(run) -> tuple[EventId, ...]:
 
 def reference_rvf_key(run):
     """The rvf key from the definition, with explicit pairs:
-    ``("rvf", events, values, reads, read_pairs)``.  ``encode_rvf_key``
-    turns it into the form ``rvfmc.rvf_key`` computes."""
+    ``("rvf", threads, events, values, reads, read_pairs)``, where
+    ``threads`` is the program's thread count.  ``encode_rvf_key`` turns it
+    into the form ``rvfmc.rvf_key`` computes."""
     ev = _events_key(run)
     reads = _reads_key(run)
     rs = set(reads)
     ro = sorted((a, b) for a, b in causal_order(run).pairs if a in rs and b in rs)
-    return ("rvf", ev, tuple(run.values[eid] for eid in ev), reads, tuple(ro))
+    return ("rvf", len(run.program.threads), ev, tuple(run.values[eid] for eid in ev), reads, tuple(ro))
+
+
+def read_bits(reads: Iterable[EventId], k: int) -> dict[EventId, int]:
+    """The mask bit of each read, of a program with ``k`` threads: read j
+    (from 0) of thread t is bit j*k + t - 1."""
+    return {r: j * k + t - 1 for t, group in groupby(reads, key=lambda r: r[0]) for j, r in enumerate(group)}
 
 
 def encode_rvf_key(key):
-    """The compact ``("rvf", flat, order)`` of a reference key: per thread,
-    its id, event count and values; per read, in (thread, index) order, the
-    bitmask of the reads before it, packed into one int."""
-    _, ev, vals, reads, ro = key
-    flat: list[int] = []
-    for t, group in groupby(zip(ev, vals), key=lambda item: item[0][0]):
-        vs = [v for _, v in group]
-        flat += (t, len(vs), *vs)
-    number = {r: i for i, r in enumerate(reads)}
-    order = 0
+    """The ``("rvf", flat, masks)`` of a reference key: the event count of
+    each thread, then the values in (thread, index) order; per read, in the
+    same order, the mask of the reads before it."""
+    _, k, ev, vals, reads, ro = key
+    counts = [0] * k
+    for t, _ in ev:
+        counts[t - 1] += 1
+    bit = read_bits(reads, k)
+    at = {r: i for i, r in enumerate(reads)}
+    masks = [0] * len(reads)
     for a, b in ro:
-        order |= 1 << (number[b] * len(reads) + number[a])
-    return ("rvf", tuple(flat), order)
+        masks[at[b]] |= 1 << bit[a]
+    return ("rvf", (*counts, *vals), tuple(masks))
 
 
 def read_pairs(key, run) -> tuple[tuple[EventId, EventId], ...]:
     """The sorted read pairs ``(a, b)``, ``a`` causally before ``b``, that
-    the ``order`` of ``rvfmc.rvf_key(run)`` packs."""
+    the ``masks`` of ``rvfmc.rvf_key(run)`` hold."""
     reads = _reads_key(run)
-    n, order = len(reads), key[2]
-    return tuple(
-        sorted((a, b) for j, b in enumerate(reads) for i, a in enumerate(reads) if order >> (j * n + i) & 1)
-    )
+    bit = read_bits(reads, len(run.program.threads))
+    return tuple(sorted((a, b) for b, mask in zip(reads, key[2]) for a in reads if mask >> bit[a] & 1))
 
 
 def rf_key(run):

@@ -105,6 +105,19 @@ def test_misuse_programs_exit_2(name, tmp_path, capsys):
         assert "does not hold" in captured.err
 
 
+@pytest.mark.parametrize("budget", ["-1", "ten"])
+def test_census_rejects_a_bad_budget(capsys, demo_file, budget):
+    """A budget that is negative or not an integer is a usage error, not an
+    exhausted budget."""
+    with pytest.raises(SystemExit) as exc:
+        main(["census", demo_file, "--budget", budget])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ") and "argument --budget" in captured.err
+    assert "exhausted" not in captured.err
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["explore", "/nonexistent.prog"]) == 2
 

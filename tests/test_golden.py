@@ -3,8 +3,10 @@
 The inputs are the corpus, the programs under ``programs/`` and small
 instances of the benchmark's program shapes, each explored under all 16
 ``ExploreOptions``.  Per run the digest covers every leaf (its events in
-trace order, its values, violations and deadlock flag) and the report's
-rvf keys, solver calls, node refutations, witness states and deadlocks.
+trace order, its values, violations and deadlock flag), the partition that
+the report's rvf keys induce (per leaf, the index of the first leaf with an
+equal key, so the digest does not depend on the key's encoding), and the
+solver calls, node refutations, witness states and deadlocks.
 The JSON is canonical: keys sorted, sets written as sorted lists, so the
 digest does not depend on ``PYTHONHASHSEED``.  A change that is meant to
 leave the explorer's decisions alone must leave the digest alone; run this
@@ -23,7 +25,7 @@ ALL_EXPLORE_OPTIONS = [ExploreOptions(*bits) for bits in itertools.product([True
 
 PROGRAM_DIR = Path(__file__).resolve().parent.parent / "programs"
 
-GOLDEN_SHA256 = "e6dbbe96670a5ed537403016a97f14468e854725e1c6bd9b11e49ec38d28f8d2"
+GOLDEN_SHA256 = "67b504b12bee8a1c7c6b98b92dccd5f3581f74bec3aa9afa22004b6e03a5f7f1"
 
 
 def bench_shapes() -> dict[str, str]:
@@ -51,6 +53,12 @@ def golden_inputs() -> dict[str, str]:
     return programs
 
 
+def key_partition(keys: list) -> list[int]:
+    """Per key, the index of the first key equal to it."""
+    first: dict = {}
+    return [first.setdefault(k, i) for i, k in enumerate(keys)]
+
+
 def report_record(rep) -> dict:
     """Everything ``explore`` decided, as plain JSON values."""
     leaves = [
@@ -64,7 +72,7 @@ def report_record(rep) -> dict:
     ]
     return {
         "leaves": leaves,
-        "rvf_keys": rep.rvf_keys,
+        "rvf_key_partition": key_partition(rep.rvf_keys),
         "vsc_calls": rep.vsc_calls,
         "node_refutations": rep.node_refutations,
         "witness_states": rep.witness_states,

@@ -141,6 +141,13 @@ def test_unknown_equivalence_rejected():
         count_classes(p, ("rvf", "bogus"))
 
 
+def test_one_equivalence_by_name():
+    """A bare name is one equivalence, not a sequence of letters."""
+    p = parse_program(PROGRAMS["unanimous"])
+    assert count_classes(p, "rvf").classes == {"rvf": 1}
+    assert count_classes(p, "maz").classes == count_classes(p, ("maz",)).classes == {"maz": 98}
+
+
 def test_family_censuses():
     from corpus import one_var_family, many_threads_family
 

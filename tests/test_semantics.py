@@ -1,7 +1,8 @@
-"""The rvf key against its reference, vector-clock orders, and the
+"""The class keys against their references, vector-clock orders, and the
 reference reads-from, causal order and keys of ``reference_oracle``."""
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 
 from rvfmc import count_classes, empty_trace, explore, extend, parse_program, rvf_key
 from rvfmc import oracle
-from rvfmc.oracle import iter_maximal_traces
+from rvfmc.oracle import _maximal, iter_maximal_traces
 from rvfmc.program import InterpreterError
-from rvfmc.semantics import ClockOrder, CycleError
+from rvfmc.semantics import ClockOrder, CycleError, KeyBuilder
 from corpus import MISUSE, PROGRAMS
 from reference_closure import _Cycle, _Order
+from test_golden import key_partition
 from reference_oracle import (
     causal_order,
     census,
@@ -152,9 +154,7 @@ def test_identical_sequences_identical_keys():
 def test_key_serialization_golden():
     """Canonical one-line text forms are pinned; any encoding drift fails here."""
     t = example_trace()
-    assert format_key(rvf_key(t)) == (
-        "rvf|(1,2,1,1,2,3,1,1,2,3,2,1,2)|128"
-    )
+    assert format_key(rvf_key(t)) == "rvf|(2,3,2,1,1,1,1,2,1,2)|(0,0,2)"
     assert format_key(rf_key(t)) == (
         "rf|(1.1,1.2,2.1,2.2,2.3,3.1,3.2)|((1.2,2.1),(2.2,2.1),(3.2,2.3))"
     )
@@ -294,34 +294,82 @@ def test_clock_order_add_matches_partial_order(lengths, raw_edges):
 
 def test_rvf_key_of_a_trace_without_events():
     t = empty_trace(parse_program("thread t1 { a = 1; }"))
-    assert rvf_key(t) == encode_rvf_key(reference_rvf_key(t)) == ("rvf", (), 0)
+    assert rvf_key(t) == encode_rvf_key(reference_rvf_key(t)) == ("rvf", (0,), ())
 
 
 def _compact(key) -> bool:
-    """``("rvf", tuple of ints, int)``, with no bools among the ints."""
+    """``("rvf", tuple of ints, tuple of ints)``, with no bools among the ints."""
     return (
         type(key) is tuple
         and len(key) == 3
         and key[0] == "rvf"
-        and type(key[1]) is tuple
-        and all(type(v) is int for v in key[1])
-        and type(key[2]) is int
+        and all(type(part) is tuple and all(type(v) is int for v in part) for part in key[1:])
     )
 
 
 def test_explorer_and_census_keys_are_integers_only(monkeypatch):
     """Every leaf key of the explorer and every key the census counts is a
-    tag, one flat tuple of ints and one int: no pair tuples."""
+    tag and two flat tuples of ints: no pair tuples."""
     counted = []
 
-    def recording_key(run):
-        counted.append(rvf_key(run))
-        return counted[-1]
+    class RecordingKeys(KeyBuilder):
+        def rvf_key(self):
+            counted.append(super().rvf_key())
+            return counted[-1]
 
-    monkeypatch.setattr(oracle, "rvf_key", recording_key)
+    monkeypatch.setattr(oracle, "KeyBuilder", RecordingKeys)
     for name in ("unanimous", "store_buffer", "mutex_three", "lost_update", "conditional_on_value"):
         p = parse_program(PROGRAMS[name])
         assert all(_compact(k) for k in explore(p).rvf_keys), name
         counted.clear()
         cc = count_classes(p, ("rvf",))
         assert len(counted) == cc.maximal_traces and all(_compact(k) for k in counted), name
+
+
+@pytest.mark.parametrize("name", KEYED_SOURCES)
+def test_key_builder_follows_extend_and_undo(name):
+    """A seeded walk of steps and undos, with a builder pushed and popped
+    beside the trace: after each, its rvf key is the from-scratch key and
+    the reference key."""
+    p = parse_program(KEYED_SOURCES[name])
+    rng = random.Random(name)
+    trace = empty_trace(p)
+    keys = KeyBuilder(trace)
+    for _ in range(300):
+        enabled = trace.enabled
+        if enabled and (not trace.events or rng.random() < 0.6):
+            e = rng.choice(enabled)
+            try:
+                extend(trace, e)
+            except InterpreterError:
+                assert name.startswith("misuse-")
+                continue
+            keys.push(e)
+        elif trace.events:
+            keys.pop(trace.undo())
+        else:
+            break
+        assert keys.rvf_key() == rvf_key(trace) == encode_rvf_key(reference_rvf_key(trace))
+
+
+@pytest.mark.parametrize("name", KEYED_SOURCES)
+def test_key_builder_partitions_match_references(name):
+    """Driven through every schedule as the census drives it, the builder's
+    rf and maz keys split the maximal traces as the reference keys do, and
+    its rvf key is the from-scratch key (of a misuse program, up to its
+    interpreter error)."""
+    trace = empty_trace(parse_program(KEYED_SOURCES[name]))
+    keys = KeyBuilder(trace)
+    got: dict[str, list] = {"rf": [], "maz": []}
+    want: dict[str, list] = {"rf": [], "maz": []}
+    try:
+        for trace in _maximal(trace, 10_000_000, keys.push, keys.pop):
+            assert keys.rvf_key() == rvf_key(trace)
+            got["rf"].append(keys.rf_key())
+            got["maz"].append(keys.maz_key())
+            want["rf"].append(rf_key(trace))
+            want["maz"].append(maz_key(trace))
+    except InterpreterError:
+        assert name.startswith("misuse-")
+    for eq in ("rf", "maz"):
+        assert key_partition(got[eq]) == key_partition(want[eq]), eq
