@@ -38,13 +38,15 @@ What a node reads, it reads without scanning the whole trace:
 
 With closure on, a node keeps the closure of its trace under its good
 writes (``vsc.Relaxation``), filled by the first group that needs a witness.
-Each such group is checked against it first: a group whose read has no good
-write left visible there (closure rule 1) is refuted without a solver call,
-and every other one goes to the solver, whose closure starts from it.  The
-node's closure starts from the nearest ancestor's: a solver-witness child's
-from the closure of the call that produced its witness, a direct-witness
-child's from its parent's.  Instances only grow down the recursion, so each
-closure extends one already closed instead of closing from program order.
+Rule 1 of the closure is decided there once per read, as the index ranges
+of the read's conflicting writes that stay visible (``Relaxation.visible``);
+a group with none of its good writes in them is refuted without an instance
+or a solver call, and every other one goes to the solver, whose closure
+starts from the node's.  The node's closure starts from the nearest
+ancestor's: a solver-witness child's from the closure of the call that
+produced its witness, a direct-witness child's from its parent's.
+Instances only grow down the recursion, so each closure extends one
+already closed instead of closing from program order.
 
 A plain read processed without ever receiving a backtrack signal ends the
 loop: no compatible schedule assigns it a source beyond the current trace,
@@ -66,7 +68,7 @@ from typing import Iterable, Optional, Union
 
 from .program import Event, EventId, Execution, Program, Trace, empty_trace, extend, replay
 from .semantics import rvf_key
-from .vsc import Closure, GoodWrites, Relaxation, SolverOptions, VscInstance, verify_sc
+from .vsc import Closure, GoodWrites, Relaxation, SolverOptions, VscInstance, extremes, verify_sc
 
 CausalMap = dict[EventId, dict[int, int]]
 
@@ -254,10 +256,10 @@ class _Explorer:
         start: Union[Closure, Relaxation, None],
     ) -> None:
         """Fix each value group of each enabled read in turn and explore
-        below it.  A group the trace satisfies is a direct witness; any
-        other one becomes an instance, the trace plus the read, that with
-        closure on is first checked against the node's closure (see
-        ``vsc.Relaxation.refutes``) and otherwise goes to the solver."""
+        below it.  A group the trace satisfies is a direct witness; with
+        closure on, any other one is first checked against the read's visible
+        ranges on the node's closure (``vsc.Relaxation.visible``), and if it
+        passes becomes an instance, the trace plus the read, for the solver."""
         if self.options.closure:
             # the closure of this node's trace under goodw, filled by the
             # first group that needs a witness; every check and solver call
@@ -274,22 +276,28 @@ class _Explorer:
             # the trace is the same for every group: children undo their steps
             writes = trace.writes[read.var]
             active = writes[-1].eid if writes else self.program.init_event(read.var).eid
-            events = chains = None  # the instance's, made for its first group
+            events = chains = None  # the instance's, made for its first group that needs a witness
             for group in groups:
-                goodw2 = dict(goodw)
-                goodw2[read.eid] = group
-                if active in group:
-                    # the current trace already satisfies it
-                    witness_trace, child_start = extend(trace, read), start
-                else:
+                direct = active in group  # the current trace already satisfies it
+                if not direct:
                     if events is None:
                         events, chains = (*trace.events, read), _instance_chains(trace, read)
-                    inst = VscInstance(
-                        events, goodw2, universe=self.program.globals, check=False, chains=chains
-                    )
-                    if self.options.closure and start.refutes(inst, read):
+                        if self.options.closure:
+                            # rule 1's per-read half on the node's closure, filled by this group's instance
+                            fill = None if start.filled else VscInstance(
+                                events, {**goodw, read.eid: group}, self.program.globals, check=False, chains=chains
+                            )
+                            ranges, init_visible = start.visible(read, fill)
+                    if self.options.closure and not extremes(ranges, group.indices)[0] and not (
+                        init_visible and self.program.init_event(read.var).eid in group
+                    ):
                         self.report.node_refutations += 1
                         continue
+                goodw2 = {**goodw, read.eid: group}
+                if direct:
+                    witness_trace, child_start = extend(trace, read), start
+                else:
+                    inst = VscInstance(events, goodw2, universe=self.program.globals, check=False, chains=chains)
                     found = self._witness(inst, start)
                     if found is None:
                         continue

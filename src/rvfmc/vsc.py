@@ -215,7 +215,7 @@ class Relaxation:
     each thread ``t`` and constrains the reads among them that
     ``good_writes`` names, which must give them the instance's good writes.
     Its order covers the threads of ``counts``, which must include every
-    thread of the instance.  The first ``closure`` or ``refutes`` call
+    thread of the instance.  The first ``closure`` or ``visible`` call
     given the relaxation fills it from ``start``: a ``Closure`` of a
     relaxation of it, a ``Relaxation`` of one, or None for program order.
     An unfilled ``Relaxation`` start is passed over for the nearest filled
@@ -250,31 +250,27 @@ class Relaxation:
             raise CycleError("the relaxation has no closure")
         return self.order
 
-    def refutes(self, inst: VscInstance, read: Event) -> bool:
-        """True when rule 1 fails for ``read`` on this relaxation's closure,
-        which is where ``closure(inst, self)`` steps it first; the
-        relaxation is filled from ``inst`` as by ``closed``.
-
-        ``inst`` must be the relaxation plus ``read``, the next event of its
-        thread: with other new events, a check that ignored them could
-        refute a realizable instance.  The read is stepped at its
-        program-order clock, its predecessor's row with its own entry at
-        ``index - 1``.  A relaxation without a closure refutes every
-        instance it relaxes.
-        """
+    def visible(self, read: Event, inst: Optional[VscInstance] = None):
+        """Rule 1's per-read half (see ``_visible``) for ``read``, the next
+        event of its thread, at its program-order clock on this relaxation's
+        closure, where ``closure`` steps it first, keyed by thread id.
+        ``inst``, the relaxation plus ``read``, fills the relaxation as by
+        ``closed`` and may be left out once it is filled: with other new
+        events, a check that ignored them could refute a realizable
+        instance.  Without a closure nothing is visible."""
         counts = self.counts
-        if len(inst.events) != sum(counts.values()) + 1 or read.index != counts.get(read.thread, -1) + 1:
+        if read.index != counts.get(read.thread, -1) + 1 or inst and len(inst.events) != sum(counts.values()) + 1:
             raise VscError(f"the instance is not the relaxation plus read {read.eid}")
         try:
             order = self.closed(inst)
         except CycleError:
-            return True
-        gw, init = inst.good_writes[read.eid], inst.init_eid(read.var)
-        entry = _read_entry(read, gw, init, order.pos, order.writes_of)
-        ru = entry[1]
+            return {}, False
+        ru = order.pos[read.thread]
         chain = order.rows[ru]
         prev = chain[-1] if chain else (0,) * len(order.threads)
-        return _visible(order.rows, entry, prev[:ru] + (read.index - 1,) + prev[ru + 1 :]) is None
+        clock = prev[:ru] + (read.index - 1,) + prev[ru + 1 :]
+        ranges, init = _visible(order.rows, order.writes_of.get(read.var, {}), clock, ru, read.index, itemgetter(ru))
+        return {order.threads[u]: r for u, r in ranges.items()}, init
 
 
 class GoodWrites(frozenset):
@@ -300,60 +296,66 @@ class GoodWrites(frozenset):
         return self
 
 
-def _read_entry(r: Event, gw: frozenset[EventId], init: EventId, pos: dict[int, int], writes_of):
+def _read_entry(r: Event, gw: frozenset[EventId], init: EventId, pos: dict[int, int]):
     """What ``_step`` needs of read ``r``: its id and position, its good
-    writes, whether the initial write ``init`` is one of them, the
-    conflicting writes, and per writing thread position the sorted indices
-    of its good writes (see ``GoodWrites``)."""
+    writes, whether the initial write ``init`` is one of them, its variable
+    (new writes of which leave the entry as it is), and per writing thread
+    position the sorted indices of its good writes (see ``GoodWrites``)."""
     if not isinstance(gw, GoodWrites):
         gw = GoodWrites(gw)
     good = {pos[t]: g for t, g in gw.indices.items()}
     ru = pos[r.thread]
-    return (r.eid, ru, r.index, itemgetter(ru), gw, init in gw, writes_of.get(r.var, {}), good)
+    return (r.eid, ru, r.index, itemgetter(ru), gw, init in gw, r.var, good)
 
 
-def _visible(rows: list, read, clock: tuple[int, ...]):
-    """Rule 1 for one read entry whose clock row is ``clock``: None when no
-    good write stays visible, else the per-thread least and greatest members
-    of Cl(r), as ``(u, index)`` lists, and whether the initial write is in
-    Cl(r).  A read outside ``rows`` has no event after it, so every write
-    not below it may be visible."""
-    _, ru, ri, after_r, _, init_good, conf, good = read
+def _visible(rows: list, conf: Mapping[int, list[int]], clock: tuple, ru: int, ri: int, after_r, only=None):
+    """Rule 1's per-read half, for read ``ri`` of the thread at position
+    ``ru`` (``after_r`` reads it off a row) with clock row ``clock`` and
+    write lists ``conf``: per writing thread position (among ``only``, if
+    given) with visible conflicting writes, their index range ``[lo, end)``,
+    and whether the initial write stays visible.  A read outside ``rows``
+    has no successor."""
     last = {}
     for u, indices in conf.items():
         n = bisect_right(indices, clock[u])
         if n:
             last[u] = indices[n - 1]
-    # per thread, the least and greatest member of Cl(r) there; the
-    # visible range of thread u starts at its last write below r unless
-    # another thread's last write below r hides it
-    mins: list[tuple[int, int]] = []
-    maxs: list[tuple[int, int]] = []
-    for u, g in good.items():
-        i = last.get(u, 0)
+    # the visible range of thread u starts at its last write below r unless
+    # another thread's last write below r hides it, and ends at its first
+    # event after r; below r only that last write can be visible
+    ranges = {}
+    for u in conf if only is None else only:
+        indices, i = conf[u], last.get(u, 0)
         if i and not any(i <= rows[v][j - 1][u] for v, j in last.items() if v != u):
             lo = i
         else:
             lo = clock[u] + 1
-        a = bisect_left(g, lo)
-        if a == len(g):
+        if indices[-1] < lo:
             continue
-        if g[-1] <= clock[u]:
-            b = a + 1  # only the last write below r can be visible
+        if indices[-1] <= clock[u]:
+            ranges[u] = (lo, lo + 1)
         else:
-            # the first event of thread u after r ends the range
-            end = ri + 1 if u == ru else bisect_left(rows[u], ri, key=after_r) + 1
-            b = bisect_left(g, end)
-        if a < b:
-            mins.append((u, g[a]))
-            maxs.append((u, g[b - 1]))
-    init_in_cl = init_good and not last
-    if not mins and not init_in_cl:
-        return None
-    return mins, maxs, init_in_cl
+            ranges[u] = (lo, ri + 1 if u == ru else bisect_left(rows[u], ri, key=after_r) + 1)
+    return ranges, not last
 
 
-def _step(order: ClockOrder, read, touched: list) -> None:
+def extremes(ranges: Mapping[int, tuple[int, int]], good: Mapping[int, list[int]]):
+    """Rule 1's per-group half: per thread of ``good``, sorted good write
+    indices keyed as ``ranges`` is, the least and greatest of them in its
+    visible range, as two ``(thread, index)`` lists: the extremes of Cl(r)."""
+    mins, maxs = [], []
+    for u, g in good.items():
+        if u in ranges:
+            lo, end = ranges[u]
+            a = bisect_left(g, lo)
+            b = bisect_left(g, end, a)
+            if a < b:
+                mins.append((u, g[a]))
+                maxs.append((u, g[b - 1]))
+    return mins, maxs
+
+
+def _step(order: Closure, read, touched: list) -> None:
     """Apply the four rules for one read entry; the rows that new edges
     rewrite go to ``touched`` (see ``ClockOrder.add``).
 
@@ -361,13 +363,15 @@ def _step(order: ClockOrder, read, touched: list) -> None:
     the conflicting writes.  Raises CycleError when rule 1 fails or an edge
     would close a cycle.
     """
-    reid, ru, ri, _, gw, _, conf, _ = read
+    reid, ru, ri, after_r, gw, init_good, var, good = read
     threads, rows = order.threads, order.rows
+    conf = order.writes_of.get(var, {})
     clock = rows[ru][ri - 1]
-    cl = _visible(rows, read, clock)
-    if cl is None:
+    ranges, init_visible = _visible(rows, conf, clock, ru, ri, after_r, good)
+    mins, maxs = extremes(ranges, good)
+    init_in_cl = init_good and init_visible
+    if not mins and not init_in_cl:
         raise CycleError(f"no good write of {reid} stays visible")
-    mins, maxs, init_in_cl = cl
 
     # rule 2: the least member goes before r; the initial write, when in
     # Cl(r), is least and adds nothing
@@ -430,7 +434,12 @@ def _extend(
     r, so it changes no rule of r.  Edges only add predecessors, so it stays
     after r.  A step that adds edges puts back every read whose own row
     they rewrote and every read of a variable one of whose write rows they
-    rewrote; no other read's rules can have changed.
+    rewrote; no other read's rules can have changed.  It never puts back
+    its own read r: rule 2 orders before r only the least member of Cl(r),
+    which no good write of Cl(r) precedes, so Cl(r) does not change, and
+    rules 3 and 4 add only edges from bad writes already below r and from
+    r to a write that no member of Cl(r) follows, which change no row or
+    range that r's rules read.
     """
     if good_writes is None:
         good_writes = inst.good_writes
@@ -470,17 +479,14 @@ def _extend(
                 writes_of[e.var].setdefault(u, []).append(e.index)
     queue: deque[EventId] = deque()
     for var, first in new_writes.items():
-        conf = writes_of[var]
         for reid in reads_of.get(var, ()):
-            entry = entries[reid]
-            entries[reid] = (*entry[:6], conf, entry[7])
-            ru, ri = entry[1], entry[2]
+            ru, ri = entries[reid][1:3]
             if any(rows[u][i - 1][ru] < ri for u, i in first.items()):
                 queue.append(reid)
     new_reads: set[str] = set()  # variables whose read lists were copied
     for reid in fresh:
         r = chains[reid[0]][reid[1] - 1]
-        entries[reid] = _read_entry(r, good_writes[reid], inst.init_eid(r.var), pos, writes_of)
+        entries[reid] = _read_entry(r, good_writes[reid], inst.init_eid(r.var), pos)
         if r.var not in new_reads:
             new_reads.add(r.var)
             reads_of[r.var] = list(reads_of.get(r.var, ()))
@@ -504,10 +510,10 @@ def _extend(
                     if a < len(indices) and indices[a] <= end:
                         again.extend(reads_of.get(var, ()))
         touched.clear()
-        for reid in again:
-            if reid not in queued:
-                queued.add(reid)
-                queue.append(reid)
+        for r in again:
+            if r != reid and r not in queued:
+                queued.add(r)
+                queue.append(r)
     return closed
 
 
@@ -542,22 +548,22 @@ def closure(
     edges update.
 
     The fixpoint is a worklist of reads: a read is stepped again only when
-    an edge rewrote its own clock row or a row of one of its variable's
-    writes, the only rows its rules read.  Without ``start`` it begins at
-    program order with every read on it.  With ``start``, the closure of a
+    another read's edge rewrote its own clock row or a row of one of its
+    variable's writes, the only rows its rules read.  Without ``start`` it
+    begins at program order with every read on it.  With ``start``, the closure of a
     relaxation of ``inst`` (per-thread prefixes of its events, some of its
     reads constrained by the same good writes), it begins at a copy of that
     closure, which every rule of the relaxation already holds in: the new
     events get program-order rows, and the worklist holds only the newly
     constrained reads and the reads of variables with new writes that not
     all of those writes already follow.  A ``Relaxation`` start is filled
-    by its first call, or by ``Relaxation.refutes``, which decides rule 1
-    for a read added to the relaxation without copying it.  The order
-    covers the threads of the start, which must include every thread of
-    ``inst``.  The tests check against the explicit-pairs reference in
-    ``tests/reference_closure.py`` that the order is the one passes in
-    event order reach from program order, and on the acceptance fuzz corpus
-    that starting from a relaxation changes nothing.
+    by its first call, or by ``Relaxation.visible``, which decides rule 1's
+    per-read half for a read added to the relaxation without copying it.
+    The order covers the threads of the start, which must include every
+    thread of ``inst``.  The tests check against the explicit-pairs
+    reference in ``tests/reference_closure.py`` that the order is the one
+    passes in event order reach from program order, and on the acceptance
+    fuzz corpus that starting from a relaxation changes nothing.
     """
     try:
         base = start.closed(inst) if isinstance(start, Relaxation) else start

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from rvfmc import ExploreOptions, explore, parse_program, rvf_key
 from rvfmc.program import Event
 from rvfmc.semantics import CycleError
-from rvfmc.vsc import Relaxation, SolverOptions, VscError, VscInstance, closure, verify_sc
+from rvfmc.vsc import GoodWrites, Relaxation, SolverOptions, VscError, VscInstance, closure, extremes, verify_sc
 from reference_closure import reference_closure, respects
 from reference_oracle import (
     brute_force_vsc,
@@ -167,11 +167,19 @@ def test_closure_from_relaxation_matches_on_fuzz_corpus():
             assert_same_closure(closure(variant, start), closure(variant), variant)
 
 
+def node_refutes(node: Relaxation, inst: VscInstance, read: Event) -> bool:
+    """The explorer's node check: no good write of ``read`` in ``inst``,
+    the initial write included, lies in the ranges ``node.visible`` gives."""
+    ranges, init_visible = node.visible(read, inst)
+    gw = GoodWrites(inst.good_writes[read.eid])
+    return not extremes(ranges, gw.indices)[0] and not (init_visible and inst.init_eid(read.var) in gw)
+
+
 def test_node_refutation_sound_on_fuzz_corpus():
     """The acceptance fuzz corpus: for every thread whose last event is a
     read r and whose relaxation without r has a closure, as an explorer
-    node's does, the relaxation refutes the instance only when the instance
-    has no closure and no witness."""
+    node's does, the relaxation's visible ranges refute the instance only
+    when the instance has no closure and no witness."""
     rng = random.Random(20260808)
     checks = refuted = 0
     for _ in range(10000):
@@ -189,7 +197,7 @@ def test_node_refutation_sound_on_fuzz_corpus():
             except CycleError:
                 continue  # an explorer node's trace always closes
             checks += 1
-            if node.refutes(inst, r):
+            if node_refutes(node, inst, r):
                 refuted += 1
                 assert closure(inst) is None, (inst.events, inst.good_writes)
                 assert brute_force_vsc(inst) is None, (inst.events, inst.good_writes)
@@ -197,22 +205,25 @@ def test_node_refutation_sound_on_fuzz_corpus():
 
 
 def test_node_refutation_needs_one_new_read():
-    """A relaxation decides rule 1 only for an instance that is the
+    """A relaxation gives visible ranges only for an instance that is the
     relaxation plus the read: a second new event, or a read inside the
-    relaxation, is an error."""
+    relaxation, is an error.  Once filled, it needs no instance."""
     inst = VscInstance(
         (Event(1, 1, "W", "x", 1), Event(1, 2, "R", "x"), Event(2, 1, "W", "x", 2)),
         {(1, 2): frozenset({(2, 1)})},
     )
     read = inst.events[1]
     with pytest.raises(VscError):
-        Relaxation(None, {1: 1, 2: 0}, {}).refutes(inst, read)
+        Relaxation(None, {1: 1, 2: 0}, {}).visible(read, inst)
     with pytest.raises(VscError):
-        Relaxation(None, {1: 2, 2: 0}, {}).refutes(inst, read)
-    assert not Relaxation(None, {1: 1, 2: 1}, {}).refutes(inst, read)
+        Relaxation(None, {1: 2, 2: 0}, {}).visible(read, inst)
+    node = Relaxation(None, {1: 1, 2: 1}, {})
+    assert not node_refutes(node, inst, read)
+    # the own write (1, 1) is below the read and visible, as is all of thread 2
+    assert node.visible(read) == ({1: (1, 2), 2: (1, 2)}, False)
     # reading the initial write after the thread's own write of x fails rule 1
     stale = VscInstance(inst.events, {(1, 2): frozenset({(0, 1)})})
-    assert Relaxation(None, {1: 1, 2: 1}, {}).refutes(stale, read)
+    assert node_refutes(Relaxation(None, {1: 1, 2: 1}, {}), stale, read)
 
 
 @st.composite
