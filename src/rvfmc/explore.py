@@ -32,7 +32,7 @@ What a node reads, it reads without scanning the whole trace:
   its members' indices per writing thread, sorted once and then read by
   every closure that constrains its read.  The groups of a variable are
   kept until its sources change, so the nodes down a path that see the
-  same writes group them once;
+  same writes group them once, and a release's singleton once per run;
 * copied per child: the good-writes map, which gains the child's read, and
   the causal map, shallowly, since an entry is replaced and never changed.
 
@@ -182,6 +182,8 @@ class _Explorer:
         self.signals: dict[EventId, _Signal] = {}
         # per plain variable, the last sources grouped and their groups
         self.grouped: dict[str, tuple[list[Event], list[GoodWrites]]] = {}
+        # per mutex release, its singleton group
+        self.singletons: dict[EventId, GoodWrites] = {}
         self.report = ExplorationReport(options=options)
         self.solver_options = options.solver()
 
@@ -211,7 +213,8 @@ class _Explorer:
                 chain = chains[t - 1]
                 if i <= len(chain) and chain[i - 1].kind == "R" and chain[i - 1].var == read.var:
                     consumed |= group
-            return [GoodWrites((w.eid,)) for w in sources if w.eid not in consumed]
+            free = [w.eid for w in sources if w.eid not in consumed]
+            return [self.singletons.get(e) or self.singletons.setdefault(e, GoodWrites((e,))) for e in free]
         # The nodes down a path mostly see the same writes of a variable,
         # and two lists of the same event objects compare without calling
         # Event.__eq__.

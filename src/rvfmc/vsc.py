@@ -12,7 +12,7 @@ per variable, its active (latest) write.  Two prefixes with equal witness
 state are extendable by exactly the same suffixes, so one of them can be
 dropped.  The search is a loop over one set of step functions, ``_Steps``,
 which the unit tests drive too.  ``_Steps`` compiles the instance to
-integers once per call: threads and variables become positions, the
+integers once per search: threads and variables become positions, the
 initial write of every variable is write code 0 and the program writes are
 codes 1..W, and each read carries its good writes as a bitmask over codes.
 A state is ``(counts, active)``, with ``active`` the write code per
@@ -22,6 +22,14 @@ active write of ``v`` by thread ``u`` is ``u``'s last write of ``v`` among
 its first ``counts[u]`` events, so the code and the thread determine each
 other.  The number of distinct states is therefore at most
 prod_t(n_t + 1) * (k + 1)^d, which bounds the search.
+
+Before it compiles ``_Steps``, ``verify_sc`` walks the path that the search
+pops first (the *dive*), taking from each state the successor that
+``candidates``, ``greedy`` and ``push_order`` put on top of the stack.  That
+successor is always new: the states pushed before it at its depth (the sum
+of its counts) are its siblings, which advance other threads.  So a dive
+that runs every event is the search's own witness after exactly n + 1 pops,
+and only a dive that dead-ends leaves the instance to the search.
 
 Three independently switchable accelerations:
 
@@ -48,7 +56,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, le
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .program import Event, EventId
@@ -168,13 +176,6 @@ class VscInstance:
 
     def init_eid(self, var: str) -> EventId:
         return (0, self.variables.index(var) + 1)
-
-    def state_bound(self) -> int:
-        """prod_t(n_t + 1) * (k + 1)^d: the limit on distinct witness states."""
-        bound = 1
-        for chain in self.by_thread.values():
-            bound *= len(chain) + 1
-        return bound * (len(self.threads) + 1) ** len(self.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +621,7 @@ def _validate_witness(inst: VscInstance, seq: tuple[Event, ...]) -> None:
 
 class _Steps:
     """The step functions of the witness search, compiled to integers once
-    per ``verify_sc`` call.
+    per ``verify_sc`` call whose dive dead-ends.
 
     Threads are named by their position ``u`` in ``inst.threads`` and
     variables by their index ``j`` in ``inst.variables``.  Write code 0 is
@@ -804,6 +805,65 @@ class _Steps:
         return tuple(seq)
 
 
+def _dive(inst: VscInstance, order: Optional[ClockOrder], aux: Optional[Sequence[Event]], greedy: bool):
+    """The search's first path (see the module docstring), or None when it
+    dead-ends.  A variable's held bit changes only when one of its events
+    runs, since a read's needs are indices of writes of its variable."""
+    good_writes = inst.good_writes
+    keys = None if aux is None else {e.eid: i for i, e in enumerate(aux)}
+    reads_of: dict[str, list[EventId]] = {}
+    for e in inst.events:
+        if e.kind == "R":
+            reads_of.setdefault(e.var, []).append(e.eid)
+    ran = dict.fromkeys(inst.threads, 0)  # per thread id, the events run and the next one
+    nxt = {t: chain[0] if chain else None for t, chain in inst.by_thread.items()}
+    if order is not None:
+        rows, done = {t: order.rows[order.pos[t]] for t in nxt}, [0] * len(order.threads)
+    active = {v: (0, i) for i, v in enumerate(inst.variables, 1)}
+    held: dict[str, bool] = {}
+
+    def pending(var: str) -> Iterable[GoodWrites]:  # those of the reads of var yet to run
+        gws = (good_writes[r] for r in reads_of.get(var, ()) if r[1] > ran[r[0]])
+        return (gw if isinstance(gw, GoodWrites) else GoodWrites(gw) for gw in gws)
+
+    seq: list[Event] = []
+    for _ in range(len(inst.events)):
+        cands = []  # thread ids, which ascend with thread positions
+        for t, e in nxt.items():
+            if e is None or order is not None and not all(map(le, rows[t][ran[t]], done)):
+                continue
+            if e.kind == "R" and active[e.var] in good_writes[e.eid]:
+                cands.append(t)
+                if greedy:  # rule 1
+                    cands = [t]
+                    break
+            elif e.kind == "W":
+                if e.var not in held:
+                    held[e.var] = any(all(ran[u] >= g[-1] for u, g in gw.indices.items()) for gw in pending(e.var))
+                if not held[e.var]:
+                    cands.append(t)
+        if not cands:
+            return None
+        if greedy and len(cands) > 1:  # rule 2; every candidate is a write
+            for t in cands:
+                aw, w = active[nxt[t].var], nxt[t].eid
+                if aw[0] and not any(aw in gw or w in gw for gw in pending(nxt[t].var)):
+                    cands = [t]
+                    break
+        t = cands[0] if keys is None or len(cands) == 1 else min(cands, key=lambda u: keys[nxt[u].eid])
+        e = nxt[t]
+        seq.append(e)
+        ran[t] += 1
+        chain = inst.by_thread[t]
+        nxt[t] = chain[ran[t]] if ran[t] < len(chain) else None
+        if order is not None:
+            done[order.pos[t]] += 1
+        if e.kind == "W":
+            active[e.var] = e.eid
+        held.pop(e.var, None)
+    return tuple(seq)
+
+
 def verify_sc(
     inst: VscInstance,
     options: SolverOptions = SolverOptions(),
@@ -812,20 +872,28 @@ def verify_sc(
 ) -> VscResult:
     """Decide realizability; return a validated witness when one exists.
 
-    The worklist is a LIFO stack of witness states, each with a pointer to
-    the path that reached it; a successor is pushed only when its witness
-    state is new.  ``states_processed`` counts popped states and never
-    exceeds ``inst.state_bound()``.  With closure on, the pre-pass is one
-    call of ``closure(inst, start)``, whose order the result keeps: a
-    ``start`` that closes a relaxation of ``inst`` lets the pre-pass extend
-    that closure instead of closing ``inst`` from program order.
+    The dive, the search's first path (see the module docstring), runs
+    first; only when it dead-ends is ``_Steps`` compiled and searched.  The
+    worklist is a LIFO stack of witness states, each with a pointer to the
+    path that reached it; a successor is pushed only when its witness state
+    is new.  ``states_processed`` counts popped states, ``n + 1`` for a
+    dive, within the module docstring's bound.  With closure on, the
+    pre-pass is one call of ``closure(inst, start)``, whose order the result
+    keeps: a ``start`` that closes a relaxation of ``inst`` lets the
+    pre-pass extend that closure instead of closing ``inst`` from program
+    order.
     """
     order = None
     if options.closure:
         order = closure(inst, start)
         if order is None:
             return VscResult(None, 0)
-    steps = _Steps(inst, order, aux if options.guided else None)
+    aux = aux if options.guided else None
+    witness = _dive(inst, order, aux, options.greedy)
+    if witness is not None:
+        _validate_witness(inst, witness)
+        return VscResult(witness, len(witness) + 1, order)
+    steps = _Steps(inst, order, aux)
     n = len(inst.events)
 
     done = {steps.start}
@@ -898,17 +966,6 @@ def parse_instance(text: str) -> VscInstance:
         except (IndexError, ValueError) as exc:
             raise VscError(f"line {lineno}: {exc}") from None
     return VscInstance(tuple(events), good_writes)
-
-
-def format_instance(inst: VscInstance) -> str:
-    lines = []
-    for e in sorted(inst.events, key=lambda e: e.eid):
-        v = f" {e.value}" if e.kind == "W" else ""
-        lines.append(f"E {e.thread} {e.index} {e.kind} {e.var}{v}")
-    for reid in sorted(inst.good_writes):
-        ws = " ".join(f"{t}.{i}" for t, i in sorted(inst.good_writes[reid]))
-        lines.append(f"G {reid[0]} {reid[1]} : {ws}")
-    return "\n".join(lines) + "\n"
 
 
 def format_witness(seq: Iterable[Event]) -> str:

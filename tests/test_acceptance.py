@@ -17,6 +17,7 @@ from rvfmc.vsc import SolverOptions, closure, verify_sc
 from corpus import PROGRAMS, one_var_family, many_threads_family
 from reference_closure import respects
 from reference_oracle import brute_force_vsc, census, enumerate_maximal_traces, iter_vsc_witnesses
+from reference_vsc import state_bound
 from test_fuzz import random_instance, random_linearization
 
 FUZZ_COUNT = int(os.environ.get("RVFMC_FUZZ_COUNT", "10000"))
@@ -185,7 +186,7 @@ def test_criterion_7_ablation_invariance(corpus_runs):
 def test_criterion_8_state_bound(fuzz_corpus):
     worst = 0.0
     for inst, aux in fuzz_corpus:
-        bound = inst.state_bound()
+        bound = state_bound(inst)
         for opt in ALL_SOLVER_OPTIONS:
             res = verify_sc(inst, opt, aux=aux if opt.guided else None)
             assert res.states_processed <= bound

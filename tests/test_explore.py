@@ -406,6 +406,47 @@ def test_sb_ring_witness_states_pinned(k, states):
             assert (rep.vsc_calls, rep.node_refutations) == (230, 166), (greedy, aux)
 
 
+def test_sb_ring_solver_calls_compile_no_steps(monkeypatch):
+    """Every solver call on a store-buffer ring of five threads (the
+    benchmark's sb-ring-5 up to names) is answered by the dive, the
+    search's first path, so no call compiles ``_Steps``; the witness states
+    stay those pinned above."""
+    vsc = sys.modules["rvfmc.vsc"]
+    built = 0
+
+    class Counting(vsc._Steps):
+        def __init__(self, *args):
+            nonlocal built
+            built += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(vsc, "_Steps", Counting)
+    rep = explore(parse_program(sb_ring(5)))
+    assert (rep.vsc_calls, rep.witness_states, built) == (230, 3294, 0)
+
+
+def test_mutex_singleton_groups_made_once_per_release(monkeypatch):
+    """A mutex read groups each release it may take as a singleton, made
+    once per release and shared by every later read of the mutex: on a lock
+    counter of four threads there are five releases (the initial write and
+    four unlocks), whatever the number of acquire reads."""
+    explore_module = sys.modules["rvfmc.explore"]
+    made = []
+
+    def counting(eids):
+        made.append(tuple(eids))
+        return GoodWrites(eids)
+
+    monkeypatch.setattr(explore_module, "GoodWrites", counting)
+    source = "\n".join(f"thread t{i} {{ lock m; a = read x; write x a + 1; unlock m; }}" for i in range(1, 5))
+    program = parse_program(source)
+    rep = explore(program)
+    assert rep.leaf_count == 24
+    releases = {program.init_event("m").eid} | {(t, 4) for t in range(1, 5)}
+    singletons = [eids for eids in made if set(eids) <= releases]
+    assert sorted(singletons) == sorted((eid,) for eid in releases)
+
+
 def leaf_outputs(rep):
     return [(ex.events, ex.values, ex.violations, ex.deadlocked) for ex in rep.traces], rep.rvf_keys
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvfmc import ExploreOptions, explore, parse_program, rvf_key
+from rvfmc import vsc
 from rvfmc.program import Event
 from rvfmc.semantics import CycleError
 from rvfmc.vsc import GoodWrites, Relaxation, SolverOptions, VscError, VscInstance, closure, extremes, verify_sc
@@ -23,6 +24,7 @@ from reference_oracle import (
     iter_vsc_witnesses,
     reference_rvf_key,
 )
+from reference_vsc import state_bound
 
 ALL_SOLVER_OPTIONS = [SolverOptions(*bits) for bits in itertools.product([False, True], repeat=3)]
 
@@ -67,7 +69,7 @@ def check_instance(inst: VscInstance, aux: list[Event]) -> None:
     for opt in ALL_SOLVER_OPTIONS:
         res = verify_sc(inst, opt, aux=aux if opt.guided else None)
         assert res.realizable == realizable, (opt, inst.events, inst.good_writes)
-        assert res.states_processed <= inst.state_bound()
+        assert res.states_processed <= state_bound(inst)
         if res.witness is not None:
             # returned witnesses are validated internally; re-check reads here
             active = {v: inst.init_eid(v) for v in inst.variables}
@@ -89,6 +91,36 @@ def test_solver_agrees_with_brute_force_quick():
     for _ in range(400):
         inst = random_instance(rng)
         check_instance(inst, random_linearization(inst, rng))
+
+
+def test_dive_is_the_search_first_path(monkeypatch):
+    """Under every solver option: a dive that runs every event is the
+    witness that the search from the empty prefix returns, on a fresh
+    ``_Steps``, after n + 1 pops; and whenever that search finds a witness
+    after n + 1 pops, the dive finds it too.  ``verify_sc`` returns what
+    the search does either way."""
+    rng = random.Random(11)
+    corpus = [(inst, random_linearization(inst, rng)) for inst in (random_instance(rng) for _ in range(600))]
+    dives = 0
+    for inst, aux in corpus:
+        n = len(inst.events)
+        for opt in ALL_SOLVER_OPTIONS:
+            order = closure(inst) if opt.closure else None
+            if opt.closure and order is None:
+                continue
+            guided = aux if opt.guided else None
+            dive = vsc._dive(inst, order, guided, opt.greedy)
+            result = verify_sc(inst, opt, aux=aux)
+            with monkeypatch.context() as m:
+                m.setattr(vsc, "_dive", lambda *args: None)
+                search = verify_sc(inst, opt, aux=aux)
+            assert (result.witness, result.states_processed) == (search.witness, search.states_processed)
+            if dive is not None:
+                dives += 1
+                assert (search.witness, search.states_processed) == (dive, n + 1), (opt, inst)
+            elif search.witness is not None:
+                assert search.states_processed > n + 1, (opt, inst)
+    assert dives > 0
 
 
 # -- closure against the pairs-based reference ------------------------------------

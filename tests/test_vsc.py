@@ -10,13 +10,14 @@ from rvfmc import Event, SolverOptions, VscInstance, closure, verify_sc
 from rvfmc.vsc import (
     VscError,
     _Steps,
+    _dive,
     _validate_witness,
-    format_instance,
     format_witness,
     parse_instance,
 )
 from reference_closure import respects
 from reference_oracle import brute_force_vsc, iter_vsc_witnesses
+from reference_vsc import format_instance, state_bound
 
 ALL_OPTIONS = [SolverOptions(*bits) for bits in itertools.product([False, True], repeat=3)]
 
@@ -345,7 +346,23 @@ def test_state_counter_bounded():
     inst = inst_cyclic()
     for opt in ALL_OPTIONS:
         res = verify_sc(inst, opt)
-        assert res.states_processed <= inst.state_bound()
+        assert res.states_processed <= state_bound(inst)
+
+
+def test_dive_dead_end_falls_back_to_the_search():
+    """Thread 3 must read a write of thread 1 or 2 after its own write.  The
+    dive runs 1.1, 2.1 and 2.2 first; the read then holds x, so 3.1 cannot
+    run, and the dive dead-ends under every option.  The search from the
+    empty prefix backtracks once and pops 7 states, one more than the
+    straight path's n + 1."""
+    w11, w21, w22 = Event(1, 1, "W", "x", 2), Event(2, 1, "W", "x", 2), Event(2, 2, "W", "x", 2)
+    w31, r32 = Event(3, 1, "W", "x", 0), Event(3, 2, "R", "x")
+    inst = VscInstance((w11, w21, w22, w31, r32), {r32.eid: frozenset({w11.eid, w21.eid, w22.eid})})
+    for opt in ALL_OPTIONS:
+        aux = inst.events if opt.guided else None
+        assert _dive(inst, closure(inst) if opt.closure else None, aux, opt.greedy) is None, opt
+        res = verify_sc(inst, opt, aux=aux)
+        assert (res.witness, res.states_processed) == ((w11, w21, w31, w22, r32), 7), opt
 
 
 # -- guided order --------------------------------------------------------------
