@@ -9,23 +9,35 @@ equal key, so the digest does not depend on the key's encoding), and the
 solver calls, node refutations, witness states and deadlocks.
 The JSON is canonical: keys sorted, sets written as sorted lists, so the
 digest does not depend on ``PYTHONHASHSEED``.  A change that is meant to
-leave the explorer's decisions alone must leave the digest alone; run this
-file as a script to print the digest of the current tree.
+leave the explorer's decisions alone must leave the digest alone.
+
+The solver digest covers ``verify_sc`` alone: per seeded ``random_instance``
+draw and its ``random_linearization`` as auxiliary trace, under all 8
+``SolverOptions``, the verdict, the witness's event ids and the states
+processed.  It pins the exact state counts of calls that backtrack, which
+the explorer's digest reaches only through the bench shapes.  Run this file
+as a script to print both digests of the current tree.
 """
 
 import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
-from rvfmc import ExploreOptions, explore, parse_program
+from rvfmc import ExploreOptions, SolverOptions, explore, parse_program, verify_sc
 from corpus import PROGRAMS
+from test_fuzz import random_instance, random_linearization
 
 ALL_EXPLORE_OPTIONS = [ExploreOptions(*bits) for bits in itertools.product([True, False], repeat=4)]
 
 PROGRAM_DIR = Path(__file__).resolve().parent.parent / "programs"
 
 GOLDEN_SHA256 = "67b504b12bee8a1c7c6b98b92dccd5f3581f74bec3aa9afa22004b6e03a5f7f1"
+
+ALL_SOLVER_OPTIONS = [SolverOptions(*bits) for bits in itertools.product([False, True], repeat=3)]
+
+SOLVER_SHA256 = "2571260c71d2fe909f1d9076b16a1b799a16c7283f705aaecbc6a72d64d8a519"
 
 
 def bench_shapes() -> dict[str, str]:
@@ -91,9 +103,28 @@ def golden_digest() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def solver_digest(draws: int = 2000, seed: int = 20261019) -> str:
+    runs = []
+    rng = random.Random(seed)
+    for _ in range(draws):
+        inst = random_instance(rng)
+        aux = random_linearization(inst, rng)
+        for options in ALL_SOLVER_OPTIONS:
+            res = verify_sc(inst, options, aux=aux)
+            witness = None if res.witness is None else [list(e.eid) for e in res.witness]
+            runs.append([res.realizable, witness, res.states_processed])
+    text = json.dumps(runs, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_explorer_output_matches_golden_digest():
     assert golden_digest() == GOLDEN_SHA256
 
 
+def test_solver_output_matches_solver_digest():
+    assert solver_digest() == SOLVER_SHA256
+
+
 if __name__ == "__main__":
     print(golden_digest())
+    print(solver_digest())
