@@ -1,10 +1,11 @@
 """Ground truth by exhaustive schedule enumeration: every maximal trace, and
 the census of their equivalence classes.
 
-``iter_maximal_traces`` yields every maximal trace, and ``count_classes``
-counts their reads-value-from, reads-from and commutation (Mazurkiewicz)
-classes without keeping the traces.  Everything here is deliberately
-heuristic-free so it can stand as an independent oracle for the explorer:
+``_maximal`` drives one trace through every maximal trace, and
+``count_classes`` counts their reads-value-from, reads-from and
+commutation (Mazurkiewicz) classes without keeping the traces.  Everything
+here is deliberately heuristic-free so it can stand as an independent
+oracle for the explorer:
 the independence comes from enumerating every schedule, not from a second
 interpreter or a second key.  The keys come from ``semantics.KeyBuilder``
 (its rvf key is the explorer's), which the tests check against keys built on
@@ -12,7 +13,8 @@ explicit pairs.  The depth-first search drives one ``program.Trace``, and
 the census one builder beside it, over an explicit stack, so six-figure
 schedule spaces stay within desk-scale budgets and trace length is not
 bounded by the recursion limit.  The materializing census and brute-force
-realizability oracle that the tests compare against live in
+realizability oracle that the tests compare against, and the enumeration of
+the maximal traces as frozen ``Execution``s, live in
 ``tests/reference_oracle.py``.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .program import Event, Execution, Program, Trace, empty_trace, extend
+from .program import Event, Program, Trace, empty_trace, extend
 from .semantics import KeyBuilder
 
 
@@ -66,12 +68,6 @@ def _maximal(
                 e = trace.undo()
                 if on_undo is not None:
                     on_undo(e)
-
-
-def iter_maximal_traces(program: Program, budget: int = 10_000_000) -> Iterator[Execution]:
-    """Yield every maximal trace reachable by any scheduler, in DFS order."""
-    for trace in _maximal(empty_trace(program), budget):
-        yield trace.freeze()
 
 
 # ---------------------------------------------------------------------------

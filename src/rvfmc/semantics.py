@@ -43,8 +43,8 @@ class ClockOrder:
     ``rows[u][j]`` is the clock of the (j+1)-th event of thread
     ``threads[u]``: entry ``v`` counts the events of ``threads[v]`` that
     precede it (for its own thread, ``j``).  Predecessors in a thread always
-    form a prefix, so ``less(a, b)`` is one comparison, and clocks never
-    decrease along a thread.  ``pairs`` is built on demand.
+    form a prefix, so whether ``a`` precedes ``b`` is one comparison, and
+    clocks never decrease along a thread.
     """
 
     __slots__ = ("threads", "pos", "rows")
@@ -53,15 +53,6 @@ class ClockOrder:
         self.threads = tuple(threads)
         self.pos = {t: u for u, t in enumerate(self.threads)}
         self.rows: list[list[tuple[int, ...]]] = [[] for _ in self.threads]
-
-    def clock(self, eid: EventId) -> tuple[int, ...]:
-        return self.rows[self.pos[eid[0]]][eid[1] - 1]
-
-    def less(self, a: EventId, b: EventId) -> bool:
-        u, v = self.pos.get(a[0]), self.pos.get(b[0])
-        if u is None or v is None or not 1 <= b[1] <= len(self.rows[v]):
-            return False
-        return 1 <= a[1] <= self.rows[v][b[1] - 1][u]
 
     def add(self, a: EventId, b: EventId, touched: Optional[list] = None) -> bool:
         """Order ``a`` before ``b``, with everything that implies.
@@ -99,15 +90,6 @@ class ClockOrder:
             if touched is not None and j > first:
                 touched.append((u, first, j))
         return True
-
-    @property
-    def pairs(self) -> frozenset[tuple[EventId, EventId]]:
-        out = set()
-        for t, chain in zip(self.threads, self.rows):
-            for j, clock in enumerate(chain, start=1):
-                for u, n in zip(self.threads, clock):
-                    out.update(((u, i), (t, j)) for i in range(1, n + 1))
-        return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,30 +6,31 @@ conflicting writes (program writes of X, or the initial write of the read's
 variable).  A *witness* is a linearization of X that respects program order
 in which every read reads-from one of its good writes.
 
-``verify_sc`` decides witness existence by a depth-first search over witness
-prefixes, memoized on the *witness state*: the per-thread event counts plus,
-per variable, its active (latest) write.  Two prefixes with equal witness
-state are extendable by exactly the same suffixes, so one of them can be
-dropped.  The search is a loop over one set of step functions, ``_Steps``,
-which the unit tests drive too.  ``_Steps`` compiles the instance to
-integers once per search: threads and variables become positions, the
-initial write of every variable is write code 0 and the program writes are
-codes 1..W, and each read carries its good writes as a bitmask over codes.
-A state is ``(counts, active)``, with ``active`` the write code per
-variable, and it is its own memo key.  This merges exactly the states that
-a key of per-variable writing *threads* merges: given ``counts``, the
-active write of ``v`` by thread ``u`` is ``u``'s last write of ``v`` among
-its first ``counts[u]`` events, so the code and the thread determine each
-other.  The number of distinct states is therefore at most
-prod_t(n_t + 1) * (k + 1)^d, which bounds the search.
+``verify_sc`` decides witness existence by one depth-first search over
+witness prefixes, ``_search``.  Its state is the prefix it has run, kept as
+per-thread event counts, per-variable active (latest) writes and a held
+bit per variable, all changed in place: running an event advances them and
+backtracking undoes the last event.  The successors of a prefix are the
+threads whose next event is executable (a read whose active write is good,
+or a write to a variable that no unrun read holds, with its closure
+predecessors run), narrowed by the greedy rules and run in push-key order.
 
-Before it compiles ``_Steps``, ``verify_sc`` walks the path that the search
-pops first (the *dive*), taking from each state the successor that
-``candidates``, ``greedy`` and ``push_order`` put on top of the stack.  That
-successor is always new: the states pushed before it at its depth (the sum
-of its counts) are its siblings, which advance other threads.  So a dive
-that runs every event is the search's own witness after exactly n + 1 pops,
-and only a dive that dead-ends leaves the instance to the search.
+The search prunes on the *witness state*: the per-thread event counts plus,
+per variable, the id of its active write.  Two prefixes with equal witness
+state are extendable by exactly the same suffixes, so a successor whose
+state was reached before is not run.  As in a stack search, a state is
+marked when its prefix becomes a successor, not when it runs, so the
+search runs the same states in the same order as a LIFO stack search.  The
+memo is built only at the first dead end, from the path and the successors
+still waiting beside it, since until then nothing can be pruned: the
+successors of one prefix advance different threads, and prefixes of
+different lengths differ in the sums of their counts.  A search that never
+backtracks (its first descent, the *dive*) therefore runs n + 1 states
+and builds no memo.
+Given the counts, the active write of a variable is the last write of it
+among the run events of one thread, or the initial write, so it takes at
+most k + 1 values, and the number of distinct states is at most
+prod_t(n_t + 1) * (k + 1)^d, which bounds the search.
 
 Three independently switchable accelerations:
 
@@ -46,8 +47,7 @@ Three independently switchable accelerations:
   relaxation of its instance and step only the reads that the new events
   and constraints concern;
 * guided search -- with an auxiliary trace over the same events, the
-  depth-first stack is fed candidates in reverse trace order so that they
-  pop in trace order.
+  successors of a prefix run in trace order instead of thread order.
 """
 
 from __future__ import annotations
@@ -619,215 +619,58 @@ def _validate_witness(inst: VscInstance, seq: tuple[Event, ...]) -> None:
                 raise RuntimeError(f"witness read {e.eid} reads a non-good write {src}")
 
 
-class _Steps:
-    """The step functions of the witness search, compiled to integers once
-    per ``verify_sc`` call whose dive dead-ends.
-
-    Threads are named by their position ``u`` in ``inst.threads`` and
-    variables by their index ``j`` in ``inst.variables``.  Write code 0 is
-    the initial write of every variable, and codes 1..W are the instance's
-    program writes.  ``chains[u][i]`` is the record of the (i+1)-th event of
-    thread ``u``: ``(is_read, j, bits, cpred, key, event)``, where ``bits``
-    is a read's good-write bitmask (bit c set when write c is good) or a
-    write's code, ``cpred`` lists closure predecessors as ``(v, c)``, thread
-    ``v`` must have run ``c`` events first, and ``key`` is the push key.
-    ``reads_of[j]`` holds ``(u, index, need)`` for each read of variable j,
-    where ``need`` pairs each writing thread with the index of its last good
-    write, and ``readers[c]`` the ``(u, index)`` of the reads that count
-    write c good; ``lengths[u]`` is the number of events of thread ``u``.
-
-    A search state is ``(counts, active)``: per thread, how many of its
-    events have run, and per variable, the code of its active (latest)
-    write.  The state is the memo key; given ``counts``, the code of an
-    active write and the thread that wrote it determine each other (see the
-    module docstring), so this merges the same prefixes as a key of writing
-    threads.  ``cpred`` holds only the components of an event's closure
-    clock that grew since its thread's previous event.  The others held
-    when that event ran, since it was executable then, and counts never
-    decrease along a path; an event is asked about only when it is next in
-    its thread, after that previous event, so ``candidates`` answers as if
-    it compared the whole clock.  With ``aux``, the push key is the
-    event's position in that trace; without, it is the thread position,
-    which orders a frontier, one event per thread, by event id.
-    """
-
-    __slots__ = ("chains", "lengths", "reads_of", "readers", "start")
-
-    def __init__(
-        self,
-        inst: VscInstance,
-        order: Optional[ClockOrder] = None,
-        aux: Optional[Sequence[Event]] = None,
-    ):
-        threads, variables, by_thread = inst.threads, inst.variables, inst.by_thread
-        tpos = {t: u for u, t in enumerate(threads)}
-        vpos = {v: j for j, v in enumerate(variables)}
-        code: dict[EventId, int] = {}
-        for t in threads:
-            for e in by_thread[t]:
-                if e.kind == "W":
-                    code[e.eid] = len(code) + 1
-        if order is not None:
-            # the order may cover threads without events here, so its clock
-            # positions map to this instance's by thread id
-            at = [tpos.get(t) for t in order.threads]
-        keys = None if aux is None else {e.eid: i for i, e in enumerate(aux)}
-        good_writes = inst.good_writes
-        self.reads_of: list[list[tuple]] = [[] for _ in variables]
-        self.readers: list[list[tuple[int, int]]] = [[] for _ in range(len(code) + 1)]
-        self.chains: list[list[tuple]] = []
-        for u, t in enumerate(threads):
-            chain = []
-            if order is not None:
-                ou = order.pos[t]
-                clocks = order.rows[ou]
-                # the own entry grows by one from event to event (from -1
-                # to 0 at the first), so a larger growth of the clock's sum
-                # means that another entry grew
-                prev, total = (0,) * len(at), -1
-                others = [v for v in range(len(at)) if v != ou]
-            for i, e in enumerate(by_thread[t]):
-                cpred = ()
-                if order is not None:
-                    clock = clocks[i]
-                    s = sum(clock)
-                    if s > total + 1:
-                        cpred = tuple([(at[v], clock[v]) for v in others if clock[v] != prev[v]])
-                    prev, total = clock, s
-                key = u if keys is None else keys[e.eid]
-                j = vpos[e.var]
-                if e.kind == "W":
-                    chain.append((False, j, code[e.eid], cpred, key, e))
-                    continue
-                bits = 0
-                need: dict[int, int] = {}
-                for w in good_writes[e.eid]:
-                    if w[0]:
-                        c = code[w]
-                        bits |= 1 << c
-                        self.readers[c].append((u, e.index))
-                        v = tpos[w[0]]
-                        need[v] = max(need.get(v, 0), w[1])
-                    else:
-                        bits |= 1
-                self.reads_of[j].append((u, e.index, tuple(need.items())))
-                chain.append((True, j, bits, cpred, key, e))
-            self.chains.append(chain)
-        self.lengths = tuple(map(len, self.chains))
-        self.start = ((0,) * len(threads), (0,) * len(variables))
-
-    def advance(self, u: int, counts: tuple[int, ...], active: tuple[int, ...]):
-        """The state after running the next event of thread ``u``."""
-        read, j, bits, _, _, _ = self.chains[u][counts[u]]
-        counts = counts[:u] + (counts[u] + 1,) + counts[u + 1 :]
-        if not read:
-            active = active[:j] + (bits,) + active[j + 1 :]
-        return counts, active
-
-    def held(self, j: int, counts: tuple[int, ...]) -> bool:
-        """True when some unexecuted read of variable ``j`` has all its good writes executed."""
-        for u, i, need in self.reads_of[j]:
-            if i > counts[u]:
-                for v, n in need:
-                    if counts[v] < n:
-                        break
-                else:
-                    return True
-        return False
-
-    def useless(self, c: int, counts: tuple[int, ...]) -> bool:
-        """True when no unexecuted read counts write ``c`` among its good writes."""
-        for u, i in self.readers[c]:
-            if i > counts[u]:
-                return False
-        return True
-
-    def candidates(self, counts: tuple[int, ...], active: tuple[int, ...]) -> list[int]:
-        """The threads whose next event is executable, in position order: it
-        has its closure predecessors run, and it is a read with a good write
-        active, a bitmask test, or a write whose variable is not held."""
-        chains = self.chains
-        out = []
-        for u, (n, c) in enumerate(zip(self.lengths, counts)):
-            if c < n:
-                read, j, bits, cpred, _, _ = chains[u][c]
-                for v, k in cpred:
-                    if counts[v] < k:
-                        break
-                else:
-                    if read:
-                        if (bits >> active[j]) & 1:
-                            out.append(u)
-                    elif not self.held(j, counts):
-                        out.append(u)
-        return out
-
-    def greedy(self, cands: list[int], counts: tuple[int, ...], active: tuple[int, ...]) -> Optional[int]:
-        """The forced step among ``cands``, if one applies.
-
-        Rule 1: an executable read is taken, the first in position order,
-        which has the least event id.  Rule 2: when the active write of some
-        variable is useless to every remaining read, an equally useless
-        executable write to that variable replaces it (the first such in
-        position order).  Returns None when neither rule fires.
-        """
-        chains = self.chains
-        for u in cands:
-            if chains[u][counts[u]][0]:
-                return u
-        for u in cands:
-            _, j, c, _, _, _ = chains[u][counts[u]]
-            aw = active[j]
-            # rule 2 needs an active write in the sequence, not the initial one
-            if aw and self.useless(aw, counts) and self.useless(c, counts):
-                return u
-        return None
-
-    def push_order(self, cands: list[int], counts: tuple[int, ...]) -> list[int]:
-        """``cands`` in reverse push-key order, so that LIFO pops follow it."""
-        if len(cands) < 2:
-            return cands
-        chains = self.chains
-        return sorted(cands, key=lambda u: chains[u][counts[u]][4], reverse=True)
-
-    def witness(self, path) -> tuple[Event, ...]:
-        """The events of ``path``, a chain of ``(u, parent)`` ending in None
-        for the empty prefix, from the start."""
-        order = []
-        while path is not None:
-            u, path = path
-            order.append(u)
-        ran = [0] * len(self.chains)
-        seq = []
-        for u in reversed(order):
-            seq.append(self.chains[u][ran[u]][5])
-            ran[u] += 1
-        return tuple(seq)
+def _marked(start, frames: list[list[int]], seq: list[Event], advance) -> set:
+    """The witness states marked at ``_search``'s first dead end: those of
+    the path ``seq`` from ``start`` and of the successors still waiting in
+    its ``frames``, the states that a stack search would have pushed."""
+    state = start
+    memo = {state}
+    for waiting, e in zip(frames, seq):
+        memo.update(advance(state, t) for t in waiting)
+        state = advance(state, e.thread)
+        memo.add(state)
+    return memo
 
 
-def _dive(inst: VscInstance, order: Optional[ClockOrder], aux: Optional[Sequence[Event]], greedy: bool):
-    """The search's first path (see the module docstring), or None when it
-    dead-ends.  A variable's held bit changes only when one of its events
-    runs, since a read's needs are indices of writes of its variable."""
-    good_writes = inst.good_writes
+def _search(inst: VscInstance, order: Optional[ClockOrder], aux: Optional[Sequence[Event]], greedy: bool):
+    """The witness search (see the module docstring): a witness or None,
+    and the states processed.  A variable's held bit changes only when one
+    of its events runs or is undone, since a read's needs are indices of
+    writes of its variable."""
+    good_writes, by_thread, n = inst.good_writes, inst.by_thread, len(inst.events)
     keys = None if aux is None else {e.eid: i for i, e in enumerate(aux)}
     reads_of: dict[str, list[EventId]] = {}
     for e in inst.events:
         if e.kind == "R":
             reads_of.setdefault(e.var, []).append(e.eid)
     ran = dict.fromkeys(inst.threads, 0)  # per thread id, the events run and the next one
-    nxt = {t: chain[0] if chain else None for t, chain in inst.by_thread.items()}
+    nxt = {t: chain[0] if chain else None for t, chain in by_thread.items()}
     if order is not None:
         rows, done = {t: order.rows[order.pos[t]] for t in nxt}, [0] * len(order.threads)
     active = {v: (0, i) for i, v in enumerate(inst.variables, 1)}
     held: dict[str, bool] = {}
+    tpos, vpos = {t: u for u, t in enumerate(ran)}, {v: j for j, v in enumerate(active)}
+    start = (0,) * len(ran), tuple(active.values())
 
     def pending(var: str) -> Iterable[GoodWrites]:  # those of the reads of var yet to run
         gws = (good_writes[r] for r in reads_of.get(var, ()) if r[1] > ran[r[0]])
         return (gw if isinstance(gw, GoodWrites) else GoodWrites(gw) for gw in gws)
 
+    def advance(state, t: int):  # the witness state after the next event of thread t
+        counts, acts = state
+        u = tpos[t]
+        e = by_thread[t][counts[u]]
+        if e.kind == "W":
+            j = vpos[e.var]
+            acts = acts[:j] + (e.eid,) + acts[j + 1 :]
+        return counts[:u] + (counts[u] + 1,) + counts[u + 1 :], acts
+
     seq: list[Event] = []
-    for _ in range(len(inst.events)):
+    before: list[EventId] = []  # per write of seq, its variable's active write before it
+    frames: list[list[int]] = []  # per depth, the successors yet to run, last to run first
+    memo: Optional[set] = None
+    undone = 0  # the events undone; each ran as a state of its own
+    while len(seq) < n:
         cands = []  # thread ids, which ascend with thread positions
         for t, e in nxt.items():
             if e is None or order is not None and not all(map(le, rows[t][ran[t]], done)):
@@ -842,26 +685,55 @@ def _dive(inst: VscInstance, order: Optional[ClockOrder], aux: Optional[Sequence
                     held[e.var] = any(all(ran[u] >= g[-1] for u, g in gw.indices.items()) for gw in pending(e.var))
                 if not held[e.var]:
                     cands.append(t)
-        if not cands:
-            return None
         if greedy and len(cands) > 1:  # rule 2; every candidate is a write
             for t in cands:
                 aw, w = active[nxt[t].var], nxt[t].eid
                 if aw[0] and not any(aw in gw or w in gw for gw in pending(nxt[t].var)):
                     cands = [t]
                     break
-        t = cands[0] if keys is None or len(cands) == 1 else min(cands, key=lambda u: keys[nxt[u].eid])
+        if len(cands) > 1:  # into push-key order, last first
+            if keys is None:
+                cands.reverse()
+            else:
+                cands.sort(key=lambda u: keys[nxt[u].eid], reverse=True)
+        frame = cands
+        if memo is not None:
+            state, frame = (tuple(ran.values()), tuple(active.values())), []
+            for t in cands:
+                s = advance(state, t)
+                if s not in memo:
+                    memo.add(s)
+                    frame.append(t)
+        elif not frame:
+            memo = _marked(start, frames, seq, advance)
+        frames.append(frame)
+        while not frame:  # undo the last event
+            frames.pop()
+            if not frames:
+                return None, len(seq) + undone + 1
+            e = seq.pop()
+            ran[e.thread] -= 1
+            nxt[e.thread] = e
+            if order is not None:
+                done[order.pos[e.thread]] -= 1
+            if e.kind == "W":
+                active[e.var] = before.pop()
+            held.pop(e.var, None)
+            undone += 1
+            frame = frames[-1]
+        t = frame.pop()
         e = nxt[t]
         seq.append(e)
         ran[t] += 1
-        chain = inst.by_thread[t]
+        chain = by_thread[t]
         nxt[t] = chain[ran[t]] if ran[t] < len(chain) else None
         if order is not None:
             done[order.pos[t]] += 1
         if e.kind == "W":
+            before.append(active[e.var])
             active[e.var] = e.eid
         held.pop(e.var, None)
-    return tuple(seq)
+    return tuple(seq), n + undone + 1
 
 
 def verify_sc(
@@ -872,54 +744,23 @@ def verify_sc(
 ) -> VscResult:
     """Decide realizability; return a validated witness when one exists.
 
-    The dive, the search's first path (see the module docstring), runs
-    first; only when it dead-ends is ``_Steps`` compiled and searched.  The
-    worklist is a LIFO stack of witness states, each with a pointer to the
-    path that reached it; a successor is pushed only when its witness state
-    is new.  ``states_processed`` counts popped states, ``n + 1`` for a
-    dive, within the module docstring's bound.  With closure on, the
-    pre-pass is one call of ``closure(inst, start)``, whose order the result
-    keeps: a ``start`` that closes a relaxation of ``inst`` lets the
-    pre-pass extend that closure instead of closing ``inst`` from program
-    order.
+    The search is ``_search`` (see the module docstring).
+    ``states_processed`` counts the states that it ran: the empty prefix
+    and one per event run, so ``n + 1`` when it never backtracks, within
+    the module docstring's bound.  With closure on, the pre-pass is one
+    call of ``closure(inst, start)``, whose order the result keeps: a
+    ``start`` that closes a relaxation of ``inst`` lets the pre-pass extend
+    that closure instead of closing ``inst`` from program order.
     """
     order = None
     if options.closure:
         order = closure(inst, start)
         if order is None:
             return VscResult(None, 0)
-    aux = aux if options.guided else None
-    witness = _dive(inst, order, aux, options.greedy)
+    witness, processed = _search(inst, order, aux if options.guided else None, options.greedy)
     if witness is not None:
         _validate_witness(inst, witness)
-        return VscResult(witness, len(witness) + 1, order)
-    steps = _Steps(inst, order, aux)
-    n = len(inst.events)
-
-    done = {steps.start}
-    # a path is (thread position, parent path), or None for the empty prefix
-    stack = [(None, 0, steps.start)]
-    processed = 0
-    while stack:
-        path, depth, (counts, active) = stack.pop()
-        processed += 1
-        if depth == n:
-            witness = steps.witness(path)
-            _validate_witness(inst, witness)
-            return VscResult(witness, processed, order)
-
-        cands = steps.candidates(counts, active)
-        if options.greedy and cands:
-            forced = steps.greedy(cands, counts, active)
-            if forced is not None:
-                cands = [forced]
-        for u in steps.push_order(cands, counts):
-            state = steps.advance(u, counts, active)
-            if state not in done:
-                done.add(state)
-                stack.append(((u, path), depth + 1, state))
-
-    return VscResult(None, processed, order)
+    return VscResult(witness, processed, order)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The pairs-based reference for the vector-clock orders of ``rvfmc``.
 
 ``_Order`` stores a strict order as transitively closed successor and
-predecessor sets.  The tests check ``ClockOrder.add`` against it,
-``reference_oracle`` builds on it the causal order behind the reference rvf
-key, and ``reference_closure`` computes on it the closure that the
+predecessor sets, and ``clock_less`` and ``clock_pairs`` read a
+``ClockOrder`` in the same terms.  The tests check ``ClockOrder.add``
+against it, ``reference_oracle`` builds on it the causal order behind the
+reference rvf key, and ``reference_closure`` computes on it the closure that the
 clock-based ``vsc.closure`` is checked against: it evaluates the four
 closure rules on every write of a read's variable, so each read costs
 O(W^2) per pass.  It is slow but direct, which is what a reference should
@@ -15,6 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from rvfmc.program import Event, EventId
+from rvfmc.semantics import ClockOrder
 from rvfmc.vsc import VscInstance
 
 
@@ -53,10 +55,30 @@ class _Order:
         return True
 
 
-def respects(seq: Sequence[Event], order) -> bool:
-    """True when every pair of ``order.pairs`` appears in that order in ``seq``."""
+def clock_less(order: ClockOrder, a: EventId, b: EventId) -> bool:
+    """True when ``a`` precedes ``b`` in ``order``: one clock comparison.
+    Ids outside the order (initial writes, absent threads, indices outside
+    a chain) are unordered."""
+    u, v = order.pos.get(a[0]), order.pos.get(b[0])
+    if u is None or v is None or not 1 <= b[1] <= len(order.rows[v]):
+        return False
+    return 1 <= a[1] <= order.rows[v][b[1] - 1][u]
+
+
+def clock_pairs(order: ClockOrder) -> frozenset[tuple[EventId, EventId]]:
+    """``order`` as explicit pairs, as ``_Order.pairs`` gives them."""
+    out = set()
+    for t, chain in zip(order.threads, order.rows):
+        for j, clock in enumerate(chain, start=1):
+            for u, n in zip(order.threads, clock):
+                out.update(((u, i), (t, j)) for i in range(1, n + 1))
+    return frozenset(out)
+
+
+def respects(seq: Sequence[Event], order: ClockOrder) -> bool:
+    """True when every pair of ``order`` appears in that order in ``seq``."""
     at = {e.eid: i for i, e in enumerate(seq)}
-    return all(a in at and b in at and at[a] < at[b] for a, b in order.pairs)
+    return all(a in at and b in at and at[a] < at[b] for a, b in clock_pairs(order))
 
 
 def reference_closure(inst: VscInstance) -> Optional[_Order]:

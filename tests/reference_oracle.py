@@ -20,10 +20,16 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
-from rvfmc.oracle import iter_maximal_traces
-from rvfmc.program import Event, EventId, Execution, Program
+from rvfmc.oracle import _maximal
+from rvfmc.program import Event, EventId, Execution, Program, empty_trace
 from rvfmc.vsc import VscInstance
 from reference_closure import _Order
+
+
+def iter_maximal_traces(program: Program, budget: int = 10_000_000) -> Iterator[Execution]:
+    """Yield every maximal trace reachable by any scheduler, in DFS order."""
+    for trace in _maximal(empty_trace(program), budget):
+        yield trace.freeze()
 
 
 def enumerate_maximal_traces(program: Program, budget: int = 10_000_000) -> list[Execution]:

@@ -183,6 +183,27 @@ def test_bundled_instance_unrealizable(capsys):
     assert rec["realizable"] is False and rec["witness"] is None
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [(), ("--no-closure",), ("--no-closure", "--no-greedy", "--no-aux-trace")],
+    ids=["default", "no-closure", "none"],
+)
+def test_bundled_dead_end_instance_backtracks(capsys, flags):
+    """The search's first descent into ``dead_end.inst`` dead-ends, and it
+    backtracks once to its witness: 7 states for 5 events."""
+    code, rec = run_cli(capsys, "vsc", str(PROGRAMS_DIR / "dead_end.inst"), *flags)
+    assert code == 0
+    assert (rec["realizable"], rec["witness"], rec["witness_states"]) == (True, "1.1 2.1 3.1 2.2 3.2", 7)
+
+
+def test_bundled_instance_unrealizable_without_closure(capsys):
+    """Without closure the search itself refutes ``store_buffer.inst``: each
+    read holds its variable from the start, so neither write can run."""
+    code, rec = run_cli(capsys, "vsc", str(PROGRAMS_DIR / "store_buffer.inst"), "--no-closure")
+    assert code == 0
+    assert (rec["realizable"], rec["witness"], rec["witness_states"]) == (False, None, 1)
+
+
 def test_vsc_parse_error(tmp_path, capsys):
     f = tmp_path / "inst.txt"
     # a bad event kind; a second good-writes record for read 2.1

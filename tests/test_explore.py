@@ -406,23 +406,24 @@ def test_sb_ring_witness_states_pinned(k, states):
             assert (rep.vsc_calls, rep.node_refutations) == (230, 166), (greedy, aux)
 
 
-def test_sb_ring_solver_calls_compile_no_steps(monkeypatch):
+def test_sb_ring_solver_calls_never_backtrack(monkeypatch):
     """Every solver call on a store-buffer ring of five threads (the
-    benchmark's sb-ring-5 up to names) is answered by the dive, the
-    search's first path, so no call compiles ``_Steps``; the witness states
-    stay those pinned above."""
-    vsc = sys.modules["rvfmc.vsc"]
-    built = 0
+    benchmark's sb-ring-5 up to names) finds its witness on the search's
+    first descent: n + 1 states for n events.  The witness states stay
+    those pinned above."""
+    explore_module = sys.modules["rvfmc.explore"]
+    calls = []
+    search = explore_module.verify_sc
 
-    class Counting(vsc._Steps):
-        def __init__(self, *args):
-            nonlocal built
-            built += 1
-            super().__init__(*args)
+    def recording(inst, *args, **kwargs):
+        result = search(inst, *args, **kwargs)
+        calls.append((result.states_processed, len(inst.events) + 1))
+        return result
 
-    monkeypatch.setattr(vsc, "_Steps", Counting)
+    monkeypatch.setattr(explore_module, "verify_sc", recording)
     rep = explore(parse_program(sb_ring(5)))
-    assert (rep.vsc_calls, rep.witness_states, built) == (230, 3294, 0)
+    assert (rep.vsc_calls, rep.witness_states, len(calls)) == (230, 3294, 230)
+    assert all(states == straight for states, straight in calls)
 
 
 def test_mutex_singleton_groups_made_once_per_release(monkeypatch):

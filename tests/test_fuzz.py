@@ -16,7 +16,7 @@ from rvfmc import vsc
 from rvfmc.program import Event
 from rvfmc.semantics import CycleError
 from rvfmc.vsc import GoodWrites, Relaxation, SolverOptions, VscError, VscInstance, closure, extremes, verify_sc
-from reference_closure import reference_closure, respects
+from reference_closure import clock_pairs, reference_closure, respects
 from reference_oracle import (
     brute_force_vsc,
     encode_rvf_key,
@@ -94,42 +94,43 @@ def test_solver_agrees_with_brute_force_quick():
 
 
 def test_dive_is_the_search_first_path(monkeypatch):
-    """Under every solver option: a dive that runs every event is the
-    witness that the search from the empty prefix returns, on a fresh
-    ``_Steps``, after n + 1 pops; and whenever that search finds a witness
-    after n + 1 pops, the dive finds it too.  ``verify_sc`` returns what
-    the search does either way."""
+    """Under every solver option the search marks no witness state until
+    its first descent, the dive, dead-ends: it returns a witness after
+    exactly n + 1 states when, and only when, it never built its memo."""
     rng = random.Random(11)
     corpus = [(inst, random_linearization(inst, rng)) for inst in (random_instance(rng) for _ in range(600))]
-    dives = 0
+    built = 0
+    marked = vsc._marked
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return marked(*args)
+
+    monkeypatch.setattr(vsc, "_marked", counting)
+    dives = dead_ends = 0
     for inst, aux in corpus:
-        n = len(inst.events)
         for opt in ALL_SOLVER_OPTIONS:
-            order = closure(inst) if opt.closure else None
-            if opt.closure and order is None:
+            built = 0
+            res = verify_sc(inst, opt, aux=aux)
+            if opt.closure and res.closure is None:
                 continue
-            guided = aux if opt.guided else None
-            dive = vsc._dive(inst, order, guided, opt.greedy)
-            result = verify_sc(inst, opt, aux=aux)
-            with monkeypatch.context() as m:
-                m.setattr(vsc, "_dive", lambda *args: None)
-                search = verify_sc(inst, opt, aux=aux)
-            assert (result.witness, result.states_processed) == (search.witness, search.states_processed)
-            if dive is not None:
-                dives += 1
-                assert (search.witness, search.states_processed) == (dive, n + 1), (opt, inst)
-            elif search.witness is not None:
-                assert search.states_processed > n + 1, (opt, inst)
-    assert dives > 0
+            straight = res.realizable and res.states_processed == len(inst.events) + 1
+            assert straight == (built == 0) and built <= 1, (opt, inst)
+            dives += straight
+            dead_ends += built
+    assert dives > 0 and dead_ends > 0
 
 
 # -- closure against the pairs-based reference ------------------------------------
 
 
 def assert_same_closure(got, want, inst: VscInstance) -> None:
+    """``got``, a closure, has the pairs of ``want``, a closure or a reference order."""
     assert (got is None) == (want is None), (inst.events, inst.good_writes)
     if got is not None:
-        assert got.pairs == want.pairs, (inst.events, inst.good_writes)
+        want_pairs = clock_pairs(want) if isinstance(want, vsc.Closure) else want.pairs
+        assert clock_pairs(got) == want_pairs, (inst.events, inst.good_writes)
 
 
 def assert_closure_matches_reference(inst: VscInstance) -> None:
@@ -174,12 +175,12 @@ def test_closure_from_relaxation_matches_on_fuzz_corpus():
         inst = random_instance(rng)
         random_linearization(inst, rng)
         want = closure(inst)
-        want_pairs = want and want.pairs
+        want_pairs = want and clock_pairs(want)
         full = {t: len(chain) for t, chain in inst.by_thread.items()}
         cuts = list(prefix_cuts(inst))
         for counts, kept in cuts:
             got = closure(inst, Relaxation(None, counts, kept))
-            assert (got and got.pairs) == want_pairs, (counts, inst.events, inst.good_writes)
+            assert (got and clock_pairs(got)) == want_pairs, (counts, inst.events, inst.good_writes)
         counts, kept = cuts[len(cuts) // 2]
         chained = Relaxation(Relaxation(Relaxation(None, counts, kept), full, {}), full, inst.good_writes)
         assert_same_closure(closure(inst, chained), want, inst)

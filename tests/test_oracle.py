@@ -76,7 +76,7 @@ def test_long_trace_within_default_recursion_limit():
         """
         import sys
         from rvfmc import count_classes, parse_program
-        from rvfmc.oracle import iter_maximal_traces
+        from reference_oracle import iter_maximal_traces
 
         limit = sys.getrecursionlimit()
         p = parse_program("thread t { repeat 5000 { write x 1; } }")
@@ -89,7 +89,8 @@ def test_long_trace_within_default_recursion_limit():
         """
     )
     src = str(Path(rvfmc.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    tests = str(Path(__file__).resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )

@@ -7,15 +7,8 @@ from pathlib import Path
 import pytest
 
 from rvfmc import Event, SolverOptions, VscInstance, closure, verify_sc
-from rvfmc.vsc import (
-    VscError,
-    _Steps,
-    _dive,
-    _validate_witness,
-    format_witness,
-    parse_instance,
-)
-from reference_closure import respects
+from rvfmc.vsc import VscError, _validate_witness, format_witness, parse_instance
+from reference_closure import clock_less, respects
 from reference_oracle import brute_force_vsc, iter_vsc_witnesses
 from reference_vsc import format_instance, state_bound
 
@@ -161,111 +154,66 @@ def test_instance_chains_checked_against_events():
     assert VscInstance(events, gw, check=False, chains=wrong[0]).by_thread is wrong[0]
 
 
-# -- search steps ---------------------------------------------------------------
+# -- search choices -------------------------------------------------------------
 
 
-def position(inst, e):
-    """The thread position of ``e``, as the search steps take it."""
-    return inst.threads.index(e.thread)
+def searched(inst, opt, aux=None):
+    """The witness and the states processed of ``verify_sc``."""
+    res = verify_sc(inst, opt, aux=aux)
+    return res.witness, res.states_processed
 
 
-def state_after(inst, steps, seq):
-    """The search state ``(counts, active)`` after running ``seq`` from the
-    start, each event given to ``_Steps.advance`` as its thread position."""
-    counts, active = steps.start
-    for e in seq:
-        u = position(inst, e)
-        assert steps.chains[u][counts[u]][5] == e, f"{e!r} is not next in its thread"
-        counts, active = steps.advance(u, counts, active)
-    return counts, active
-
-
-def executable(steps, u, counts, active):
-    """True when the next event of thread ``u`` is executable in the state."""
-    return u in steps.candidates(counts, active)
-
-
-def code_of(inst, steps, w):
-    """The write code of program write ``w``."""
-    return steps.chains[position(inst, w)][w.index - 1][2]
-
-
-def greedy_step(inst, steps, seq):
-    """The event of the greedy choice among the executable frontier events
-    after ``seq``, or None."""
-    counts, active = state_after(inst, steps, seq)
-    u = steps.greedy(steps.candidates(counts, active), counts, active)
-    return None if u is None else steps.chains[u][counts[u]][5]
-
-
-def test_active_write_progression():
-    w11, w12, w21 = Event(1, 1, "W", "x", 1), Event(1, 2, "W", "x", 1), Event(2, 1, "W", "x", 1)
-    inst = VscInstance(
-        (w11, w12, w21, Event(2, 2, "R", "x")),
-        {(2, 2): frozenset({(1, 1), (1, 2), (2, 1)})},
-    )
-    steps = _Steps(inst)
-    codes = [code_of(inst, steps, w) for w in (w11, w12, w21)]
-    assert 0 not in codes and len(set(codes)) == 3  # code 0 is the initial write
-    assert state_after(inst, steps, ()) == ((0, 0), (0,))  # the initial write of x
-    assert state_after(inst, steps, (w11, w21)) == ((1, 1), (code_of(inst, steps, w21),))
-    # same thread writes twice
-    assert state_after(inst, steps, (w11, w12)) == ((2, 0), (code_of(inst, steps, w12),))
+NO_GREEDY_GUIDED = SolverOptions(greedy=False, closure=False, guided=True)
 
 
 def test_is_held():
-    w1 = Event(1, 1, "W", "x", 1)
-    w2 = Event(2, 1, "W", "x", 2)
-    r = Event(3, 1, "R", "x")
+    """r may read w1 or w2, so x is held only once both have run.  After
+    w1 alone the plain search still runs w2, the first thread in position
+    order, before r."""
+    w1, w2, r = Event(1, 1, "W", "x", 1), Event(2, 1, "W", "x", 2), Event(3, 1, "R", "x")
     inst = VscInstance((w1, w2, r), {r.eid: frozenset({w1.eid, w2.eid})})
-    steps = _Steps(inst)
-    x = inst.variables.index("x")
-    assert not steps.held(x, state_after(inst, steps, ())[0])
-    assert not steps.held(x, state_after(inst, steps, (w1,))[0])  # w2 still missing
-    assert steps.held(x, state_after(inst, steps, (w1, w2))[0])
-    assert not steps.held(x, state_after(inst, steps, (w1, w2, r))[0])  # r finished
+    assert searched(inst, SolverOptions.none()) == ((w1, w2, r), 4)
 
 
 def test_executable_conditions():
+    """A read is executable only once a good write is active, and with
+    closure on an event only once its closure predecessors have run."""
     inst = inst_2ev()
-    w, r = Event(1, 1, "W", "x", 1), Event(2, 1, "R", "x")
-    steps = _Steps(inst)
-    assert executable(steps, position(inst, w), *state_after(inst, steps, ()))
-    # good write not active yet
-    assert not executable(steps, position(inst, r), *state_after(inst, steps, ()))
-    assert executable(steps, position(inst, r), *state_after(inst, steps, (w,)))
-    # closure predecessors: r must read w2, so the bad write w1 goes before w2
+    w, r = inst.events
+    # the auxiliary trace puts r first, but its good write is not active yet
+    assert searched(inst, NO_GREEDY_GUIDED, aux=(r, w)) == ((w, r), 3)
+    # r1 must read w2, so the closure orders the bad write w1 before w2.
+    # Without it the search follows the auxiliary trace to w2, where r1
+    # holds x and w1 cannot run, and backtracks once.
     w1, r1, w2 = Event(1, 1, "W", "x", 1), Event(1, 2, "R", "x"), Event(2, 1, "W", "x", 2)
     inst = VscInstance((w1, r1, w2), {r1.eid: frozenset({w2.eid})})
-    plain, ordered = _Steps(inst), _Steps(inst, closure(inst))
-    u2 = position(inst, w2)
-    assert executable(plain, u2, *state_after(inst, plain, ()))
-    assert not executable(ordered, u2, *state_after(inst, ordered, ()))
-    assert executable(ordered, u2, *state_after(inst, ordered, (w1,)))
+    assert searched(inst, NO_GREEDY_GUIDED, aux=(w2, w1, r1)) == ((w1, w2, r1), 5)
+    ordered = SolverOptions(greedy=False, closure=True, guided=True)
+    assert searched(inst, ordered, aux=(w2, w1, r1)) == ((w1, w2, r1), 4)
 
 
 def test_write_to_held_variable_not_executable():
-    w1 = Event(1, 1, "W", "x", 1)
-    w2 = Event(2, 1, "W", "x", 2)
-    r = Event(3, 1, "R", "x")
+    """After w1, r holds x: w2 waits until r has run, so the plain search
+    runs r before w2 and never backtracks (5 states if w2 could run)."""
+    w1, w2, r = Event(1, 1, "W", "x", 1), Event(2, 1, "W", "x", 2), Event(3, 1, "R", "x")
     inst = VscInstance((w1, w2, r), {r.eid: frozenset({w1.eid})})
-    steps = _Steps(inst)
-    counts, active = state_after(inst, steps, (w1,))
-    assert steps.held(inst.variables.index("x"), counts)
-    assert not executable(steps, position(inst, w2), counts, active)
-    assert executable(steps, position(inst, r), counts, active)
-    assert steps.candidates(counts, active) == [position(inst, r)]
+    for opt in ALL_OPTIONS:
+        assert searched(inst, opt) == ((w1, r, w2), 4), opt
 
 
 def test_greedy_prefers_executable_read():
-    inst = inst_2ev()
-    choice = greedy_step(inst, _Steps(inst), (Event(1, 1, "W", "x", 1),))
-    assert choice is not None and choice.kind == "R"
+    """After w1 both w2 and r can run.  Rule 1 takes the read; the plain
+    search takes w2, the first thread in position order."""
+    w1, w2, r = Event(1, 1, "W", "x", 1), Event(2, 1, "W", "x", 2), Event(3, 1, "R", "x")
+    inst = VscInstance((w1, w2, r), {r.eid: frozenset({w1.eid, w2.eid})})
+    assert searched(inst, SolverOptions(greedy=True, closure=False, guided=False)) == ((w1, r, w2), 4)
+    assert searched(inst, SolverOptions.none()) == ((w1, w2, r), 4)
 
 
 def test_greedy_rule2_stale_writes():
-    """Two useless writes queued behind a useless active write: rule 2 picks
-    the replacement write; the verdict matches plain enumeration."""
+    """After 1.1 the useless active write of x may be replaced by the
+    equally useless 1.2: rule 2 takes it although the auxiliary trace puts
+    2.1 first.  The verdict matches plain enumeration."""
     events = (
         Event(1, 1, "W", "x", 1),
         Event(1, 2, "W", "x", 2),
@@ -273,23 +221,24 @@ def test_greedy_rule2_stale_writes():
         Event(2, 2, "R", "y"),
     )
     inst = VscInstance(events, {(2, 2): frozenset({(2, 1)})})
-    steps = _Steps(inst)
-    choice = greedy_step(inst, steps, events[:1])
-    assert choice is not None and choice.eid == (1, 2)
-    counts = state_after(inst, steps, events[:1])[0]
-    assert steps.useless(code_of(inst, steps, events[0]), counts)
-    assert not steps.useless(code_of(inst, steps, events[2]), counts)
+    aux = (events[0], events[2], events[3], events[1])
+    greedy = SolverOptions(greedy=True, closure=False, guided=True)
+    assert searched(inst, greedy, aux=aux) == (events, 5)
+    assert searched(inst, NO_GREEDY_GUIDED, aux=aux) == (aux, 5)
     fast = verify_sc(inst, SolverOptions(greedy=True, closure=False, guided=False))
     slow = verify_sc(inst, SolverOptions.none())
     assert fast.realizable == slow.realizable == (brute_force_vsc(inst) is not None)
 
 
 def test_greedy_neither_rule_applies():
-    w1 = Event(1, 1, "W", "x", 1)
-    r = Event(2, 1, "R", "x")
-    inst = VscInstance((w1, r), {r.eid: frozenset({w1.eid})})
-    # no executable read (w1 not active), no active write in the sequence
-    assert greedy_step(inst, _Steps(inst), ()) is None
+    """Three writes of x and no read.  At the start no read is executable
+    and the active write is the initial one, so greedy leaves the choice to
+    the auxiliary trace, which runs c first; c is then a useless active
+    write, and rule 2 replaces it with a, the first useless write in
+    position order."""
+    a, b, c = (Event(1, 1, "W", "x", 1), Event(2, 1, "W", "x", 1), Event(3, 1, "W", "x", 1))
+    inst = VscInstance((a, b, c), {})
+    assert searched(inst, SolverOptions(greedy=True, closure=False, guided=True), aux=(c, b, a)) == ((c, a, b), 4)
 
 
 # -- closure -----------------------------------------------------------------
@@ -303,7 +252,7 @@ def test_closure_orders_singleton_good_write():
     inst = inst_2ev()
     cl = closure(inst)
     assert cl is not None
-    assert cl.less((1, 1), (2, 1))
+    assert clock_less(cl, (1, 1), (2, 1))
 
 
 def test_closure_mutex_release_before_acquire():
@@ -319,7 +268,7 @@ def test_closure_mutex_release_before_acquire():
     )
     cl = closure(inst)
     assert cl is not None
-    assert cl.less(rel1.eid, acq2.eid)
+    assert clock_less(cl, rel1.eid, acq2.eid)
     w = verify_sc(inst).witness
     assert [e.eid for e in w] == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
@@ -360,7 +309,6 @@ def test_dive_dead_end_falls_back_to_the_search():
     inst = VscInstance((w11, w21, w22, w31, r32), {r32.eid: frozenset({w11.eid, w21.eid, w22.eid})})
     for opt in ALL_OPTIONS:
         aux = inst.events if opt.guided else None
-        assert _dive(inst, closure(inst) if opt.closure else None, aux, opt.greedy) is None, opt
         res = verify_sc(inst, opt, aux=aux)
         assert (res.witness, res.states_processed) == ((w11, w21, w31, w22, r32), 7), opt
 
@@ -369,17 +317,13 @@ def test_dive_dead_end_falls_back_to_the_search():
 
 
 def test_guided_order_reverses_aux_positions():
+    """Without greedy, the search runs the executable events in auxiliary
+    trace order, and without an auxiliary trace in thread position order."""
     a, b, c = (Event(1, 1, "W", "x", 1), Event(2, 1, "W", "x", 1), Event(3, 1, "W", "x", 1))
     inst = VscInstance((a, b, c), {})
-    guided = _Steps(inst, aux=[a, b, c])
-    ua, ub, uc = (position(inst, e) for e in (a, b, c))
-    counts = guided.start[0]
-    assert guided.push_order([ua, uc], counts) == [uc, ua]
-    assert guided.push_order([ub], counts) == [ub]
-    assert guided.push_order([ua, ub, uc], counts) == [uc, ub, ua]
-    # an aux trace out of event-id order, and no aux trace at all
-    assert _Steps(inst, aux=[b, a, c]).push_order([ua, ub, uc], counts) == [uc, ua, ub]
-    assert _Steps(inst).push_order([uc, ua, ub], counts) == [uc, ub, ua]
+    for aux in ([a, b, c], [b, a, c], [c, b, a]):
+        assert searched(inst, NO_GREEDY_GUIDED, aux=aux) == (tuple(aux), 4)
+    assert searched(inst, SolverOptions.none(), aux=[c, b, a]) == ((a, b, c), 4)
 
 
 def test_guided_search_same_verdicts():
