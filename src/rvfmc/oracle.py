@@ -5,17 +5,16 @@ the census of their equivalence classes.
 ``count_classes`` counts their reads-value-from, reads-from and
 commutation (Mazurkiewicz) classes without keeping the traces.  Everything
 here is deliberately heuristic-free so it can stand as an independent
-oracle for the explorer:
-the independence comes from enumerating every schedule, not from a second
-interpreter or a second key.  The keys come from ``semantics.KeyBuilder``
-(its rvf key is the explorer's), which the tests check against keys built on
-explicit pairs.  The depth-first search drives one ``program.Trace``, and
-the census one builder beside it, over an explicit stack, so six-figure
-schedule spaces stay within desk-scale budgets and trace length is not
-bounded by the recursion limit.  The materializing census and brute-force
-realizability oracle that the tests compare against, and the enumeration of
-the maximal traces as frozen ``Execution``s, live in
-``tests/reference_oracle.py``.
+oracle for the explorer: the independence comes from enumerating every
+schedule, not from a second interpreter or a second key.  The keys come
+from ``semantics.KeyBuilder`` (its rvf key is the explorer's), which the
+tests check against keys built on explicit pairs.  The depth-first search
+drives one ``program.Trace``, and the census one builder beside it, over
+an explicit stack, so six-figure schedule spaces stay within desk-scale
+budgets and trace length is not bounded by the recursion limit.  The
+materializing census and brute-force realizability oracle that the tests
+compare against, and the enumeration of the maximal traces as frozen
+``Execution``s, live in ``tests/reference_oracle.py``.
 """
 
 from __future__ import annotations

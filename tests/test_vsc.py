@@ -313,6 +313,27 @@ def test_dive_dead_end_falls_back_to_the_search():
         assert (res.witness, res.states_processed) == ((w11, w21, w31, w22, r32), 7), opt
 
 
+def test_closure_clocks_after_backtracking():
+    """With closure on and greedy off the search backtracks here, 13 states
+    for 8 events.  Undoing an event takes its count back from the clocks
+    that later candidates are checked against; a count left behind would
+    let an event run before its closure predecessors (14 states)."""
+    w11, w12, w21 = Event(1, 1, "W", "x", 2), Event(1, 2, "W", "x", 2), Event(2, 1, "W", "x", 2)
+    r31, r32, r33, r34 = (Event(3, i, "R", "x") for i in range(1, 5))
+    w35 = Event(3, 5, "W", "x", 0)
+    inst = VscInstance(
+        (w11, w12, w21, r31, r32, r33, r34, w35),
+        {
+            r31.eid: frozenset({(0, 1), w12.eid, w21.eid}),
+            r32.eid: frozenset({w11.eid, w35.eid}),
+            r33.eid: frozenset({w11.eid, w35.eid}),
+            r34.eid: frozenset({(0, 1), w12.eid}),
+        },
+    )
+    opt = SolverOptions(greedy=False, closure=True, guided=False)
+    assert searched(inst, opt) == ((w21, r31, w11, r32, r33, w12, r34, w35), 13)
+
+
 # -- guided order --------------------------------------------------------------
 
 
