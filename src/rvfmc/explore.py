@@ -36,17 +36,17 @@ What a node reads, it reads without scanning the whole trace:
 * copied per child: the good-writes map, which gains the child's read, and
   the causal map, shallowly, since an entry is replaced and never changed.
 
-With closure on, a node keeps the closure of its trace under its good
-writes (``vsc.Relaxation``), filled by the first group that needs a witness.
+With closure on, a node closes its trace under its good writes
+(``vsc.closure``) when its first group needs a witness, starting from the
+nearest ancestor's closure: a solver-witness child's starts from the
+closure of the call that produced its witness, a direct-witness child's
+from its parent's, or from the parent's own start if the parent made none.
 Rule 1 of the closure is decided there once per read, as the index ranges
-of the read's conflicting writes that stay visible (``Relaxation.visible``);
-a group with none of its good writes in them is refuted without an instance
+of the read's conflicting writes that stay visible (``vsc.visible``); a
+group with none of its good writes in them is refuted without an instance
 or a solver call, and every other one goes to the solver, whose closure
-starts from the node's.  The node's closure starts from the nearest
-ancestor's: a solver-witness child's from the closure of the call that
-produced its witness, a direct-witness child's from its parent's.
-Instances only grow down the recursion, so each closure extends one
-already closed instead of closing from program order.
+starts from the node's.  Instances only grow down the recursion, so each
+closure extends one already closed instead of closing from program order.
 
 A plain read processed without ever receiving a backtrack signal ends the
 loop: no compatible schedule assigns it a source beyond the current trace,
@@ -64,11 +64,11 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .program import Event, EventId, Execution, Program, Trace, empty_trace, extend, replay
 from .semantics import rvf_key
-from .vsc import Closure, GoodWrites, Relaxation, SolverOptions, VscInstance, extremes, verify_sc
+from .vsc import Closure, GoodWrites, SolverOptions, VscInstance, closure, extremes, verify_sc, visible
 
 CausalMap = dict[EventId, dict[int, int]]
 
@@ -192,7 +192,8 @@ class _Explorer:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, 4 * self.program.access_count() + 200))
         try:
-            self._node({}, empty_trace(self.program), {}, None)
+            root = Closure(range(1, len(self.program.threads) + 1)) if self.options.closure else None
+            self._node({}, empty_trace(self.program), {}, root)
         finally:
             sys.setrecursionlimit(limit)
         self.report.wall_time_ms = (time.perf_counter() - start) * 1000.0
@@ -232,10 +233,10 @@ class _Explorer:
         goodw: dict[EventId, frozenset[EventId]],
         trace: Trace,
         cmap: CausalMap,
-        start: Union[Closure, Relaxation, None],
+        start: Optional[Closure],
     ) -> None:
         """Explore below ``trace``, which is extended in place and left as it
-        was found; ``start`` closes a relaxation of the node's instance."""
+        was found; ``start`` closes a relaxation of the node's trace."""
         before = len(trace.events)
         extend_nonreads(trace)
         update_backtrack_signals(trace.events[before:], self.signals)
@@ -256,18 +257,14 @@ class _Explorer:
         goodw: dict[EventId, frozenset[EventId]],
         trace: Trace,
         cmap: CausalMap,
-        start: Union[Closure, Relaxation, None],
+        start: Optional[Closure],
     ) -> None:
         """Fix each value group of each enabled read in turn and explore
         below it.  A group the trace satisfies is a direct witness; with
         closure on, any other one is first checked against the read's visible
-        ranges on the node's closure (``vsc.Relaxation.visible``), and if it
-        passes becomes an instance, the trace plus the read, for the solver."""
-        if self.options.closure:
-            # the closure of this node's trace under goodw, filled by the
-            # first group that needs a witness; every check and solver call
-            # here starts from it
-            start = Relaxation(start, dict(enumerate(trace.counts, 1)), goodw)
+        ranges on the node's closure (``vsc.visible``), and if it passes
+        becomes an instance, the trace plus the read, for the solver."""
+        node = None  # the closure of this node's trace under goodw, made for the first group that needs a witness
         mutate = sorted(trace.enabled, key=lambda e: (e.eid in cmap, e.eid))
         for read in mutate:
             unmapped = read.eid not in cmap
@@ -286,11 +283,9 @@ class _Explorer:
                     if events is None:
                         events, chains = (*trace.events, read), _instance_chains(trace, read)
                         if self.options.closure:
-                            # rule 1's per-read half on the node's closure, filled by this group's instance
-                            fill = None if start.filled else VscInstance(
-                                events, {**goodw, read.eid: group}, self.program.globals, check=False, chains=chains
-                            )
-                            ranges, init_visible = start.visible(read, fill)
+                            if node is None:
+                                node = self._close(events, chains, read, goodw, start)
+                            ranges, init_visible = visible(node, read)
                     if self.options.closure and not extremes(ranges, group.indices)[0] and not (
                         init_visible and self.program.init_event(read.var).eid in group
                     ):
@@ -298,10 +293,10 @@ class _Explorer:
                         continue
                 goodw2 = {**goodw, read.eid: group}
                 if direct:
-                    witness_trace, child_start = extend(trace, read), start
+                    witness_trace, child_start = extend(trace, read), start if node is None else node
                 else:
                     inst = VscInstance(events, goodw2, universe=self.program.globals, check=False, chains=chains)
-                    found = self._witness(inst, start)
+                    found = self._witness(inst, node)
                     if found is None:
                         continue
                     witness_trace, child_start = found
@@ -318,9 +313,18 @@ class _Explorer:
             counts[0] = len(self.program.globals)
             cmap[read.eid] = counts
 
-    def _witness(
-        self, inst: VscInstance, start: Optional[Relaxation]
-    ) -> Optional[tuple[Trace, Optional[Closure]]]:
+    def _close(self, events, chains, read: Event, goodw, start: Optional[Closure]) -> Closure:
+        """The closure from ``start`` of the node's trace under ``goodw``,
+        sliced from ``events`` and ``chains``, the trace plus ``read``.  The
+        trace witnesses ``goodw``, so the closure exists."""
+        t = read.thread
+        chains = {u: chain[:-1] if u == t else chain for u, chain in chains.items() if u != t or len(chain) > 1}
+        order = closure(VscInstance(events[:-1], goodw, self.program.globals, check=False, chains=chains), start)
+        if order is None:
+            raise RuntimeError("the trace of an explorer node has no closure")
+        return order
+
+    def _witness(self, inst: VscInstance, start: Optional[Closure]) -> Optional[tuple[Trace, Optional[Closure]]]:
         """A fresh replay of a solver witness of ``inst``, the node's trace
         plus one read, and the closure of ``inst`` (with closure on), or
         None.  The instance is made of a trace's own events and writes, so

@@ -57,7 +57,7 @@ from collections import deque
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter, le
-from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .program import Event, EventId
 from .semantics import ClockOrder, CycleError
@@ -209,71 +209,6 @@ class Closure(ClockOrder):
         return new
 
 
-class Relaxation:
-    """The closure of a relaxation of the instances it starts, filled on first use.
-
-    The relaxation of an instance keeps the first ``counts[t]`` events of
-    each thread ``t`` and constrains the reads among them that
-    ``good_writes`` names, which must give them the instance's good writes.
-    Its order covers the threads of ``counts``, which must include every
-    thread of the instance.  The first ``closure`` or ``visible`` call
-    given the relaxation fills it from ``start``: a ``Closure`` of a
-    relaxation of it, a ``Relaxation`` of one, or None for program order.
-    An unfilled ``Relaxation`` start is passed over for the nearest filled
-    one it starts from, so no closure is computed that no call asked for.
-    """
-
-    __slots__ = ("start", "counts", "good_writes", "filled", "order")
-
-    def __init__(
-        self,
-        start: Union[Closure, "Relaxation", None],
-        counts: Mapping[int, int],
-        good_writes: Mapping[EventId, frozenset[EventId]],
-    ):
-        self.start = start
-        self.counts = counts
-        self.good_writes = good_writes
-        self.filled = False
-        self.order: Optional[Closure] = None  # stays None when the relaxation has no closure
-
-    def closed(self, inst: VscInstance) -> Closure:
-        """The closure of this relaxation of ``inst``; raises CycleError when it has none."""
-        if not self.filled:
-            self.filled = True
-            base = self.start
-            while isinstance(base, Relaxation) and not base.filled:
-                base = base.start
-            if isinstance(base, Relaxation):
-                base = base.closed(inst)
-            self.order = _extend(base, inst, self.counts, self.good_writes)
-        if self.order is None:
-            raise CycleError("the relaxation has no closure")
-        return self.order
-
-    def visible(self, read: Event, inst: Optional[VscInstance] = None):
-        """Rule 1's per-read half (see ``_visible``) for ``read``, the next
-        event of its thread, at its program-order clock on this relaxation's
-        closure, where ``closure`` steps it first, keyed by thread id.
-        ``inst``, the relaxation plus ``read``, fills the relaxation as by
-        ``closed`` and may be left out once it is filled: with other new
-        events, a check that ignored them could refute a realizable
-        instance.  Without a closure nothing is visible."""
-        counts = self.counts
-        if read.index != counts.get(read.thread, -1) + 1 or inst and len(inst.events) != sum(counts.values()) + 1:
-            raise VscError(f"the instance is not the relaxation plus read {read.eid}")
-        try:
-            order = self.closed(inst)
-        except CycleError:
-            return {}, False
-        ru = order.pos[read.thread]
-        chain = order.rows[ru]
-        prev = chain[-1] if chain else (0,) * len(order.threads)
-        clock = prev[:ru] + (read.index - 1,) + prev[ru + 1 :]
-        ranges, init = _visible(order.rows, order.writes_of.get(read.var, {}), clock, ru, read.index, itemgetter(ru))
-        return {order.threads[u]: r for u, r in ranges.items()}, init
-
-
 class GoodWrites(frozenset):
     """A set of good writes that also keeps, per writing thread id, the
     indices of its members in increasing order, which the closure rules
@@ -338,6 +273,22 @@ def _visible(rows: list, conf: Mapping[int, list[int]], clock: tuple, ru: int, r
         else:
             ranges[u] = (lo, ri + 1 if u == ru else bisect_left(rows[u], ri, key=after_r) + 1)
     return ranges, not last
+
+
+def visible(order: Closure, read: Event):
+    """Rule 1's per-read half (see ``_visible``) for ``read`` at its
+    program-order clock on ``order``, where ``_extend`` steps it first,
+    keyed by thread id.  Raises VscError unless ``read`` is the next event
+    of its thread after ``order``'s rows: with other new events, a check
+    that ignored them could refute a realizable instance."""
+    ru = order.pos.get(read.thread)
+    if ru is None or read.index != len(order.rows[ru]) + 1:
+        raise VscError(f"read {read.eid} is not the next event of its thread in the order")
+    chain = order.rows[ru]
+    prev = chain[-1] if chain else (0,) * len(order.threads)
+    clock = prev[:ru] + (read.index - 1,) + prev[ru + 1 :]
+    ranges, init = _visible(order.rows, order.writes_of.get(read.var, {}), clock, ru, read.index, itemgetter(ru))
+    return {order.threads[u]: r for u, r in ranges.items()}, init
 
 
 def extremes(ranges: Mapping[int, tuple[int, int]], good: Mapping[int, list[int]]):
@@ -415,15 +366,9 @@ def _step(order: Closure, read, touched: list) -> None:
             order.add(reid, (t, indices[lo]), touched)
 
 
-def _extend(
-    base: Optional[Closure],
-    inst: VscInstance,
-    counts: Optional[Mapping[int, int]] = None,
-    good_writes: Optional[Mapping[EventId, frozenset[EventId]]] = None,
-) -> Closure:
-    """The closure of ``inst``, or of the relaxation of it that ``counts``
-    and ``good_writes`` describe (see ``Relaxation``), started from ``base``,
-    the closure of a relaxation of that, or from program order.  Raises
+def _extend(base: Optional[Closure], inst: VscInstance) -> Closure:
+    """The closure of ``inst`` started from ``base``, the closure of a
+    relaxation of it (see ``closure``), or from program order.  Raises
     CycleError when there is none.
 
     New events get program-order rows and new writes join copies of their
@@ -442,21 +387,17 @@ def _extend(
     r to a write that no member of Cl(r) follows, which change no row or
     range that r's rules read.
     """
-    if good_writes is None:
-        good_writes = inst.good_writes
-    chains = inst.by_thread
-    if counts is None:
-        counts = {t: len(chain) for t, chain in chains.items()}
+    good_writes, chains = inst.good_writes, inst.by_thread
     if base is None:
-        base = Closure(sorted(counts))
+        base = Closure(inst.threads)
     pos = base.pos
     for t in chains:
         if t not in pos:
             raise VscError(f"thread {t} is outside the order of the start")
-    fresh = [reid for reid in good_writes if reid not in base.entries and reid[1] <= counts.get(reid[0], 0)]
-    grown = [t for t, chain in chains.items() if len(base.rows[pos[t]]) < min(len(chain), counts.get(t, 0))]
+    fresh = [reid for reid in good_writes if reid not in base.entries]
+    grown = [t for t, chain in chains.items() if len(base.rows[pos[t]]) < len(chain)]
     if not fresh and not grown:
-        return base  # the relaxation is the start's own instance
+        return base  # ``inst`` is the start's own instance
     closed = base.copy()
     threads, rows, writes_of, entries, reads_of = (
         closed.threads, closed.rows, closed.writes_of, closed.entries, closed.reads_of
@@ -469,7 +410,7 @@ def _extend(
     for t in grown:
         u = pos[t]
         chain = rows[u]
-        for e in chains[t][len(chain) : counts[t]]:
+        for e in chains[t][len(chain) :]:
             prev = chain[-1] if chain else (0,) * k
             chain.append(prev[:u] + (e.index - 1,) + prev[u + 1 :])
             if e.kind == "W":
@@ -518,9 +459,7 @@ def _extend(
     return closed
 
 
-def closure(
-    inst: VscInstance, start: Union[Closure, Relaxation, None] = None
-) -> Optional[Closure]:
+def closure(inst: VscInstance, start: Optional[Closure] = None) -> Optional[Closure]:
     """Weakest order that every witness respects, or None when none can exist.
 
     Fixpoint over four per-read conditions on Cl(r), the good writes of r
@@ -550,25 +489,29 @@ def closure(
 
     The fixpoint is a worklist of reads: a read is stepped again only when
     another read's edge rewrote its own clock row or a row of one of its
-    variable's writes, the only rows its rules read.  Without ``start`` it
-    begins at program order with every read on it.  With ``start``, the closure of a
-    relaxation of ``inst`` (per-thread prefixes of its events, some of its
-    reads constrained by the same good writes), it begins at a copy of that
+    variable's writes, the only rows its rules read.  It constrains only the
+    reads that ``inst.good_writes`` names; an unchecked instance may leave a
+    read out, which then reads from anything.  Without ``start`` it begins
+    at program order over the threads of ``inst`` with every constrained
+    read on the worklist.  With ``start``, the closure of a relaxation of
+    ``inst`` (per-thread prefixes of its events, some of its reads
+    constrained by the same good writes), it begins at a copy of that
     closure, which every rule of the relaxation already holds in: the new
     events get program-order rows, and the worklist holds only the newly
     constrained reads and the reads of variables with new writes that not
-    all of those writes already follow.  A ``Relaxation`` start is filled
-    by its first call, or by ``Relaxation.visible``, which decides rule 1's
-    per-read half for a read added to the relaxation without copying it.
-    The order covers the threads of the start, which must include every
-    thread of ``inst``.  The tests check against the explicit-pairs
-    reference in ``tests/reference_closure.py`` that the order is the one
-    passes in event order reach from program order, and on the acceptance
-    fuzz corpus that starting from a relaxation changes nothing.
+    all of those writes already follow.  The order covers the threads of
+    the start, which must include every thread of ``inst``.
+
+    This is the one way into the fixpoint.  The explorer closes each node's
+    trace with it, from the nearest ancestor's closure, and ``visible``
+    reads rule 1's per-read half off the result for a read added to it.
+    The tests check against the explicit-pairs reference in
+    ``tests/reference_closure.py`` that the order is the one passes in
+    event order reach from program order, and on the acceptance fuzz corpus
+    that starting from a relaxation changes nothing.
     """
     try:
-        base = start.closed(inst) if isinstance(start, Relaxation) else start
-        return _extend(base, inst)
+        return _extend(start, inst)
     except CycleError:
         return None
 
@@ -740,7 +683,7 @@ def verify_sc(
     inst: VscInstance,
     options: SolverOptions = SolverOptions(),
     aux: Optional[Sequence[Event]] = None,
-    start: Union[Closure, Relaxation, None] = None,
+    start: Optional[Closure] = None,
 ) -> VscResult:
     """Decide realizability; return a validated witness when one exists.
 
@@ -748,9 +691,11 @@ def verify_sc(
     ``states_processed`` counts the states that it ran: the empty prefix
     and one per event run, so ``n + 1`` when it never backtracks, within
     the module docstring's bound.  With closure on, the pre-pass is one
-    call of ``closure(inst, start)``, whose order the result keeps: a
-    ``start`` that closes a relaxation of ``inst`` lets the pre-pass extend
-    that closure instead of closing ``inst`` from program order.
+    call of ``closure(inst, start)``, whose order the result keeps.  A
+    ``start`` that closes a relaxation of ``inst``, as an explorer node's
+    closure does for the node's trace plus one read, lets the pre-pass
+    extend that closure instead of closing ``inst`` from program order;
+    ``start`` itself is never changed.
     """
     order = None
     if options.closure:

@@ -252,3 +252,32 @@ def test_bundled_program_explore_matches_census(capsys, path):
     assert explored["leaves"] == explored["rvf_classes"] == counted["rvf_classes"]
     assert explored["assertion_violations"] == counted["assertion_violations"]
     assert explored["deadlocks"] == counted["deadlocks"]
+
+
+@pytest.mark.parametrize(
+    "flags, counts",
+    [((), (4, 4, 32)), (("--no-closure",), (8, 0, 45))],
+    ids=["default", "no-closure"],
+)
+def test_bundled_mutex_demo_pinned(capsys, flags, counts):
+    """``mutex_demo.prog``'s JSON: with closure on, the node check refutes
+    four groups that the solver takes without it."""
+    path = str(PROGRAMS_DIR / "mutex_demo.prog")
+    code, rec = run_cli(capsys, "explore", path, *flags)
+    assert code == 0
+    rec.pop("wall_time_ms")
+    assert rec == {
+        "mode": "explore",
+        "program": path,
+        "maximal_traces": 6,
+        "rvf_classes": 6,
+        "rf_classes": None,
+        "maz_classes": None,
+        "leaves": 6,
+        "vsc_calls": counts[0],
+        "node_refutations": counts[1],
+        "witness_states": counts[2],
+        "assertion_violations": [],
+        "deadlocks": 0,
+        "options": {"backtrack_signals": True, "closure": not flags, "greedy": True, "aux_trace": True},
+    }

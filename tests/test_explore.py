@@ -27,7 +27,7 @@ from rvfmc.explore import (
     update_backtrack_signals,
     viable_sources,
 )
-from rvfmc.vsc import GoodWrites, Relaxation
+from rvfmc.vsc import GoodWrites
 from corpus import PROGRAMS, one_var_family, many_threads_family
 from reference_oracle import census, enumerate_maximal_traces, scan_indexes, scan_viable_sources
 
@@ -378,6 +378,55 @@ def test_lock_counter_closure_steps_per_group(monkeypatch):
     assert steps == 660
 
 
+def lock_counter(k):
+    """k threads incrementing one counter under one mutex."""
+    return "\n".join(f"thread t{i} {{ lock m; a = read x; write x a + 1; unlock m; }}" for i in range(1, k + 1))
+
+
+def explore_counting_closures(monkeypatch, source: str):
+    """``explore(source)``, the closures it computed (``vsc._extend``
+    calls) and how many of them started from an empty order."""
+    vsc = sys.modules["rvfmc.vsc"]
+    calls = empty = 0
+    extend_closure = vsc._extend
+
+    def counting(base, inst):
+        nonlocal calls, empty
+        calls += 1
+        empty += base is None or not any(base.rows)
+        return extend_closure(base, inst)
+
+    monkeypatch.setattr(vsc, "_extend", counting)
+    return explore(parse_program(source)), calls, empty
+
+
+@pytest.mark.parametrize(
+    "source, closures",
+    [
+        (lock_counter(5), (320, 20)),
+        ("thread w { repeat 25 { write x 1; } }\nthread r { repeat 25 { a = read x; } }", (350, 1)),
+    ],
+    ids=["lock-counter-5", "long-n-25"],
+)
+def test_node_closures_are_lazy(monkeypatch, source, closures):
+    """A node closes its trace only when its first group needs a witness,
+    and starts from the nearest ancestor's closure, so the closures of a
+    run are the solver's pre-passes plus one per such node, and only the
+    first fills along a path start from the empty order.  A node that
+    closed its trace eagerly, or from program order, makes more of one or
+    the other."""
+    _, calls, empty = explore_counting_closures(monkeypatch, source)
+    assert (calls, empty) == closures
+
+
+def test_node_without_closure_is_an_error(monkeypatch):
+    """A node's trace witnesses its good writes, so its closure exists; a
+    node told otherwise stops the run instead of refuting every group."""
+    monkeypatch.setattr(sys.modules["rvfmc.explore"], "closure", lambda inst, start=None: None)
+    with pytest.raises(RuntimeError, match="no closure"):
+        explore(parse_program(lock_counter(2)))
+
+
 def sb_ring(k):
     """Store-buffer ring: thread ti writes xi, then reads x(i-1) and x(i+1)."""
     return "\n".join(
@@ -460,7 +509,7 @@ def test_node_refutations_change_no_output(monkeypatch):
     programs = [parse_program(source) for source in PROGRAMS.values()]
     default = [explore(p, options) for p in programs for options in ALL_EXPLORE_OPTIONS]
     monkeypatch.setattr(
-        Relaxation, "visible", lambda self, read, inst=None: (dict.fromkeys(self.counts, (0, math.inf)), True)
+        sys.modules["rvfmc.explore"], "visible", lambda order, read: (dict.fromkeys(order.threads, (0, math.inf)), True)
     )
     patched = [explore(p, options) for p in programs for options in ALL_EXPLORE_OPTIONS]
     assert sum(rep.node_refutations for rep in default) > 0

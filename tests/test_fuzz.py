@@ -14,8 +14,17 @@ from hypothesis import strategies as st
 from rvfmc import ExploreOptions, explore, parse_program, rvf_key
 from rvfmc import vsc
 from rvfmc.program import Event
-from rvfmc.semantics import CycleError
-from rvfmc.vsc import GoodWrites, Relaxation, SolverOptions, VscError, VscInstance, closure, extremes, verify_sc
+from rvfmc.vsc import (
+    Closure,
+    GoodWrites,
+    SolverOptions,
+    VscError,
+    VscInstance,
+    closure,
+    extremes,
+    verify_sc,
+    visible,
+)
 from reference_closure import clock_pairs, reference_closure, respects
 from reference_oracle import (
     brute_force_vsc,
@@ -148,9 +157,10 @@ def test_closure_matches_reference_on_fuzz_corpus():
 
 def prefix_cuts(inst: VscInstance):
     """Every per-thread prefix cut of ``inst`` whose reads' good writes lie
-    inside it, as the counts and good writes of a ``Relaxation``.  The
-    counts name every thread id up to the largest, as a program's threads
-    do, so some orders cover threads without events in ``inst``."""
+    inside it, as the per-thread counts of events it keeps and the good
+    writes of the reads it constrains.  The counts name every thread id up
+    to the largest, as a program's threads do, so some orders cover threads
+    without events in ``inst``."""
     threads = range(1, max(inst.threads) + 1)
     lengths = [len(inst.by_thread.get(t, ())) for t in threads]
     for cut in itertools.product(*(range(n + 1) for n in lengths)):
@@ -160,32 +170,45 @@ def prefix_cuts(inst: VscInstance):
             yield counts, kept
 
 
+def close_cut(inst: VscInstance, counts, kept):
+    """The closure, from the empty order over the threads of ``counts``, of
+    the cut of ``inst`` that keeps the first ``counts[t]`` events of each
+    thread ``t`` and constrains the reads of ``kept``, or None.  The cut
+    keeps the variables of ``inst``, so its initial-write ids are those of
+    ``inst``, and it is unchecked, so ``kept`` may leave a read out."""
+    events = tuple(e for e in inst.events if e.index <= counts[e.thread])
+    return closure(VscInstance(events, kept, inst.variables, check=False), Closure(counts))
+
+
 def test_closure_from_relaxation_matches_on_fuzz_corpus():
     """The acceptance fuzz corpus: a closure started from the closure of a
     relaxation equals the closure from program order.  Two kinds of
     relaxation: every prefix cut whose reads' good writes lie inside it,
     and the instance with one read left unconstrained, where the variant
     that gives the read the other candidate writes starts from the same
-    relaxation, so a closure that changed its start would show.  A start
-    may be an unfilled relaxation of a relaxation, and the solver started
-    from the empty cut, whose order covers every thread id, finds the same
-    witness in as many states."""
+    closure, so a closure that changed its start would show.  A start may
+    itself be started from a closure started from a closure, and the solver
+    started from the empty order over every thread id finds the same
+    witness in as many states.  A relaxation without a closure leaves its
+    instance none."""
     rng = random.Random(20260808)
     for _ in range(10000):
         inst = random_instance(rng)
         random_linearization(inst, rng)
         want = closure(inst)
         want_pairs = want and clock_pairs(want)
-        full = {t: len(chain) for t, chain in inst.by_thread.items()}
+        threads = range(1, max(inst.threads) + 1)
+        full = {t: len(inst.by_thread.get(t, ())) for t in threads}
         cuts = list(prefix_cuts(inst))
         for counts, kept in cuts:
-            got = closure(inst, Relaxation(None, counts, kept))
+            start = close_cut(inst, counts, kept)
+            got = start and closure(inst, start)
             assert (got and clock_pairs(got)) == want_pairs, (counts, inst.events, inst.good_writes)
         counts, kept = cuts[len(cuts) // 2]
-        chained = Relaxation(Relaxation(Relaxation(None, counts, kept), full, {}), full, inst.good_writes)
-        assert_same_closure(closure(inst, chained), want, inst)
-        empty = Relaxation(None, dict.fromkeys(range(1, max(inst.threads) + 1), 0), {})
-        got, plain = verify_sc(inst, start=empty), verify_sc(inst)
+        first = close_cut(inst, counts, kept)
+        second = first and closure(VscInstance(inst.events, kept, inst.variables, check=False), first)
+        assert_same_closure(second and closure(inst, second), want, inst)
+        got, plain = verify_sc(inst, start=Closure(threads)), verify_sc(inst)
         assert (got.witness, got.states_processed) == (plain.witness, plain.states_processed), inst.events
         for r in inst.events:
             if r.kind != "R":
@@ -195,15 +218,16 @@ def test_closure_from_relaxation_matches_on_fuzz_corpus():
             other = frozenset(cands - inst.good_writes[r.eid]) or frozenset(cands)
             variant = VscInstance(inst.events, {**inst.good_writes, r.eid: other})
             rest = {reid: gw for reid, gw in inst.good_writes.items() if reid != r.eid}
-            start = Relaxation(None, full, rest)
-            assert_same_closure(closure(inst, start), want, inst)
-            assert_same_closure(closure(variant, start), closure(variant), variant)
+            start = close_cut(inst, full, rest)
+            assert_same_closure(start and closure(inst, start), want, inst)
+            assert_same_closure(start and closure(variant, start), closure(variant), variant)
 
 
-def node_refutes(node: Relaxation, inst: VscInstance, read: Event) -> bool:
+def node_refutes(node: Closure, inst: VscInstance, read: Event) -> bool:
     """The explorer's node check: no good write of ``read`` in ``inst``,
-    the initial write included, lies in the ranges ``node.visible`` gives."""
-    ranges, init_visible = node.visible(read, inst)
+    the initial write included, lies in the ranges ``visible`` gives on
+    ``node``, the closure of ``inst`` without ``read``."""
+    ranges, init_visible = visible(node, read)
     gw = GoodWrites(inst.good_writes[read.eid])
     return not extremes(ranges, gw.indices)[0] and not (init_visible and inst.init_eid(read.var) in gw)
 
@@ -224,10 +248,8 @@ def test_node_refutation_sound_on_fuzz_corpus():
             if r.kind != "R":
                 continue
             rest = {reid: gw for reid, gw in inst.good_writes.items() if reid != r.eid}
-            node = Relaxation(None, {**full, t: len(chain) - 1}, rest)
-            try:
-                node.closed(inst)
-            except CycleError:
+            node = close_cut(inst, {**full, t: len(chain) - 1}, rest)
+            if node is None:
                 continue  # an explorer node's trace always closes
             checks += 1
             if node_refutes(node, inst, r):
@@ -238,25 +260,24 @@ def test_node_refutation_sound_on_fuzz_corpus():
 
 
 def test_node_refutation_needs_one_new_read():
-    """A relaxation gives visible ranges only for an instance that is the
-    relaxation plus the read: a second new event, or a read inside the
-    relaxation, is an error.  Once filled, it needs no instance."""
+    """``visible`` gives ranges only for the next event of the read's
+    thread after the order's rows: a read inside the order, one past a gap
+    or one of a thread outside the order is an error."""
     inst = VscInstance(
         (Event(1, 1, "W", "x", 1), Event(1, 2, "R", "x"), Event(2, 1, "W", "x", 2)),
         {(1, 2): frozenset({(2, 1)})},
     )
     read = inst.events[1]
-    with pytest.raises(VscError):
-        Relaxation(None, {1: 1, 2: 0}, {}).visible(read, inst)
-    with pytest.raises(VscError):
-        Relaxation(None, {1: 2, 2: 0}, {}).visible(read, inst)
-    node = Relaxation(None, {1: 1, 2: 1}, {})
+    for order in (close_cut(inst, {1: 2, 2: 0}, {}), close_cut(inst, {1: 0, 2: 1}, {}), Closure([2])):
+        with pytest.raises(VscError):
+            visible(order, read)
+    node = close_cut(inst, {1: 1, 2: 1}, {})
     assert not node_refutes(node, inst, read)
     # the own write (1, 1) is below the read and visible, as is all of thread 2
-    assert node.visible(read) == ({1: (1, 2), 2: (1, 2)}, False)
+    assert visible(node, read) == ({1: (1, 2), 2: (1, 2)}, False)
     # reading the initial write after the thread's own write of x fails rule 1
     stale = VscInstance(inst.events, {(1, 2): frozenset({(0, 1)})})
-    assert node_refutes(Relaxation(None, {1: 1, 2: 1}, {}), stale, read)
+    assert node_refutes(node, stale, read)
 
 
 @st.composite
