@@ -1,7 +1,7 @@
-"""Recursive exploration of the reads-value-from trace partitioning.
+"""Depth-first exploration of the reads-value-from trace partitioning.
 
-Each recursion node carries a good-writes function over the reads fixed so
-far, a trace witnessing it, and a *causal map* recording, per read and per
+Each node carries a good-writes function over the reads fixed so far, a
+trace witnessing it, and a *causal map* recording, per read and per
 thread, a prefix length of already-considered reads-from sources.  A node
 
 1. extends its trace with every enabled non-read event (writes and mutex
@@ -9,25 +9,26 @@ thread, a prefix length of already-considered reads-from sources.  A node
 2. reports any write so discovered to registered ancestor reads as a
    *backtrack signal* (a new conflicting write means the ancestor must keep
    mutating its read),
-3. if nothing is enabled, records the maximal trace and returns,
+3. if nothing is enabled, records the maximal trace,
 4. otherwise mutates enabled reads in order (reads without a causal-map
    entry first): for every value group of a read's viable sources it fixes
    the group as the read's good writes, obtains a witness (directly when the
    current trace already satisfies it, otherwise through the consistency
-   solver), and recurses; after a read is done its causal-map entry is bumped
-   so later siblings must find it a source outside the current trace.
+   solver), and yields the child; after a read is done its causal-map
+   entry is bumped so later siblings must find it a source outside the trace.
 
-A node works on the trace it is given, extending it in place, and undoes its
-own steps before it returns, so a direct witness costs one step and one
-undo; only solver witnesses are replayed into fresh traces.
+Nodes are generators that one loop runs depth first on a stack, so a
+child ends before its parent resumes.  A node extends the trace it is
+given in place and undoes its own steps before it ends, so a direct
+witness costs one step and one undo; only solver witnesses are replayed.
 
-What a node reads, it reads without scanning the whole trace:
+A node reads without scanning the whole trace:
 
 * undone with the trace: its per-variable write lists and per-thread event
-  chains (``Trace.writes`` and ``Trace.chains``), which the trace brings
-  up to date from its steps and undos when they are read.  Viable sources, a read's active write and the sources
-  that a mutex's acquires have consumed come from them, and a read's solver
-  instances get the chains as their ``by_thread``;
+  chains (``Trace.writes`` and ``Trace.chains``), which the trace updates
+  from its steps and undos when they are read.  Viable sources, a read's
+  active write and the sources that a mutex's acquires have consumed come
+  from them, and a read's solver instances get the chains as ``by_thread``;
 * shared: the value groups.  Each is a ``vsc.GoodWrites``, which also holds
   its members' indices per writing thread, sorted once and then read by
   every closure that constrains its read.  The groups of a variable are
@@ -45,7 +46,7 @@ Rule 1 of the closure is decided there once per read, as the index ranges
 of the read's conflicting writes that stay visible (``vsc.visible``); a
 group with none of its good writes in them is refuted without an instance
 or a solver call, and every other one goes to the solver, whose closure
-starts from the node's.  Instances only grow down the recursion, so each
+starts from the node's.  Instances only grow down the stack, so each
 closure extends one already closed instead of closing from program order.
 
 A plain read processed without ever receiving a backtrack signal ends the
@@ -55,16 +56,14 @@ exempt from that cut: a blocked acquire can vanish from maximal extensions
 entirely (deadlock), voiding the argument behind the signal, so acquires
 are always processed.  Acquire reads also take each source as its own
 singleton group and never share a source already consumed by another
-acquire of the same mutex, which is what makes solver witnesses respect
-mutual exclusion.
+acquire of the same mutex, so solver witnesses respect mutual exclusion.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .program import Event, EventId, Execution, Program, Trace, empty_trace, extend, replay
 from .semantics import rvf_key
@@ -189,13 +188,14 @@ class _Explorer:
 
     def run(self) -> ExplorationReport:
         start = time.perf_counter()
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 4 * self.program.access_count() + 200))
-        try:
-            root = Closure(range(1, len(self.program.threads) + 1)) if self.options.closure else None
-            self._node({}, empty_trace(self.program), {}, root)
-        finally:
-            sys.setrecursionlimit(limit)
+        root = Closure(range(1, len(self.program.threads) + 1)) if self.options.closure else None
+        stack = [self._node({}, empty_trace(self.program), {}, root)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(self._node(*child))
         self.report.wall_time_ms = (time.perf_counter() - start) * 1000.0
         return self.report
 
@@ -226,7 +226,7 @@ class _Explorer:
         self.grouped[read.var] = (sources, groups)
         return groups
 
-    # -- the recursion -------------------------------------------------------
+    # -- the depth-first search ----------------------------------------------
 
     def _node(
         self,
@@ -234,39 +234,27 @@ class _Explorer:
         trace: Trace,
         cmap: CausalMap,
         start: Optional[Closure],
-    ) -> None:
+    ) -> Iterator[tuple]:
         """Explore below ``trace``, which is extended in place and left as it
-        was found; ``start`` closes a relaxation of the node's trace."""
+        was found; ``start`` closes a relaxation of the node's trace.  Fixes
+        each value group of each enabled read in turn and yields the child's
+        arguments.  A group the trace satisfies is a direct witness; with
+        closure on, any other one is first checked against the read's visible
+        ranges on the node's closure (``vsc.visible``), and if it passes
+        becomes an instance, the trace plus the read, for the solver."""
         before = len(trace.events)
         extend_nonreads(trace)
         update_backtrack_signals(trace.events[before:], self.signals)
-
-        if trace.maximal:
+        enabled = trace.enabled
+        if not enabled:
             ex = trace.freeze()
             self.report.traces.append(ex)
             self.report.rvf_keys.append(rvf_key(ex))
             if ex.deadlocked:
                 self.report.deadlocks += 1
-        else:
-            self._mutate(goodw, trace, cmap, start)
-        for _ in range(len(trace.events) - before):
-            trace.undo()
 
-    def _mutate(
-        self,
-        goodw: dict[EventId, frozenset[EventId]],
-        trace: Trace,
-        cmap: CausalMap,
-        start: Optional[Closure],
-    ) -> None:
-        """Fix each value group of each enabled read in turn and explore
-        below it.  A group the trace satisfies is a direct witness; with
-        closure on, any other one is first checked against the read's visible
-        ranges on the node's closure (``vsc.visible``), and if it passes
-        becomes an instance, the trace plus the read, for the solver."""
         node = None  # the closure of this node's trace under goodw, made for the first group that needs a witness
-        mutate = sorted(trace.enabled, key=lambda e: (e.eid in cmap, e.eid))
-        for read in mutate:
+        for read in sorted(enabled, key=lambda e: (e.eid in cmap, e.eid)):
             unmapped = read.eid not in cmap
             plain = read.var not in self.mutexes
             if unmapped and plain:
@@ -301,7 +289,7 @@ class _Explorer:
                         continue
                     witness_trace, child_start = found
                 # entries are replaced, never changed, so children share them
-                self._node(goodw2, witness_trace, dict(cmap), child_start)
+                yield goodw2, witness_trace, dict(cmap), child_start
                 if witness_trace is trace:
                     trace.undo()  # the read the direct witness appended
 
@@ -312,6 +300,8 @@ class _Explorer:
             counts = dict(enumerate(trace.counts, 1))
             counts[0] = len(self.program.globals)
             cmap[read.eid] = counts
+        for _ in range(len(trace.events) - before):
+            trace.undo()
 
     def _close(self, events, chains, read: Event, goodw, start: Optional[Closure]) -> Closure:
         """The closure from ``start`` of the node's trace under ``goodw``,
@@ -345,5 +335,5 @@ def explore(program: Program, options: Optional[ExploreOptions] = None) -> Explo
     value group whose read fails closure rule 1 on its node's closure counts
     in ``node_refutations`` instead of ``vsc_calls``, and each solver call's
     closure extends its node's (see the module docstring); only the
-    recursion path's closures are kept."""
+    closures of the stack's path are kept."""
     return _Explorer(program, options or ExploreOptions()).run()

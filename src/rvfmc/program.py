@@ -256,9 +256,6 @@ class Program:
         """The salient initial write of ``var``: pseudo-thread 0, value 0."""
         return _event(0, self.ordinal(var), "W", var, 0)
 
-    def access_count(self) -> int:
-        return sum(1 for t in self.threads for op in t.ops if op[0] in _ACCESS_TAGS)
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer / parser

@@ -73,10 +73,6 @@ class SolverOptions:
     closure: bool = True
     guided: bool = True
 
-    @classmethod
-    def none(cls) -> "SolverOptions":
-        return cls(greedy=False, closure=False, guided=False)
-
 
 def _group(events: Iterable[Event]) -> dict[int, tuple[Event, ...]]:
     """Each thread's events in index order, by thread id.  The events are

@@ -190,6 +190,11 @@ PROGRAMS: dict[str, str] = {
 }
 
 
+# One write and 3000 reads of another variable: a single leaf, 3000 explorer
+# nodes deep.
+LONG_READS = "thread t1 { write y 1; }\nthread t2 { repeat 3000 { a = read x; } }"
+
+
 # Programs that release a mutex their thread does not hold, on every
 # schedule or on some.  Every entry point raises ``InterpreterError`` on them
 # and the CLI exits 2.
@@ -206,6 +211,7 @@ MISUSE: dict[str, str] = {
         thread t1 { lock m; write x 1; unlock m; unlock m; }
         thread t2 { lock m; a = read x; unlock m; }
     """,
+    "deep_unheld_unlock": "thread t1 { repeat 1500 { a = read x; } unlock m; }",
 }
 
 

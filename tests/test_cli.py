@@ -7,7 +7,7 @@ import pytest
 
 from rvfmc.cli import main
 from rvfmc.vsc import parse_instance
-from corpus import MISUSE, PROGRAMS, deep_program
+from corpus import LONG_READS, MISUSE, PROGRAMS, deep_program
 
 
 @pytest.fixture
@@ -67,6 +67,17 @@ def test_explore_reports_node_refutations(tmp_path, capsys):
     assert plain["vsc_calls"] == rec["node_refutations"]
     _, census = run_cli(capsys, "census", str(f))
     assert census["node_refutations"] is None and census["vsc_calls"] is None
+
+
+def test_explore_long_reads(tmp_path, capsys):
+    """A program 3000 explorer nodes deep has one leaf and makes no solver
+    call, refutation or witness state, with closure on and off."""
+    f = tmp_path / "long_reads.prog"
+    f.write_text(LONG_READS)
+    for flags in ([], ["--no-closure"]):
+        code, rec = run_cli(capsys, "explore", str(f), *flags)
+        assert code == 0
+        assert (rec["leaves"], rec["vsc_calls"], rec["node_refutations"], rec["witness_states"]) == (1, 0, 0, 0)
 
 
 def test_output_deterministic_modulo_time(capsys, demo_file):

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from rvfmc.explore import (
     viable_sources,
 )
 from rvfmc.vsc import GoodWrites
-from corpus import PROGRAMS, one_var_family, many_threads_family
+from corpus import LONG_READS, PROGRAMS, one_var_family, many_threads_family
 from reference_oracle import census, enumerate_maximal_traces, scan_indexes, scan_viable_sources
 
 ALL_EXPLORE_OPTIONS = [ExploreOptions(*bits) for bits in itertools.product([True, False], repeat=4)]
@@ -522,16 +524,20 @@ def test_node_refutations_change_no_output(monkeypatch):
             assert rep.node_refutations == 0
 
 
-def test_explore_restores_recursion_limit():
-    """Exploring a 5000-event trace raises the recursion limit only for the
-    duration of the call."""
+def test_explore_leaves_the_recursion_limit_alone():
+    """In a fresh interpreter where setting the recursion limit raises, a
+    program 3000 nodes deep explores under the default limit."""
     script = textwrap.dedent(
-        """
+        f"""
         import sys
         from rvfmc import explore, parse_program
 
+        def forbidden(limit):
+            raise AssertionError("explore set the recursion limit")
+
+        sys.setrecursionlimit = forbidden
         limit = sys.getrecursionlimit()
-        rep = explore(parse_program("thread t { repeat 5000 { write x 1; } }"))
+        rep = explore(parse_program({LONG_READS!r}))
         assert rep.leaf_count == 1, rep.leaf_count
         assert sys.getrecursionlimit() == limit, (sys.getrecursionlimit(), limit)
         """
@@ -542,6 +548,29 @@ def test_explore_restores_recursion_limit():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_explore_in_two_threads_at_once():
+    """Two threads explore at once, the second 10 ms after the first and
+    3000 nodes deep; neither depends on a process-wide setting that the
+    other changes."""
+    results = {}
+
+    def run(name, source):
+        try:
+            results[name] = explore(parse_program(source)).leaf_count
+        except BaseException as exc:
+            results[name] = exc
+
+    long_n = "thread w { repeat 20 { write x 1; } }\nthread r { repeat 20 { a = read x; } }"
+    first = threading.Thread(target=run, args=("long-n-20", long_n))
+    second = threading.Thread(target=run, args=("long-reads", LONG_READS))
+    first.start()
+    time.sleep(0.01)
+    second.start()
+    first.join()
+    second.join()
+    assert results == {"long-n-20": 21, "long-reads": 1}
 
 
 # -- solver instances -----------------------------------------------------------------

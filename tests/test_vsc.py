@@ -172,7 +172,7 @@ def test_is_held():
     order, before r."""
     w1, w2, r = Event(1, 1, "W", "x", 1), Event(2, 1, "W", "x", 2), Event(3, 1, "R", "x")
     inst = VscInstance((w1, w2, r), {r.eid: frozenset({w1.eid, w2.eid})})
-    assert searched(inst, SolverOptions.none()) == ((w1, w2, r), 4)
+    assert searched(inst, SolverOptions(greedy=False, closure=False, guided=False)) == ((w1, w2, r), 4)
 
 
 def test_executable_conditions():
@@ -207,7 +207,7 @@ def test_greedy_prefers_executable_read():
     w1, w2, r = Event(1, 1, "W", "x", 1), Event(2, 1, "W", "x", 2), Event(3, 1, "R", "x")
     inst = VscInstance((w1, w2, r), {r.eid: frozenset({w1.eid, w2.eid})})
     assert searched(inst, SolverOptions(greedy=True, closure=False, guided=False)) == ((w1, r, w2), 4)
-    assert searched(inst, SolverOptions.none()) == ((w1, w2, r), 4)
+    assert searched(inst, SolverOptions(greedy=False, closure=False, guided=False)) == ((w1, w2, r), 4)
 
 
 def test_greedy_rule2_stale_writes():
@@ -226,7 +226,7 @@ def test_greedy_rule2_stale_writes():
     assert searched(inst, greedy, aux=aux) == (events, 5)
     assert searched(inst, NO_GREEDY_GUIDED, aux=aux) == (aux, 5)
     fast = verify_sc(inst, SolverOptions(greedy=True, closure=False, guided=False))
-    slow = verify_sc(inst, SolverOptions.none())
+    slow = verify_sc(inst, SolverOptions(greedy=False, closure=False, guided=False))
     assert fast.realizable == slow.realizable == (brute_force_vsc(inst) is not None)
 
 
@@ -344,7 +344,7 @@ def test_guided_order_reverses_aux_positions():
     inst = VscInstance((a, b, c), {})
     for aux in ([a, b, c], [b, a, c], [c, b, a]):
         assert searched(inst, NO_GREEDY_GUIDED, aux=aux) == (tuple(aux), 4)
-    assert searched(inst, SolverOptions.none(), aux=[c, b, a]) == ((a, b, c), 4)
+    assert searched(inst, SolverOptions(greedy=False, closure=False, guided=False), aux=[c, b, a]) == ((a, b, c), 4)
 
 
 def test_guided_search_same_verdicts():
