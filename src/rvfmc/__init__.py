@@ -6,7 +6,6 @@ from .explore import ExplorationReport, ExploreOptions, explore
 from .oracle import count_classes
 from .program import (
     Event,
-    Execution,
     ParseError,
     Program,
     Trace,
@@ -28,7 +27,6 @@ from .vsc import (
 __all__ = [
     "ClockOrder",
     "Event",
-    "Execution",
     "ExplorationReport",
     "ExploreOptions",
     "ParseError",

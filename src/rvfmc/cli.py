@@ -81,8 +81,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     )
     if args.emit_traces:
         with open(args.emit_traces, "w", encoding="utf-8") as fh:
-            for ex in report.traces:
-                fh.write(" ".join(f"{e.thread}.{e.index}" for e in ex.events) + "\n")
+            for schedule in report.schedules:
+                fh.write(format_witness(schedule) + "\n")
     print(json.dumps(record))
     if args.fail_on_violation and record["assertion_violations"]:
         return 1
@@ -126,7 +126,7 @@ def _cmd_vsc(args: argparse.Namespace) -> int:
         options={"greedy": options.greedy, "closure": options.closure, "aux_trace": options.guided},
     )
     record["realizable"] = result.realizable
-    record["witness"] = format_witness(result.witness) if result.witness else None
+    record["witness"] = format_witness(result.witness) if result.witness is not None else None
     print(json.dumps(record))
     return 0
 

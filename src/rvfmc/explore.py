@@ -9,7 +9,8 @@ thread, a prefix length of already-considered reads-from sources.  A node
 2. reports any write so discovered to registered ancestor reads as a
    *backtrack signal* (a new conflicting write means the ancestor must keep
    mutating its read),
-3. if nothing is enabled, records the maximal trace,
+3. if nothing is enabled, records the maximal trace: its schedule, rvf
+   key and violations, and whether it deadlocked,
 4. otherwise mutates enabled reads in order (reads without a causal-map
    entry first): for every value group of a read's viable sources it fixes
    the group as the read's good writes, obtains a witness (directly when the
@@ -65,7 +66,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .program import Event, EventId, Execution, Program, Trace, empty_trace, extend, replay
+from .program import Event, EventId, Program, Trace, empty_trace, extend, replay
 from .semantics import rvf_key
 from .vsc import Closure, GoodWrites, SolverOptions, VscInstance, closure, extremes, verify_sc, visible
 
@@ -92,8 +93,14 @@ class _Signal:
 
 @dataclass
 class ExplorationReport:
-    traces: list[Execution] = field(default_factory=list)
+    """What ``explore`` found.  A leaf is kept as its schedule, the events of
+    the maximal trace in order, next to its rvf key at the same index;
+    ``replay(program, schedule)`` gives back its values, violations and
+    deadlock."""
+
+    schedules: list[tuple[Event, ...]] = field(default_factory=list)
     rvf_keys: list = field(default_factory=list)
+    violations: set[str] = field(default_factory=set)
     vsc_calls: int = 0
     node_refutations: int = 0
     witness_states: int = 0
@@ -103,14 +110,11 @@ class ExplorationReport:
 
     @property
     def leaf_count(self) -> int:
-        return len(self.traces)
+        return len(self.schedules)
 
     @property
     def assertion_violations(self) -> list[str]:
-        out: set[str] = set()
-        for t in self.traces:
-            out |= t.violations
-        return sorted(out)
+        return sorted(self.violations)
 
     def distinct_rvf_classes(self) -> int:
         return len(set(self.rvf_keys))
@@ -247,11 +251,12 @@ class _Explorer:
         update_backtrack_signals(trace.events[before:], self.signals)
         enabled = trace.enabled
         if not enabled:
-            ex = trace.freeze()
-            self.report.traces.append(ex)
-            self.report.rvf_keys.append(rvf_key(ex))
-            if ex.deadlocked:
-                self.report.deadlocks += 1
+            report = self.report
+            report.schedules.append(tuple(trace.events))
+            report.rvf_keys.append(rvf_key(trace))
+            report.violations.update(trace.violations)
+            if trace.deadlocked:
+                report.deadlocks += 1
 
         node = None  # the closure of this node's trace under goodw, made for the first group that needs a witness
         for read in sorted(enabled, key=lambda e: (e.eid in cmap, e.eid)):
@@ -330,10 +335,10 @@ class _Explorer:
 
 
 def explore(program: Program, options: Optional[ExploreOptions] = None) -> ExplorationReport:
-    """Run the exploration from the empty trace and report every maximal
-    trace reached, one per realizable value assignment.  With closure on, a
-    value group whose read fails closure rule 1 on its node's closure counts
-    in ``node_refutations`` instead of ``vsc_calls``, and each solver call's
-    closure extends its node's (see the module docstring); only the
-    closures of the stack's path are kept."""
+    """Explore from the empty trace and report the schedule of every
+    maximal trace reached, one per realizable value assignment.  With
+    closure on, a value group whose read fails closure rule 1 on its node's
+    closure counts in ``node_refutations`` instead of ``vsc_calls``, and
+    each solver call's closure extends its node's (see the module
+    docstring); only the closures of the stack's path are kept."""
     return _Explorer(program, options or ExploreOptions()).run()

@@ -14,7 +14,7 @@ an explicit stack, so six-figure schedule spaces stay within desk-scale
 budgets and trace length is not bounded by the recursion limit.  The
 materializing census and brute-force realizability oracle that the tests
 compare against, and the enumeration of the maximal traces as frozen
-``Execution``s, live in ``tests/reference_oracle.py``.
+snapshots, live in ``tests/reference_oracle.py``.
 """
 
 from __future__ import annotations

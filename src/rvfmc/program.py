@@ -10,12 +10,13 @@ Mutexes are encoded on the event level as a global variable of their own:
 acquiring reads it, releasing writes it.  Every global variable starts at 0
 through an implicit initial write attributed to pseudo-thread 0.
 
-Values are 64-bit signed integers with wrap-around arithmetic.
+Values, literals included, are 64-bit signed integers that wrap around.
 
 The interpreter state is one mutable ``Trace``.  ``extend`` executes an
 enabled event in place and records how to revert it; ``Trace.undo`` reverts
 the last step.  ``replay``, the explorer and the exhaustive oracles all run
-programs through this one engine.
+programs through this one engine, and a finished run is kept as its
+schedule, its events in order, which ``replay`` turns back into a trace.
 
 Grammar::
 
@@ -93,17 +94,6 @@ class Event:
         return f"<{self.thread}.{self.index} {self.kind} {self.var}{v}>"
 
 
-@dataclass(frozen=True)
-class Execution:
-    """Immutable snapshot of one complete or partial run: events plus values."""
-
-    program: "Program"
-    events: tuple[Event, ...]
-    values: dict[EventId, int]
-    violations: frozenset[str]
-    deadlocked: bool
-
-
 @dataclass(slots=True)
 class Trace:
     """The interpreter state: a sequence of events with its value function.
@@ -111,8 +101,7 @@ class Trace:
     A trace is mutable.  ``extend(trace, event)`` executes one enabled event
     in place and returns the same trace; ``undo()`` reverts the last step,
     so one trace can be driven through a whole search tree.  ``enabled``,
-    ``maximal`` and ``deadlocked`` are computed when read, and ``freeze()``
-    takes an immutable snapshot.
+    ``maximal`` and ``deadlocked`` are computed when read.
 
     A trace also keeps two indexes of ``events``: ``writes[var]`` lists
     the writes of each global (mutex releases included) and
@@ -207,15 +196,6 @@ class Trace:
         if table is not None:
             table[var] = old
         return event
-
-    def freeze(self) -> Execution:
-        return Execution(
-            self.program,
-            tuple(self.events),
-            dict(self.values),
-            frozenset(self.violations),
-            self.deadlocked,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +359,7 @@ class _Parser:
             return node, depth + 1
         if kind == "int":
             self.next()
-            return ("int", int(text)), 0
+            return ("int", _wrap(int(text))), 0
         if kind == "ident" and text not in _KEYWORDS:
             self.next()
             return ("loc", text, line, col), 0
@@ -610,7 +590,7 @@ def _holds(c: tuple, env: dict[str, int]) -> bool:
 
 
 def _advance(thread: Thread, pc: int, env: dict[str, int], violations: list[str]) -> int:
-    """Run thread-local instructions until the next access op or thread end."""
+    """Execute thread-local instructions until the next access op or thread end."""
     ops = thread.ops
     while pc < len(ops):
         op = ops[pc]

@@ -2,8 +2,8 @@
 
 ``KeyBuilder`` keeps the reads-value-from, reads-from and Mazurkiewicz
 class keys of a trace, one ``push`` or ``pop`` per event.  ``rvf_key``
-pushes a whole ``Trace`` or ``Execution`` into a fresh builder; the
-explorer keys every leaf with it, and ``oracle.count_classes`` every
+pushes a whole ``Trace`` into a fresh builder; the explorer keys each
+leaf with it on the live trace, and ``oracle.count_classes`` every
 maximal trace with one builder that it drives beside its search.  Event
 identity across traces is the (thread, index) pair alone; diverging control
 flow always shows up as a differing earlier read value, which the values in
@@ -20,11 +20,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-from .program import EventId, Execution, Trace
-
-Run = Union[Trace, Execution]
+from .program import EventId, Trace
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +119,10 @@ class KeyBuilder:
 
     __slots__ = ("_values", "_k", "_threads", "_vars", "_vals", "_masks", "_rf", "_writes")
 
-    def __init__(self, run: Run):
-        program = run.program
+    def __init__(self, trace: Trace):
+        program = trace.program
         k = self._k = len(program.threads)
-        self._values = run.values
+        self._values = trace.values
         # per thread id (0 unused): values, reads' masks, a stack of the
         # mask before its next event, and (read, source) code pairs
         self._threads = [([], [], [0], []) for _ in range(k + 1)]
@@ -132,7 +130,7 @@ class KeyBuilder:
         self._vars = {v: ([o * (k + 1)], [0]) for o, v in enumerate(program.globals, 1)}
         self._vals, self._masks, _, self._rf = ([th[i] for th in self._threads[1:]] for i in range(4))
         self._writes = [codes for codes, _ in self._vars.values()]
-        for e in run.events:
+        for e in trace.events:
             self.push(e)
 
     def push(self, e) -> None:
@@ -175,8 +173,8 @@ class KeyBuilder:
         return (*map(len, self._vals), len(rf), *rf, *map(len, writes), *chain.from_iterable(writes))
 
 
-def rvf_key(run: Run) -> tuple:
+def rvf_key(trace: Trace) -> tuple:
     """Canonical key of the reads-value-from class of a trace: equal iff
     the traces have the same events, the same values and the same causal
     order restricted to reads.  See ``KeyBuilder``."""
-    return KeyBuilder(run).rvf_key()
+    return KeyBuilder(trace).rvf_key()

@@ -6,6 +6,8 @@ of program order and reads-from edges in ``reference_closure._Order``, and
 restricts it to reads; the tests check ``rvfmc.rvf_key`` against its
 ``encode_rvf_key`` form, and ``read_pairs`` decodes the read order of an
 ``rvfmc.rvf_key`` back into pairs.
+``iter_maximal_traces`` yields every maximal trace as a frozen ``Snapshot``,
+and ``replay_leaves`` turns an exploration report's schedules into the same.
 ``census`` keys materialized traces, so it checks the streaming
 ``rvfmc.count_classes``.  ``brute_force_vsc`` enumerates every
 linearization, so it checks ``rvfmc.verify_sc``.  ``scan_indexes`` and
@@ -21,18 +23,39 @@ from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
 from rvfmc.oracle import _maximal
-from rvfmc.program import Event, EventId, Execution, Program, empty_trace
+from rvfmc.program import Event, EventId, Program, Trace, empty_trace, replay
 from rvfmc.vsc import VscInstance
 from reference_closure import _Order
 
 
-def iter_maximal_traces(program: Program, budget: int = 10_000_000) -> Iterator[Execution]:
+@dataclass(frozen=True)
+class Snapshot:
+    """Immutable copy of a trace: events plus values, violations and deadlock."""
+
+    program: Program
+    events: tuple[Event, ...]
+    values: dict[EventId, int]
+    violations: frozenset[str]
+    deadlocked: bool
+
+
+def snapshot(trace: Trace) -> Snapshot:
+    violations = frozenset(trace.violations)
+    return Snapshot(trace.program, tuple(trace.events), dict(trace.values), violations, trace.deadlocked)
+
+
+def replay_leaves(program: Program, report) -> list[Snapshot]:
+    """The leaves of an exploration report, each replayed from its schedule."""
+    return [snapshot(replay(program, schedule)) for schedule in report.schedules]
+
+
+def iter_maximal_traces(program: Program, budget: int = 10_000_000) -> Iterator[Snapshot]:
     """Yield every maximal trace reachable by any scheduler, in DFS order."""
     for trace in _maximal(empty_trace(program), budget):
-        yield trace.freeze()
+        yield snapshot(trace)
 
 
-def enumerate_maximal_traces(program: Program, budget: int = 10_000_000) -> list[Execution]:
+def enumerate_maximal_traces(program: Program, budget: int = 10_000_000) -> list[Snapshot]:
     return list(iter_maximal_traces(program, budget))
 
 
@@ -188,7 +211,7 @@ class CensusResult:
     representatives: dict
 
 
-def census(traces: Iterable[Execution], equivalence: str) -> CensusResult:
+def census(traces: Iterable[Snapshot], equivalence: str) -> CensusResult:
     """Count distinct equivalence keys over the given traces."""
     key_fn = _KEY_FN[equivalence]
     reps: dict = {}

@@ -16,7 +16,7 @@ from rvfmc import ExploreOptions, count_classes, explore, parse_program
 from rvfmc.vsc import SolverOptions, closure, verify_sc
 from corpus import PROGRAMS, one_var_family, many_threads_family
 from reference_closure import respects
-from reference_oracle import brute_force_vsc, census, enumerate_maximal_traces, iter_vsc_witnesses
+from reference_oracle import brute_force_vsc, census, enumerate_maximal_traces, iter_vsc_witnesses, replay_leaves
 from reference_vsc import state_bound
 from test_fuzz import random_instance, random_linearization
 
@@ -156,9 +156,10 @@ def test_criterion_5_explorer_completeness(corpus_runs):
         for ex in oracle:
             want_viol |= ex.violations
         for report in reports:
-            if _behaviors(report.traces) != want_beh:
+            leaves = replay_leaves(program, report)
+            if _behaviors(leaves) != want_beh:
                 discrepancies += 1
-            if _observations(report.traces) != want_obs:
+            if _observations(leaves) != want_obs:
                 discrepancies += 1
             if set(report.assertion_violations) != want_viol:
                 discrepancies += 1

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from rvfmc import explore, parse_program
 from rvfmc.cli import main
 from rvfmc.vsc import parse_instance
 from corpus import LONG_READS, MISUSE, PROGRAMS, deep_program
@@ -144,11 +145,14 @@ def test_fail_on_violation(tmp_path, capsys):
 
 
 def test_emit_traces(tmp_path, capsys, demo_file):
+    """One line per leaf: its schedule as thread.index ids."""
     out = tmp_path / "traces.txt"
     code, rec = run_cli(capsys, "explore", demo_file, "--emit-traces", str(out))
     lines = out.read_text().splitlines()
     assert len(lines) == rec["maximal_traces"] == 1
     assert len(lines[0].split()) == 8  # all eight events, id per token
+    schedules = explore(parse_program(PROGRAMS["unanimous"])).schedules
+    assert out.read_text() == "".join(" ".join(f"{e.thread}.{e.index}" for e in s) + "\n" for s in schedules)
 
 
 def test_vsc_mode(tmp_path, capsys):
@@ -158,6 +162,15 @@ def test_vsc_mode(tmp_path, capsys):
     assert code == 0
     assert rec["realizable"] is True
     assert rec["witness"] == "1.1 2.1"
+
+
+def test_vsc_empty_instance_has_empty_witness(tmp_path, capsys):
+    f = tmp_path / "empty.inst"
+    f.write_text("")
+    code, rec = run_cli(capsys, "vsc", str(f))
+    assert code == 0
+    assert rec["realizable"] is True
+    assert rec["witness"] == ""
 
 
 def test_vsc_mode_unrealizable(tmp_path, capsys):

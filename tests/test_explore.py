@@ -21,6 +21,8 @@ from rvfmc import (
     explore,
     extend,
     parse_program,
+    replay,
+    rvf_key,
 )
 from rvfmc.explore import (
     _Signal,
@@ -31,7 +33,7 @@ from rvfmc.explore import (
 )
 from rvfmc.vsc import GoodWrites
 from corpus import LONG_READS, PROGRAMS, one_var_family, many_threads_family
-from reference_oracle import census, enumerate_maximal_traces, scan_indexes, scan_viable_sources
+from reference_oracle import census, enumerate_maximal_traces, replay_leaves, scan_indexes, scan_viable_sources
 
 ALL_EXPLORE_OPTIONS = [ExploreOptions(*bits) for bits in itertools.product([True, False], repeat=4)]
 
@@ -130,7 +132,7 @@ def test_conditional_write_forces_reexploration():
     rep = explore(p)
     got = {
         (tuple(sorted(e.eid for e in ex.events)), tuple(ex.values[eid] for eid in sorted(ex.values)))
-        for ex in rep.traces
+        for ex in replay_leaves(p, rep)
     }
     assert got == want
 
@@ -247,8 +249,8 @@ def test_deadlock_traces_recorded():
     p = parse_program(PROGRAMS["deadlock_no_unlock"])
     rep = explore(p)
     oracle = enumerate_maximal_traces(p)
-    assert rep.deadlocks == sum(1 for t in rep.traces if t.deadlocked) > 0
-    assert {frozenset(e.eid for e in ex.events) for ex in rep.traces} == {
+    assert rep.deadlocks == sum(1 for t in replay_leaves(p, rep) if t.deadlocked) > 0
+    assert {frozenset(e.eid for e in schedule) for schedule in rep.schedules} == {
         frozenset(e.eid for e in ex.events) for ex in oracle
     }
 
@@ -258,7 +260,7 @@ def test_mutex_critical_sections_explored_in_both_orders():
     rep = explore(p)
     oracle = enumerate_maximal_traces(p)
     want = {(tuple(sorted(ex.values.items()))) for ex in oracle}
-    got = {(tuple(sorted(ex.values.items()))) for ex in rep.traces}
+    got = {(tuple(sorted(ex.values.items()))) for ex in replay_leaves(p, rep)}
     assert got == want
 
 
@@ -281,21 +283,25 @@ def test_ablations_preserve_leaf_count_on_unanimous(options):
 
 def test_report_counts_consistent():
     rep = explore(parse_program(PROGRAMS["assert_race"]))
-    assert rep.leaf_count == len(rep.traces) == len(rep.rvf_keys)
+    assert rep.leaf_count == len(rep.schedules) == len(rep.rvf_keys)
     assert rep.wall_time_ms >= 0
     assert rep.assertion_violations == ["t2#1"]
 
 
-@pytest.mark.parametrize("name", ["unanimous", "mutex_counter", "conditional_on_value", "lost_update"])
-def test_every_leaf_replays_with_identical_values(name):
-    from rvfmc import replay
-
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_schedules_and_keys_stay_paired(name):
+    """Under every option setting, each schedule replays to a maximal trace
+    whose rvf key is the one reported at its index, and the replayed leaves
+    give back the report's deadlock count and violations."""
     p = parse_program(PROGRAMS[name])
-    rep = explore(p)
-    for ex in rep.traces:
-        t = replay(p, ex.events)
-        assert dict(t.values) == ex.values
-        assert t.maximal and t.deadlocked == ex.deadlocked
+    for options in ALL_EXPLORE_OPTIONS:
+        rep = explore(p, options)
+        assert len(rep.schedules) == len(rep.rvf_keys) == rep.leaf_count
+        leaves = [replay(p, schedule) for schedule in rep.schedules]
+        assert all(t.maximal for t in leaves)
+        assert [rvf_key(t) for t in leaves] == rep.rvf_keys
+        assert sum(t.deadlocked for t in leaves) == rep.deadlocks
+        assert sorted(set().union(*(t.violations for t in leaves))) == rep.assertion_violations
 
 
 # -- long traces ---------------------------------------------------------------------
@@ -500,7 +506,8 @@ def test_mutex_singleton_groups_made_once_per_release(monkeypatch):
 
 
 def leaf_outputs(rep):
-    return [(ex.events, ex.values, ex.violations, ex.deadlocked) for ex in rep.traces], rep.rvf_keys
+    """A leaf's schedule fixes its values, violations and deadlock on replay."""
+    return rep.schedules, rep.rvf_keys, rep.assertion_violations
 
 
 def test_node_refutations_change_no_output(monkeypatch):

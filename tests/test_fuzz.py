@@ -32,6 +32,7 @@ from reference_oracle import (
     enumerate_maximal_traces,
     iter_vsc_witnesses,
     reference_rvf_key,
+    replay_leaves,
 )
 from reference_vsc import state_bound
 
@@ -351,7 +352,7 @@ def test_explorer_complete_on_random_programs():
         counts = set()
         for opt in combos:
             rep = explore(p, opt)
-            assert behavior_set(rep.traces) == want, src
+            assert behavior_set(replay_leaves(p, rep)) == want, src
             keys = rep.rvf_keys
             assert len(set(keys)) == len(keys), src
             counts.add(rep.leaf_count)
@@ -414,7 +415,7 @@ def test_explorer_complete_on_random_mutex_programs():
         counts = set()
         for opt in combos:
             rep = explore(p, opt)
-            assert mutex_behavior_set(rep.traces) == want, src
+            assert mutex_behavior_set(replay_leaves(p, rep)) == want, src
             assert len(set(rep.rvf_keys)) == len(rep.rvf_keys), src
             counts.add(rep.leaf_count)
         assert len(counts) == 1, src

@@ -3,7 +3,8 @@
 The inputs are the corpus, the programs under ``programs/`` and small
 instances of the benchmark's program shapes, each explored under all 16
 ``ExploreOptions``.  Per run the digest covers every leaf (its events in
-trace order, its values, violations and deadlock flag), the partition that
+trace order, and its values, violations and deadlock flag replayed from
+them), the partition that
 the report's rvf keys induce (per leaf, the index of the first leaf with an
 equal key, so the digest does not depend on the key's encoding), and the
 solver calls, node refutations, witness states and deadlocks.
@@ -25,7 +26,7 @@ import json
 import random
 from pathlib import Path
 
-from rvfmc import ExploreOptions, SolverOptions, explore, parse_program, verify_sc
+from rvfmc import ExploreOptions, SolverOptions, explore, parse_program, replay, verify_sc
 from corpus import PROGRAMS
 from test_fuzz import random_instance, random_linearization
 
@@ -71,7 +72,7 @@ def key_partition(keys: list) -> list[int]:
     return [first.setdefault(k, i) for i, k in enumerate(keys)]
 
 
-def report_record(rep) -> dict:
+def report_record(program, rep) -> dict:
     """Everything ``explore`` decided, as plain JSON values."""
     leaves = [
         {
@@ -80,7 +81,7 @@ def report_record(rep) -> dict:
             "violations": sorted(ex.violations),
             "deadlocked": ex.deadlocked,
         }
-        for ex in rep.traces
+        for ex in (replay(program, schedule) for schedule in rep.schedules)
     ]
     return {
         "leaves": leaves,
@@ -98,7 +99,7 @@ def golden_digest() -> str:
         program = parse_program(source)
         for options in ALL_EXPLORE_OPTIONS:
             flags = [options.backtrack_signals, options.closure, options.greedy, options.aux_trace]
-            runs.append({"program": name, "options": flags, **report_record(explore(program, options))})
+            runs.append({"program": name, "options": flags, **report_record(program, explore(program, options))})
     text = json.dumps(runs, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -11,7 +11,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PUBLIC_API = {
     "ClockOrder",
     "Event",
-    "Execution",
     "ExplorationReport",
     "ExploreOptions",
     "ParseError",

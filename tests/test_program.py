@@ -158,11 +158,20 @@ def test_assertion_status_of_live_trace():
 
 
 def test_int64_wraparound():
+    """Arithmetic and literals past the 64-bit range both wrap."""
     big = 2**62
     p = parse_program(f"thread t1 {{ a = {big}; write x a * 4; }}")
     t = empty_trace(p)
     (e,) = t.enabled
     assert e.value == 0  # 2**64 wraps to 0
+    for value in ("9223372036854775807 + 1", "9223372036854775808"):
+        p = parse_program(f"thread t1 {{ a = {value}; if a < 0 {{ write x 1; }} else {{ write x 2; }} }}")
+        (e,) = empty_trace(p).enabled
+        assert e.value == 1, value
+    p = parse_program("thread t1 { write x 18446744073709551617; a = read x; assert a == 1; }")
+    (e,) = empty_trace(p).enabled
+    assert e.value == 1
+    assert explore(p).assertion_violations == []
 
 
 def test_unary_minus_and_precedence():
@@ -179,8 +188,8 @@ def test_nesting_limit(shape):
     p = parse_program(src)
     report = explore(p)
     assert report.leaf_count == 1
-    (ex,) = report.traces
-    assert ex.events[0].value == (101 if shape == "sum" else 1)
+    (schedule,) = report.schedules
+    assert schedule[0].value == (101 if shape == "sum" else 1)
     _, col = deep_program(shape, 101)
     for n in (101, 1200, 3000, 5000):
         with pytest.raises(ParseError) as exc:
