@@ -14,8 +14,9 @@ from .program import (
     parse_program,
     replay,
 )
-from .semantics import ClockOrder, rvf_key
+from .semantics import rvf_key
 from .vsc import (
+    Closure,
     SolverOptions,
     VscInstance,
     VscResult,
@@ -25,7 +26,7 @@ from .vsc import (
 )
 
 __all__ = [
-    "ClockOrder",
+    "Closure",
     "Event",
     "ExplorationReport",
     "ExploreOptions",

@@ -118,7 +118,7 @@ def _cmd_vsc(args: argparse.Namespace) -> int:
         guided=not args.no_aux_trace,
     )
     start = time.perf_counter()
-    result = verify_sc(inst, options, aux=inst.events)
+    result = verify_sc(inst, options)
     record = _base_record("vsc", args.instance)
     record.update(
         witness_states=result.states_processed,

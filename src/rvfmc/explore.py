@@ -324,9 +324,8 @@ class _Explorer:
         plus one read, and the closure of ``inst`` (with closure on), or
         None.  The instance is made of a trace's own events and writes, so
         it is well-formed and skips validation; its events in trace order
-        are the auxiliary trace."""
-        aux = inst.events if self.options.aux_trace else None
-        result = verify_sc(inst, self.solver_options, aux=aux, start=start)
+        are the auxiliary trace that guides the search."""
+        result = verify_sc(inst, self.solver_options, start=start)
         self.report.vsc_calls += 1
         self.report.witness_states += result.states_processed
         if result.witness is None:

@@ -281,6 +281,9 @@ def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
 # minuses plus an expression's depth.  It keeps the recursion of the parser,
 # the checker and the evaluator far below Python's default limit of 1000.
 _MAX_DEPTH = 100
+# Most instructions a repeat may take its thread to.  Nested bounds multiply,
+# so the compiler checks a repeat's whole size after unrolling one copy.
+_MAX_OPS = 100_000
 
 
 class _Parser:
@@ -422,7 +425,7 @@ class _Parser:
             nk, ntext, nline, ncol = self.next()
             if nk != "int":
                 raise ParseError("loop bound must be an integer literal", nline, ncol)
-            return ("repeat", int(ntext), self.inner_block())
+            return ("repeat", int(ntext), self.inner_block(), line, col)
         if kind == "ident" and text not in _KEYWORDS:
             self.next()
             self.expect("=")
@@ -478,7 +481,6 @@ class _ThreadCompiler:
         self.writes: set[str] = set()
         self.reads: set[str] = set()
         self.mutexes: set[str] = set()
-        self.assert_lines: dict[str, int] = {}
 
     def emit(self, stmts: list) -> None:
         for s in stmts:
@@ -500,9 +502,7 @@ class _ThreadCompiler:
                 _check_expr(s[1][1], self.locals)
                 _check_expr(s[1][2], self.locals)
                 self.assert_seq += 1
-                aid = f"{self.name}#{self.assert_seq}"
-                self.assert_lines[aid] = s[2]
-                self.ops.append(("assert", s[1], aid))
+                self.ops.append(("assert", s[1], f"{self.name}#{self.assert_seq}"))
             elif tag == "if":
                 _check_expr(s[1][1], self.locals)
                 _check_expr(s[1][2], self.locals)
@@ -519,11 +519,16 @@ class _ThreadCompiler:
                     self.ops[jz_at] = ("jz", s[1], len(self.ops))
             elif tag == "repeat":
                 # Bound is a literal, so the body unrolls statically; each
-                # copy keeps the original assert identifiers.
-                saved = self.assert_seq
-                for _ in range(s[1]):
+                # copy keeps the original assert identifiers and has the
+                # size of the first.
+                saved, first = self.assert_seq, len(self.ops)
+                for i in range(s[1]):
                     self.assert_seq = saved
                     self.emit(s[2])
+                    if not i and first + (len(self.ops) - first) * s[1] > _MAX_OPS:
+                        raise ParseError(f"a thread unrolls to more than {_MAX_OPS} instructions", s[3], s[4])
+                    if len(self.ops) == first:  # an empty body
+                        break
             else:  # pragma: no cover
                 raise AssertionError(tag)
 

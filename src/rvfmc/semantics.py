@@ -1,4 +1,4 @@
-"""Class keys of traces, and the vector-clock orders of the closure.
+"""Class keys of traces.
 
 ``KeyBuilder`` keeps the reads-value-from, reads-from and Mazurkiewicz
 class keys of a trace, one ``push`` or ``pop`` per event.  ``rvf_key``
@@ -7,92 +7,15 @@ leaf with it on the live trace, and ``oracle.count_classes`` every
 maximal trace with one builder that it drives beside its search.  Event
 identity across traces is the (thread, index) pair alone; diverging control
 flow always shows up as a differing earlier read value, which the values in
-the rvf key already separate.
-
-The closure orders of ``vsc`` are ``ClockOrder``s: one vector clock per
-event, as in FastTrack (Flanagan and Freund, PLDI 2009).  The explicit-pairs
-reference that tests compare ``ClockOrder`` and the keys against lives in
-``tests/reference_closure.py`` and ``tests/reference_oracle.py``.
+the rvf key already separate.  The reference that tests compare the keys
+against lives in ``tests/reference_oracle.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain
-from operator import itemgetter
-from typing import Iterable, Optional
 
-from .program import EventId, Trace
-
-
-# ---------------------------------------------------------------------------
-# Vector-clock orders
-# ---------------------------------------------------------------------------
-
-
-class CycleError(ValueError):
-    """Adding an edge would close a cycle."""
-
-
-class ClockOrder:
-    """A strict partial order over the events of per-thread prefixes that
-    contains program order, stored as one vector clock per event.
-
-    ``rows[u][j]`` is the clock of the (j+1)-th event of thread
-    ``threads[u]``: entry ``v`` counts the events of ``threads[v]`` that
-    precede it (for its own thread, ``j``).  Predecessors in a thread always
-    form a prefix, so whether ``a`` precedes ``b`` is one comparison, and
-    clocks never decrease along a thread.
-    """
-
-    __slots__ = ("threads", "pos", "rows")
-
-    def __init__(self, threads: Iterable[int]):
-        self.threads = tuple(threads)
-        self.pos = {t: u for u, t in enumerate(self.threads)}
-        self.rows: list[list[tuple[int, ...]]] = [[] for _ in self.threads]
-
-    def add(self, a: EventId, b: EventId, touched: Optional[list] = None) -> bool:
-        """Order ``a`` before ``b``, with everything that implies.
-
-        Returns False when the order already has the edge (or ``a == b``);
-        raises CycleError when ``b`` precedes ``a``.  Every successor of ``b``
-        joins ``a``'s clock: per thread, a suffix found by bisection, walked
-        until a row already dominates the join.  With ``touched``, each
-        thread's rewritten rows are appended to it as ``(u, first, end)``:
-        ``rows[u][first:end]`` changed.
-        """
-        pa, pb = self.pos[a[0]], self.pos[b[0]]
-        rows = self.rows
-        bi = b[1]
-        if a == b or a[1] <= rows[pb][bi - 1][pa]:
-            return False
-        join = list(rows[pa][a[1] - 1])
-        if join[pb] >= bi:
-            raise CycleError(f"{b} precedes {a}")
-        join[pa] = a[1]
-        after_b = itemgetter(pb)
-        for u, chain in enumerate(rows):
-            if u == pb:
-                j = bi - 1
-            else:
-                j = bisect_left(chain, bi, key=after_b)
-            first = j
-            while j < len(chain):
-                old = chain[j]
-                new = tuple(map(max, old, join))
-                if new == old:
-                    break
-                chain[j] = new
-                j += 1
-            if touched is not None and j > first:
-                touched.append((u, first, j))
-        return True
-
-
-# ---------------------------------------------------------------------------
-# Class keys
-# ---------------------------------------------------------------------------
+from .program import Trace
 
 
 class KeyBuilder:

@@ -40,14 +40,16 @@ Three independently switchable accelerations:
 * closure -- a fixpoint pre-pass computing the weakest partial order every
   witness must refine; failure proves the instance unrealizable, success
   restricts the search to order-respecting extensions.  The order is a
-  ``semantics.ClockOrder``, one vector clock per event, so a read costs
+  ``Closure``, one vector clock per event, so a read costs
   O(k^2 log W) per step over k threads and W conflicting writes instead of
   the O(W^2) of explicit pairs, and the search reads each event's
   predecessors off its clock.  A closure can start from the closure of a
   relaxation of its instance and step only the reads that the new events
   and constraints concern;
-* guided search -- with an auxiliary trace over the same events, the
-  successors of a prefix run in trace order instead of thread order.
+* guided search -- the successors of a prefix run in the order of
+  ``inst.events`` instead of thread order.  The explorer lists an
+  instance's events in the order of the trace it extends, so that trace,
+  the paper's auxiliary trace, guides the search.
 """
 
 from __future__ import annotations
@@ -57,10 +59,9 @@ from collections import deque
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter, le
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional
 
 from .program import Event, EventId
-from .semantics import ClockOrder, CycleError
 
 
 class VscError(ValueError):
@@ -99,8 +100,10 @@ class VscInstance:
 
     ``universe`` fixes the variable-ordinal scheme used for initial-write ids
     (thread 0, index = 1-based position among sorted variable names); it
-    defaults to the variables occurring in the events.  ``check=False``
-    skips the validation, for callers that build only well-formed instances.
+    defaults to the variables occurring in the events.  A checked instance
+    keeps its good-writes sets as ``GoodWrites``.  ``check=False`` skips the
+    validation and the conversion, for callers that build only well-formed
+    instances whose good-writes sets are already ``GoodWrites``.
     ``chains``, when given, is ``by_thread`` as the caller already has it:
     per thread id in increasing order, for the threads with events, the
     tuple of its events in index order.  The explorer passes its trace's
@@ -109,7 +112,7 @@ class VscInstance:
     """
 
     events: tuple[Event, ...]
-    good_writes: dict[EventId, frozenset[EventId]]
+    good_writes: dict[EventId, GoodWrites]
     universe: tuple[str, ...] = ()
     check: InitVar[bool] = True
     chains: InitVar[Optional[Mapping[int, tuple[Event, ...]]]] = None
@@ -153,6 +156,8 @@ class VscInstance:
         for reid in self.good_writes:
             if reid not in read_ids:
                 raise VscError(f"good-writes entry for non-read {reid}")
+        good_writes = {r: gw if isinstance(gw, GoodWrites) else GoodWrites(gw) for r, gw in self.good_writes.items()}
+        object.__setattr__(self, "good_writes", good_writes)
 
     @cached_property
     def by_thread(self) -> Mapping[int, tuple[Event, ...]]:
@@ -179,20 +184,34 @@ class VscInstance:
 # ---------------------------------------------------------------------------
 
 
-class Closure(ClockOrder):
-    """A closed order with the tables that extending it needs.
+class CycleError(ValueError):
+    """Adding an edge would close a cycle."""
 
-    ``writes_of[var][u]`` lists the indices of the writes of ``var`` by the
-    thread at position ``u``, sorted; ``entries`` maps each constrained read
-    to what ``_step`` needs of it, and ``reads_of[var]`` lists the
-    constrained reads of ``var``.  A closure is not changed after ``closure``
-    returns it: extending one copies its rows and tables.
+
+class Closure:
+    """A strict partial order over the events of per-thread prefixes that
+    contains program order, stored as one vector clock per event, as in
+    FastTrack (Flanagan and Freund, PLDI 2009), with the tables that
+    extending it needs.
+
+    ``rows[u][j]`` is the clock of the (j+1)-th event of thread
+    ``threads[u]``: entry ``v`` counts the events of ``threads[v]`` that
+    precede it (for its own thread, ``j``).  Predecessors in a thread always
+    form a prefix, so whether ``a`` precedes ``b`` is one comparison, and
+    clocks never decrease along a thread.  ``writes_of[var][u]`` lists the
+    indices of the writes of ``var`` by the thread at position ``u``,
+    sorted; ``entries`` maps each constrained read to what ``_step`` needs
+    of it, and ``reads_of[var]`` lists the constrained reads of ``var``.  A
+    closure is not changed after ``closure`` returns it: extending one
+    copies its rows and tables.
     """
 
-    __slots__ = ("writes_of", "entries", "reads_of")
+    __slots__ = ("threads", "pos", "rows", "writes_of", "entries", "reads_of")
 
     def __init__(self, threads: Iterable[int]):
-        super().__init__(threads)
+        self.threads = tuple(threads)
+        self.pos = {t: u for u, t in enumerate(self.threads)}
+        self.rows: list[list[tuple[int, ...]]] = [[] for _ in self.threads]
         self.writes_of: dict[str, dict[int, list[int]]] = {}
         self.entries: dict[EventId, tuple] = {}
         self.reads_of: dict[str, list[EventId]] = {}
@@ -204,13 +223,51 @@ class Closure(ClockOrder):
         new.writes_of, new.entries, new.reads_of = dict(self.writes_of), dict(self.entries), dict(self.reads_of)
         return new
 
+    def add(self, a: EventId, b: EventId, touched: Optional[list] = None) -> bool:
+        """Order ``a`` before ``b``, with everything that implies.
+
+        Returns False when the order already has the edge (or ``a == b``);
+        raises CycleError when ``b`` precedes ``a``.  Every successor of ``b``
+        joins ``a``'s clock: per thread, a suffix found by bisection, walked
+        until a row already dominates the join.  With ``touched``, each
+        thread's rewritten rows are appended to it as ``(u, first, end)``:
+        ``rows[u][first:end]`` changed.
+        """
+        pa, pb = self.pos[a[0]], self.pos[b[0]]
+        rows = self.rows
+        bi = b[1]
+        if a == b or a[1] <= rows[pb][bi - 1][pa]:
+            return False
+        join = list(rows[pa][a[1] - 1])
+        if join[pb] >= bi:
+            raise CycleError(f"{b} precedes {a}")
+        join[pa] = a[1]
+        after_b = itemgetter(pb)
+        for u, chain in enumerate(rows):
+            if u == pb:
+                j = bi - 1
+            else:
+                j = bisect_left(chain, bi, key=after_b)
+            first = j
+            while j < len(chain):
+                old = chain[j]
+                new = tuple(map(max, old, join))
+                if new == old:
+                    break
+                chain[j] = new
+                j += 1
+            if touched is not None and j > first:
+                touched.append((u, first, j))
+        return True
+
 
 class GoodWrites(frozenset):
     """A set of good writes that also keeps, per writing thread id, the
     indices of its members in increasing order, which the closure rules
     bisect.  The explorer builds one per value group, so every closure that
     constrains the group's read shares these lists instead of sorting its
-    own.  They are never changed."""
+    own, and a checked ``VscInstance`` one per read.  They are never
+    changed."""
 
     __slots__ = ("indices",)
 
@@ -228,13 +285,11 @@ class GoodWrites(frozenset):
         return self
 
 
-def _read_entry(r: Event, gw: frozenset[EventId], init: EventId, pos: dict[int, int]):
+def _read_entry(r: Event, gw: GoodWrites, init: EventId, pos: dict[int, int]):
     """What ``_step`` needs of read ``r``: its id and position, its good
     writes, whether the initial write ``init`` is one of them, its variable
     (new writes of which leave the entry as it is), and per writing thread
     position the sorted indices of its good writes (see ``GoodWrites``)."""
-    if not isinstance(gw, GoodWrites):
-        gw = GoodWrites(gw)
     good = {pos[t]: g for t, g in gw.indices.items()}
     ru = pos[r.thread]
     return (r.eid, ru, r.index, itemgetter(ru), gw, init in gw, r.var, good)
@@ -305,7 +360,7 @@ def extremes(ranges: Mapping[int, tuple[int, int]], good: Mapping[int, list[int]
 
 def _step(order: Closure, read, touched: list) -> None:
     """Apply the four rules for one read entry; the rows that new edges
-    rewrite go to ``touched`` (see ``ClockOrder.add``).
+    rewrite go to ``touched`` (see ``Closure.add``).
 
     The rules read only the read's own row and the rows and index lists of
     the conflicting writes.  Raises CycleError when rule 1 fails or an edge
@@ -437,16 +492,15 @@ def _extend(base: Optional[Closure], inst: VscInstance) -> Closure:
         reid = queue.popleft()
         queued.discard(reid)
         _step(closed, entries[reid], touched)
-        again = []
+        again, rewritten = [], {}  # the rewritten reads, the variables of the rewritten writes
         for u, first, end in touched:
-            t = threads[u]
-            again.extend((t, i) for i in range(first + 1, end + 1) if (t, i) in entries)
-            for var, conf in writes_of.items():
-                indices = conf.get(u)
-                if indices:
-                    a = bisect_right(indices, first)
-                    if a < len(indices) and indices[a] <= end:
-                        again.extend(reads_of.get(var, ()))
+            for e in chains[threads[u]][first:end]:
+                if e.kind == "W":
+                    rewritten[e.var] = None
+                elif e.eid in entries:
+                    again.append(e.eid)
+        for var in rewritten:
+            again.extend(reads_of.get(var, ()))
         touched.clear()
         for r in again:
             if r != reid and r not in queued:
@@ -469,7 +523,7 @@ def closure(inst: VscInstance, start: Optional[Closure] = None) -> Optional[Clos
     4. a conflicting non-good write that every member of Cl(r) precedes
        moves after r.
 
-    The order is a ``ClockOrder``, so no rule looks at every write.  In each
+    The order is a ``Closure``, so no rule looks at every write.  In each
     thread u the visible writes of r are a range of u's conflicting writes:
     from u's last write below r, unless another thread's last write below r
     follows it, up to u's last write not after r.  Bisection on per-thread
@@ -571,13 +625,14 @@ def _marked(start, frames: list[list[int]], seq: list[Event], advance) -> set:
     return memo
 
 
-def _search(inst: VscInstance, order: Optional[ClockOrder], aux: Optional[Sequence[Event]], greedy: bool):
+def _search(inst: VscInstance, order: Optional[Closure], guided: bool, greedy: bool):
     """The witness search (see the module docstring): a witness or None,
-    and the states processed.  A variable's held bit changes only when one
-    of its events runs or is undone, since a read's needs are indices of
-    writes of its variable."""
+    and the states processed.  Guided, successors run in the order of
+    ``inst.events``, else in thread order.  A variable's held bit changes
+    only when one of its events runs or is undone, since a read's needs are
+    indices of writes of its variable."""
     good_writes, by_thread, n = inst.good_writes, inst.by_thread, len(inst.events)
-    keys = None if aux is None else {e.eid: i for i, e in enumerate(aux)}
+    keys = {e.eid: i for i, e in enumerate(inst.events)} if guided else None
     reads_of: dict[str, list[EventId]] = {}
     for e in inst.events:
         if e.kind == "R":
@@ -592,8 +647,7 @@ def _search(inst: VscInstance, order: Optional[ClockOrder], aux: Optional[Sequen
     start = (0,) * len(ran), tuple(active.values())
 
     def pending(var: str) -> Iterable[GoodWrites]:  # those of the reads of var yet to run
-        gws = (good_writes[r] for r in reads_of.get(var, ()) if r[1] > ran[r[0]])
-        return (gw if isinstance(gw, GoodWrites) else GoodWrites(gw) for gw in gws)
+        return (good_writes[r] for r in reads_of.get(var, ()) if r[1] > ran[r[0]])
 
     def advance(state, t: int):  # the witness state after the next event of thread t
         counts, acts = state
@@ -675,15 +729,11 @@ def _search(inst: VscInstance, order: Optional[ClockOrder], aux: Optional[Sequen
     return tuple(seq), n + undone + 1
 
 
-def verify_sc(
-    inst: VscInstance,
-    options: SolverOptions = SolverOptions(),
-    aux: Optional[Sequence[Event]] = None,
-    start: Optional[Closure] = None,
-) -> VscResult:
+def verify_sc(inst: VscInstance, options: SolverOptions = SolverOptions(), start: Optional[Closure] = None) -> VscResult:
     """Decide realizability; return a validated witness when one exists.
 
-    The search is ``_search`` (see the module docstring).
+    The search is ``_search`` (see the module docstring); with ``guided``
+    on, the order of ``inst.events`` guides it.
     ``states_processed`` counts the states that it ran: the empty prefix
     and one per event run, so ``n + 1`` when it never backtracks, within
     the module docstring's bound.  With closure on, the pre-pass is one
@@ -698,7 +748,7 @@ def verify_sc(
         order = closure(inst, start)
         if order is None:
             return VscResult(None, 0)
-    witness, processed = _search(inst, order, aux if options.guided else None, options.greedy)
+    witness, processed = _search(inst, order, options.guided, options.greedy)
     if witness is not None:
         _validate_witness(inst, witness)
     return VscResult(witness, processed, order)

@@ -194,6 +194,9 @@ PROGRAMS: dict[str, str] = {
 # nodes deep.
 LONG_READS = "thread t1 { write y 1; }\nthread t2 { repeat 3000 { a = read x; } }"
 
+# 10^10 writes in one thread, far past the unroll limit: a parse error.
+NESTED_REPEATS = "thread t { repeat 100000 { repeat 100000 { write x 1; } } }"
+
 
 # Programs that release a mutex their thread does not hold, on every
 # schedule or on some.  Every entry point raises ``InterpreterError`` on them

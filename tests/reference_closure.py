@@ -1,14 +1,14 @@
 """The pairs-based reference for the vector-clock orders of ``rvfmc``.
 
 ``_Order`` stores a strict order as transitively closed successor and
-predecessor sets, and ``clock_less`` and ``clock_pairs`` read a
-``ClockOrder`` in the same terms.  The tests check ``ClockOrder.add``
-against it, ``reference_oracle`` builds on it the causal order behind the
-reference rvf key, and ``reference_closure`` computes on it the closure that the
-clock-based ``vsc.closure`` is checked against: it evaluates the four
-closure rules on every write of a read's variable, so each read costs
-O(W^2) per pass.  It is slow but direct, which is what a reference should
-be.
+predecessor sets, and ``clock_less`` and ``clock_pairs`` read the clock
+rows of a ``vsc.Closure`` in the same terms.  The tests check
+``Closure.add`` against it, ``reference_oracle`` builds on it the causal
+order behind the reference rvf key, and ``reference_closure`` computes on
+it the closure that the clock-based ``vsc.closure`` is checked against:
+it evaluates the four closure rules on every write of a read's variable,
+so each read costs O(W^2) per pass.  It is slow but direct, which is what
+a reference should be.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from rvfmc.program import Event, EventId
-from rvfmc.semantics import ClockOrder
-from rvfmc.vsc import VscInstance
+from rvfmc.vsc import Closure, VscInstance
 
 
 class _Cycle(Exception):
@@ -55,7 +54,7 @@ class _Order:
         return True
 
 
-def clock_less(order: ClockOrder, a: EventId, b: EventId) -> bool:
+def clock_less(order: Closure, a: EventId, b: EventId) -> bool:
     """True when ``a`` precedes ``b`` in ``order``: one clock comparison.
     Ids outside the order (initial writes, absent threads, indices outside
     a chain) are unordered."""
@@ -65,7 +64,7 @@ def clock_less(order: ClockOrder, a: EventId, b: EventId) -> bool:
     return 1 <= a[1] <= order.rows[v][b[1] - 1][u]
 
 
-def clock_pairs(order: ClockOrder) -> frozenset[tuple[EventId, EventId]]:
+def clock_pairs(order: Closure) -> frozenset[tuple[EventId, EventId]]:
     """``order`` as explicit pairs, as ``_Order.pairs`` gives them."""
     out = set()
     for t, chain in zip(order.threads, order.rows):
@@ -75,7 +74,7 @@ def clock_pairs(order: ClockOrder) -> frozenset[tuple[EventId, EventId]]:
     return frozenset(out)
 
 
-def respects(seq: Sequence[Event], order: ClockOrder) -> bool:
+def respects(seq: Sequence[Event], order: Closure) -> bool:
     """True when every pair of ``order`` appears in that order in ``seq``."""
     at = {e.eid: i for i, e in enumerate(seq)}
     return all(a in at and b in at and at[a] < at[b] for a, b in clock_pairs(order))

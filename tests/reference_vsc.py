@@ -1,8 +1,12 @@
 """Test-only views of a ``vsc.VscInstance``: the bound on its witness
-states and its text form, the inverse of ``vsc.parse_instance``."""
+states, its text form, the inverse of ``vsc.parse_instance``, and the same
+instance with its events listed in another order."""
 
 from __future__ import annotations
 
+from typing import Iterable
+
+from rvfmc.program import Event
 from rvfmc.vsc import VscInstance
 
 
@@ -12,6 +16,14 @@ def state_bound(inst: VscInstance) -> int:
     for chain in inst.by_thread.values():
         bound *= len(chain) + 1
     return bound * (len(inst.threads) + 1) ** len(inst.variables)
+
+
+def in_order(inst: VscInstance, events: Iterable[Event]) -> VscInstance:
+    """``inst`` with its events listed as in ``events``, a permutation of
+    them: the order that guides ``verify_sc`` with ``guided`` on."""
+    events = tuple(events)
+    assert sorted(e.eid for e in events) == sorted(e.eid for e in inst.events), "not a permutation"
+    return VscInstance(events, inst.good_writes, inst.universe)
 
 
 def format_instance(inst: VscInstance) -> str:

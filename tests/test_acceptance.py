@@ -17,7 +17,7 @@ from rvfmc.vsc import SolverOptions, closure, verify_sc
 from corpus import PROGRAMS, one_var_family, many_threads_family
 from reference_closure import respects
 from reference_oracle import brute_force_vsc, census, enumerate_maximal_traces, iter_vsc_witnesses, replay_leaves
-from reference_vsc import state_bound
+from reference_vsc import in_order, state_bound
 from test_fuzz import random_instance, random_linearization
 
 FUZZ_COUNT = int(os.environ.get("RVFMC_FUZZ_COUNT", "10000"))
@@ -85,10 +85,11 @@ def test_criterion_2_coarse_program_families():
 
 def test_criterion_3_solver_matches_brute_force(fuzz_corpus):
     disagreements = 0
-    for inst, aux in fuzz_corpus:
+    for inst, lin in fuzz_corpus:
         expected = brute_force_vsc(inst) is not None
+        guided = in_order(inst, lin)
         for opt in ALL_SOLVER_OPTIONS:
-            res = verify_sc(inst, opt, aux=aux if opt.guided else None)
+            res = verify_sc(guided, opt)
             if res.realizable != expected:
                 disagreements += 1
             if res.witness is not None:
@@ -186,10 +187,11 @@ def test_criterion_7_ablation_invariance(corpus_runs):
 
 def test_criterion_8_state_bound(fuzz_corpus):
     worst = 0.0
-    for inst, aux in fuzz_corpus:
+    for inst, lin in fuzz_corpus:
         bound = state_bound(inst)
+        guided = in_order(inst, lin)
         for opt in ALL_SOLVER_OPTIONS:
-            res = verify_sc(inst, opt, aux=aux if opt.guided else None)
+            res = verify_sc(guided, opt)
             assert res.states_processed <= bound
             worst = max(worst, res.states_processed / bound)
     _ok("8", f"states within bound on every run (worst ratio {worst:.3f})")

@@ -8,7 +8,7 @@ import pytest
 from rvfmc import explore, parse_program
 from rvfmc.cli import main
 from rvfmc.vsc import parse_instance
-from corpus import LONG_READS, MISUSE, PROGRAMS, deep_program
+from corpus import LONG_READS, MISUSE, NESTED_REPEATS, PROGRAMS, deep_program
 
 
 @pytest.fixture
@@ -94,6 +94,18 @@ def test_parse_error_exit_2(tmp_path, capsys):
     f.write_text("thread t1 { write x ; }")
     assert main(["explore", str(f)]) == 2
     assert main(["census", str(f)]) == 2
+
+
+def test_unroll_limit_exit_2(tmp_path, capsys):
+    """A program whose nested repeats unroll past the limit is a parse
+    error, not an out-of-memory failure."""
+    f = tmp_path / "nested.prog"
+    f.write_text(NESTED_REPEATS)
+    for mode in ("explore", "census"):
+        assert main([mode, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rvf-mc: 1:12: a thread unrolls to more than 100000 instructions\n"
 
 
 def test_unheld_unlock_exit_2(tmp_path, capsys):

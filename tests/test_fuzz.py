@@ -16,7 +16,6 @@ from rvfmc import vsc
 from rvfmc.program import Event
 from rvfmc.vsc import (
     Closure,
-    GoodWrites,
     SolverOptions,
     VscError,
     VscInstance,
@@ -34,7 +33,7 @@ from reference_oracle import (
     reference_rvf_key,
     replay_leaves,
 )
-from reference_vsc import state_bound
+from reference_vsc import in_order, state_bound
 
 ALL_SOLVER_OPTIONS = [SolverOptions(*bits) for bits in itertools.product([False, True], repeat=3)]
 
@@ -73,11 +72,12 @@ def random_linearization(inst: VscInstance, rng: random.Random) -> list[Event]:
     return out
 
 
-def check_instance(inst: VscInstance, aux: list[Event]) -> None:
+def check_instance(inst: VscInstance, lin: list[Event]) -> None:
     oracle_witness = brute_force_vsc(inst)
     realizable = oracle_witness is not None
+    guided = in_order(inst, lin)
     for opt in ALL_SOLVER_OPTIONS:
-        res = verify_sc(inst, opt, aux=aux if opt.guided else None)
+        res = verify_sc(guided, opt)
         assert res.realizable == realizable, (opt, inst.events, inst.good_writes)
         assert res.states_processed <= state_bound(inst)
         if res.witness is not None:
@@ -108,7 +108,7 @@ def test_dive_is_the_search_first_path(monkeypatch):
     its first descent, the dive, dead-ends: it returns a witness after
     exactly n + 1 states when, and only when, it never built its memo."""
     rng = random.Random(11)
-    corpus = [(inst, random_linearization(inst, rng)) for inst in (random_instance(rng) for _ in range(600))]
+    corpus = [in_order(inst, random_linearization(inst, rng)) for inst in (random_instance(rng) for _ in range(600))]
     built = 0
     marked = vsc._marked
 
@@ -119,10 +119,10 @@ def test_dive_is_the_search_first_path(monkeypatch):
 
     monkeypatch.setattr(vsc, "_marked", counting)
     dives = dead_ends = 0
-    for inst, aux in corpus:
+    for inst in corpus:
         for opt in ALL_SOLVER_OPTIONS:
             built = 0
-            res = verify_sc(inst, opt, aux=aux)
+            res = verify_sc(inst, opt)
             if opt.closure and res.closure is None:
                 continue
             straight = res.realizable and res.states_processed == len(inst.events) + 1
@@ -229,7 +229,7 @@ def node_refutes(node: Closure, inst: VscInstance, read: Event) -> bool:
     the initial write included, lies in the ranges ``visible`` gives on
     ``node``, the closure of ``inst`` without ``read``."""
     ranges, init_visible = visible(node, read)
-    gw = GoodWrites(inst.good_writes[read.eid])
+    gw = inst.good_writes[read.eid]
     return not extremes(ranges, gw.indices)[0] and not (init_visible and inst.init_eid(read.var) in gw)
 
 

@@ -13,11 +13,12 @@ digest does not depend on ``PYTHONHASHSEED``.  A change that is meant to
 leave the explorer's decisions alone must leave the digest alone.
 
 The solver digest covers ``verify_sc`` alone: per seeded ``random_instance``
-draw and its ``random_linearization`` as auxiliary trace, under all 8
-``SolverOptions``, the verdict, the witness's event ids and the states
-processed.  It pins the exact state counts of calls that backtrack, which
-the explorer's digest reaches only through the bench shapes.  Run this file
-as a script to print both digests of the current tree.
+draw, its events listed in the order of its ``random_linearization``,
+which guides the search, under all 8 ``SolverOptions``, the verdict, the
+witness's event ids and the states processed.  It pins the exact state
+counts of calls that backtrack, which the explorer's digest reaches only
+through the bench shapes.  Run this file as a script to print both
+digests of the current tree.
 """
 
 import hashlib
@@ -28,6 +29,7 @@ from pathlib import Path
 
 from rvfmc import ExploreOptions, SolverOptions, explore, parse_program, replay, verify_sc
 from corpus import PROGRAMS
+from reference_vsc import in_order
 from test_fuzz import random_instance, random_linearization
 
 ALL_EXPLORE_OPTIONS = [ExploreOptions(*bits) for bits in itertools.product([True, False], repeat=4)]
@@ -109,9 +111,9 @@ def solver_digest(draws: int = 2000, seed: int = 20261019) -> str:
     rng = random.Random(seed)
     for _ in range(draws):
         inst = random_instance(rng)
-        aux = random_linearization(inst, rng)
+        guided = in_order(inst, random_linearization(inst, rng))
         for options in ALL_SOLVER_OPTIONS:
-            res = verify_sc(inst, options, aux=aux)
+            res = verify_sc(guided, options)
             witness = None if res.witness is None else [list(e.eid) for e in res.witness]
             runs.append([res.realizable, witness, res.states_processed])
     text = json.dumps(runs, separators=(",", ":"))

@@ -9,7 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Test-only oracles live in tests/reference_*.py; none of them belongs here.
 PUBLIC_API = {
-    "ClockOrder",
+    "Closure",
     "Event",
     "ExplorationReport",
     "ExploreOptions",

@@ -15,7 +15,7 @@ from rvfmc import (
     replay,
 )
 from rvfmc.program import InterpreterError
-from corpus import MISUSE, UNANIMOUS, PROGRAMS, deep_program
+from corpus import MISUSE, NESTED_REPEATS, UNANIMOUS, PROGRAMS, deep_program
 from reference_oracle import enumerate_maximal_traces, scan_indexes
 
 
@@ -209,6 +209,31 @@ def test_nesting_limit_counts_blocks_and_expressions_together():
 def test_repeat_unrolls():
     p = parse_program("thread t1 { repeat 3 { write x 1; } }")
     assert access_count(p) == 3
+
+
+def test_unroll_limit():
+    """A repeat may take its thread to at most 100 000 instructions.
+    Nested bounds multiply, and the compiler raises at the outer repeat
+    after one copy of its body instead of unrolling the rest; every
+    instruction before the repeat counts."""
+    with pytest.raises(ParseError) as exc:
+        parse_program(NESTED_REPEATS)
+    assert (exc.value.line, exc.value.col) == (1, 12)
+    assert "a thread unrolls to more than 100000 instructions" in str(exc.value)
+    p = parse_program("thread t { repeat 1000 { repeat 100 { write x 1; } } } thread u { write x 2; }")
+    assert [len(t.ops) for t in p.threads] == [100_000, 1]
+    for src in (
+        "thread t { write y 1; repeat 100000 { write x 1; } }",
+        "thread t { a = 2; repeat 50000 { a = 1; write x a; } }",
+        "thread t { repeat 50001 { if 0 == 0 { write x 1; } } }",
+    ):
+        with pytest.raises(ParseError, match="more than 100000"):
+            parse_program(src)
+
+
+def test_repeat_of_an_empty_body_stops_at_once():
+    p = parse_program("thread t { repeat 1000000000000000000 { } write x 1; }")
+    assert access_count(p) == 1
 
 
 def test_locals_default_to_zero_in_untaken_branch():

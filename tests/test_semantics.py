@@ -13,7 +13,8 @@ from rvfmc import count_classes, empty_trace, explore, extend, parse_program, rv
 from rvfmc import oracle
 from rvfmc.oracle import _maximal
 from rvfmc.program import InterpreterError
-from rvfmc.semantics import ClockOrder, CycleError, KeyBuilder
+from rvfmc.semantics import KeyBuilder
+from rvfmc.vsc import Closure, CycleError
 from corpus import MISUSE, PROGRAMS
 from reference_closure import _Cycle, _Order, clock_less, clock_pairs
 from test_golden import key_partition
@@ -193,9 +194,9 @@ def test_partition_coarseness_chain(name):
     assert n_rvf <= n_rf <= n_maz
 
 
-def program_order(lengths: dict[int, int]) -> ClockOrder:
+def program_order(lengths: dict[int, int]) -> Closure:
     """Per-thread chains alone; ``lengths`` maps thread id to event count."""
-    order = ClockOrder(sorted(lengths))
+    order = Closure(sorted(lengths))
     k = len(order.threads)
     for u, (t, chain) in enumerate(zip(order.threads, order.rows)):
         chain.extend(tuple(j if v == u else 0 for v in range(k)) for j in range(lengths[t]))

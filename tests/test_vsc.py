@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from rvfmc import Event, SolverOptions, VscInstance, closure, verify_sc
-from rvfmc.vsc import VscError, _validate_witness, format_witness, parse_instance
+from rvfmc.vsc import GoodWrites, VscError, _validate_witness, format_witness, parse_instance
 from reference_closure import clock_less, respects
 from reference_oracle import brute_force_vsc, iter_vsc_witnesses
-from reference_vsc import format_instance, state_bound
+from reference_vsc import format_instance, in_order, state_bound
 
 ALL_OPTIONS = [SolverOptions(*bits) for bits in itertools.product([False, True], repeat=3)]
 
@@ -157,9 +157,9 @@ def test_instance_chains_checked_against_events():
 # -- search choices -------------------------------------------------------------
 
 
-def searched(inst, opt, aux=None):
+def searched(inst, opt):
     """The witness and the states processed of ``verify_sc``."""
-    res = verify_sc(inst, opt, aux=aux)
+    res = verify_sc(inst, opt)
     return res.witness, res.states_processed
 
 
@@ -180,16 +180,16 @@ def test_executable_conditions():
     closure on an event only once its closure predecessors have run."""
     inst = inst_2ev()
     w, r = inst.events
-    # the auxiliary trace puts r first, but its good write is not active yet
-    assert searched(inst, NO_GREEDY_GUIDED, aux=(r, w)) == ((w, r), 3)
+    # the guide puts r first, but its good write is not active yet
+    assert searched(in_order(inst, (r, w)), NO_GREEDY_GUIDED) == ((w, r), 3)
     # r1 must read w2, so the closure orders the bad write w1 before w2.
-    # Without it the search follows the auxiliary trace to w2, where r1
-    # holds x and w1 cannot run, and backtracks once.
+    # Without it the search follows the guide to w2, where r1 holds x and
+    # w1 cannot run, and backtracks once.
     w1, r1, w2 = Event(1, 1, "W", "x", 1), Event(1, 2, "R", "x"), Event(2, 1, "W", "x", 2)
     inst = VscInstance((w1, r1, w2), {r1.eid: frozenset({w2.eid})})
-    assert searched(inst, NO_GREEDY_GUIDED, aux=(w2, w1, r1)) == ((w1, w2, r1), 5)
-    ordered = SolverOptions(greedy=False, closure=True, guided=True)
-    assert searched(inst, ordered, aux=(w2, w1, r1)) == ((w1, w2, r1), 4)
+    guided = in_order(inst, (w2, w1, r1))
+    assert searched(guided, NO_GREEDY_GUIDED) == ((w1, w2, r1), 5)
+    assert searched(guided, SolverOptions(greedy=False, closure=True, guided=True)) == ((w1, w2, r1), 4)
 
 
 def test_write_to_held_variable_not_executable():
@@ -212,8 +212,8 @@ def test_greedy_prefers_executable_read():
 
 def test_greedy_rule2_stale_writes():
     """After 1.1 the useless active write of x may be replaced by the
-    equally useless 1.2: rule 2 takes it although the auxiliary trace puts
-    2.1 first.  The verdict matches plain enumeration."""
+    equally useless 1.2: rule 2 takes it although the guide puts 2.1
+    first.  The verdict matches plain enumeration."""
     events = (
         Event(1, 1, "W", "x", 1),
         Event(1, 2, "W", "x", 2),
@@ -221,10 +221,10 @@ def test_greedy_rule2_stale_writes():
         Event(2, 2, "R", "y"),
     )
     inst = VscInstance(events, {(2, 2): frozenset({(2, 1)})})
-    aux = (events[0], events[2], events[3], events[1])
+    guide = (events[0], events[2], events[3], events[1])
     greedy = SolverOptions(greedy=True, closure=False, guided=True)
-    assert searched(inst, greedy, aux=aux) == (events, 5)
-    assert searched(inst, NO_GREEDY_GUIDED, aux=aux) == (aux, 5)
+    assert searched(in_order(inst, guide), greedy) == (events, 5)
+    assert searched(in_order(inst, guide), NO_GREEDY_GUIDED) == (guide, 5)
     fast = verify_sc(inst, SolverOptions(greedy=True, closure=False, guided=False))
     slow = verify_sc(inst, SolverOptions(greedy=False, closure=False, guided=False))
     assert fast.realizable == slow.realizable == (brute_force_vsc(inst) is not None)
@@ -233,12 +233,11 @@ def test_greedy_rule2_stale_writes():
 def test_greedy_neither_rule_applies():
     """Three writes of x and no read.  At the start no read is executable
     and the active write is the initial one, so greedy leaves the choice to
-    the auxiliary trace, which runs c first; c is then a useless active
-    write, and rule 2 replaces it with a, the first useless write in
-    position order."""
+    the guide, which runs c first; c is then a useless active write, and
+    rule 2 replaces it with a, the first useless write in position order."""
     a, b, c = (Event(1, 1, "W", "x", 1), Event(2, 1, "W", "x", 1), Event(3, 1, "W", "x", 1))
-    inst = VscInstance((a, b, c), {})
-    assert searched(inst, SolverOptions(greedy=True, closure=False, guided=True), aux=(c, b, a)) == ((c, a, b), 4)
+    inst = in_order(VscInstance((a, b, c), {}), (c, b, a))
+    assert searched(inst, SolverOptions(greedy=True, closure=False, guided=True)) == ((c, a, b), 4)
 
 
 # -- closure -----------------------------------------------------------------
@@ -287,7 +286,7 @@ def test_long_witness_rebuilt():
     r = Event(2, 1, "R", "x")
     inst = VscInstance(writes + (r,), {r.eid: frozenset({writes[-1].eid})})
     for opt in ALL_OPTIONS:
-        res = verify_sc(inst, opt, aux=writes + (r,) if opt.guided else None)
+        res = verify_sc(inst, opt)
         assert res.witness == writes + (r,)
 
 
@@ -308,8 +307,7 @@ def test_dive_dead_end_falls_back_to_the_search():
     w31, r32 = Event(3, 1, "W", "x", 0), Event(3, 2, "R", "x")
     inst = VscInstance((w11, w21, w22, w31, r32), {r32.eid: frozenset({w11.eid, w21.eid, w22.eid})})
     for opt in ALL_OPTIONS:
-        aux = inst.events if opt.guided else None
-        res = verify_sc(inst, opt, aux=aux)
+        res = verify_sc(inst, opt)
         assert (res.witness, res.states_processed) == ((w11, w21, w31, w22, r32), 7), opt
 
 
@@ -338,19 +336,20 @@ def test_closure_clocks_after_backtracking():
 
 
 def test_guided_order_reverses_aux_positions():
-    """Without greedy, the search runs the executable events in auxiliary
-    trace order, and without an auxiliary trace in thread position order."""
+    """Without greedy, the guided search runs the executable events in the
+    order of the instance's events, its auxiliary trace, and the plain one
+    in thread position order."""
     a, b, c = (Event(1, 1, "W", "x", 1), Event(2, 1, "W", "x", 1), Event(3, 1, "W", "x", 1))
     inst = VscInstance((a, b, c), {})
-    for aux in ([a, b, c], [b, a, c], [c, b, a]):
-        assert searched(inst, NO_GREEDY_GUIDED, aux=aux) == (tuple(aux), 4)
-    assert searched(inst, SolverOptions(greedy=False, closure=False, guided=False), aux=[c, b, a]) == ((a, b, c), 4)
+    for guide in ([a, b, c], [b, a, c], [c, b, a]):
+        assert searched(in_order(inst, guide), NO_GREEDY_GUIDED) == (tuple(guide), 4)
+    plain = SolverOptions(greedy=False, closure=False, guided=False)
+    assert searched(in_order(inst, [c, b, a]), plain) == ((a, b, c), 4)
 
 
 def test_guided_search_same_verdicts():
-    inst = inst_cyclic()
-    aux = sorted(inst.events, key=lambda e: e.eid)
-    res = verify_sc(inst, SolverOptions(greedy=False, closure=False, guided=True), aux=aux)
+    inst = in_order(inst_cyclic(), sorted(inst_cyclic().events, key=lambda e: e.eid))
+    res = verify_sc(inst, SolverOptions(greedy=False, closure=False, guided=True))
     assert res.witness is None
 
 
@@ -377,6 +376,19 @@ def test_parse_format_roundtrip():
     res = verify_sc(inst)
     assert res.witness is not None
     assert format_witness(res.witness).count(".") == 4
+
+
+def test_parsed_good_writes_keep_sorted_indices():
+    """A checked instance holds its good-writes sets as ``GoodWrites``,
+    each with the sorted indices of its members per writing thread, so
+    neither the closure nor the search converts them again; a set that is
+    one already is kept as it is."""
+    inst = parse_instance("E 1 1 W x 1\nE 1 2 W x 2\nE 1 3 W x 3\nE 2 1 W x 4\nE 3 1 R x\nG 3 1 : 1.3 0.1 2.1 1.1\n")
+    (gw,) = inst.good_writes.values()
+    assert isinstance(gw, GoodWrites)
+    assert gw == {(1, 3), (0, 1), (2, 1), (1, 1)}
+    assert gw.indices == {1: [1, 3], 2: [1]}
+    assert VscInstance(inst.events, inst.good_writes).good_writes[(3, 1)] is gw
 
 
 def test_parse_instance_errors():
