@@ -19,36 +19,37 @@ thread, a prefix length of already-considered reads-from sources.  A node
    entry is bumped so later siblings must find it a source outside the trace.
 
 Nodes are generators that one loop runs depth first on a stack, so a
-child ends before its parent resumes.  A node extends the trace it is
-given in place and undoes its own steps before it ends, so a direct
-witness costs one step and one undo; only solver witnesses are replayed.
+child ends before its parent resumes, and the path's state is kept once:
+a node changes it in place and takes its changes back.  A direct witness
+costs one step and one undo; only solver witnesses are replayed.
 
 A node reads without scanning the whole trace:
 
 * undone with the trace: its per-variable write lists and per-thread event
   chains (``Trace.writes`` and ``Trace.chains``), which the trace updates
-  from its steps and undos when they are read.  Viable sources, a read's
-  active write and the sources that a mutex's acquires have consumed come
-  from them, and a read's solver instances get the chains as ``by_thread``;
+  from its steps and undos when they are read.  Viable sources and a
+  read's active write come from them, and a node's instance gets the
+  chains as ``by_thread``;
+* undone by the node: the good-writes map, which holds each child's read
+  while the child runs, the causal map's bumped entries, per mutex the
+  releases the path's acquires take, and the closure (below);
 * shared: the value groups.  Each is a ``vsc.GoodWrites``, which also holds
   its members' indices per writing thread, sorted once and then read by
   every closure that constrains its read.  The groups of a variable are
   kept until its sources change, so the nodes down a path that see the
-  same writes group them once, and a release's singleton once per run;
-* copied per child: the good-writes map, which gains the child's read, and
-  the causal map, shallowly, since an entry is replaced and never changed.
+  same writes group them once, and a release's singleton once per run.
 
-With closure on, a node closes its trace under its good writes
-(``vsc.closure``) when its first group needs a witness, starting from the
-nearest ancestor's closure: a solver-witness child's starts from the
-closure of the call that produced its witness, a direct-witness child's
-from its parent's, or from the parent's own start if the parent made none.
-Rule 1 of the closure is decided there once per read, as the index ranges
-of the read's conflicting writes that stay visible (``vsc.visible``); a
-group with none of its good writes in them is refuted without an instance
-or a solver call, and every other one goes to the solver, whose closure
-starts from the node's.  Instances only grow down the stack, so each
-closure extends one already closed instead of closing from program order.
+With closure on, the explorer keeps one ``vsc.Closure``, which on entry
+to a node closes a relaxation of the node's trace.  A node fills it to its
+own trace under its good writes (``vsc.closure``) when its first group
+needs a witness, and undoes the fill when it ends.  Rule 1 of the closure
+is decided there once per read, as the index ranges of the read's
+conflicting writes that stay visible (``vsc.visible``); a group with none
+of its good writes in them is refuted without an instance or a solver
+call, and every other one goes to the solver with the node's instance plus
+the read.  The solver's closure extends the node's in place, and is undone
+when the witness child returns, or at once without a witness.  Instances
+only grow down the stack, so no closure starts from program order.
 
 A plain read processed without ever receiving a backtrack signal ends the
 loop: no compatible schedule assigns it a source beyond the current trace,
@@ -166,23 +167,18 @@ def group_by_value(sources: Iterable[Event]) -> list[tuple[int, GoodWrites]]:
     return [(value, GoodWrites(ids)) for value, ids in groups.items()]
 
 
-def _instance_chains(trace: Trace, read: Event) -> dict[int, tuple[Event, ...]]:
-    """``VscInstance.by_thread`` of the trace plus ``read``."""
-    chains = {}
-    for t, chain in enumerate(trace.chains, 1):
-        if t == read.thread:
-            chains[t] = (*chain, read)
-        elif chain:
-            chains[t] = tuple(chain)
-    return chains
-
-
 class _Explorer:
     def __init__(self, program: Program, options: ExploreOptions):
         self.program = program
         self.options = options
         self.mutexes = set(program.mutexes)
         self.signals: dict[EventId, _Signal] = {}
+        # the path's state: the good writes of its reads, the causal map, per
+        # mutex the releases that its acquires take, and with closure on the closure
+        self.goodw: dict[EventId, GoodWrites] = {}
+        self.cmap: CausalMap = {}
+        self.consumed: dict[str, set[EventId]] = {m: set() for m in self.mutexes}
+        self.order = Closure(range(1, len(program.threads) + 1)) if options.closure else None
         # per plain variable, the last sources grouped and their groups
         self.grouped: dict[str, tuple[list[Event], list[GoodWrites]]] = {}
         # per mutex release, its singleton group
@@ -192,32 +188,24 @@ class _Explorer:
 
     def run(self) -> ExplorationReport:
         start = time.perf_counter()
-        root = Closure(range(1, len(self.program.threads) + 1)) if self.options.closure else None
-        stack = [self._node({}, empty_trace(self.program), {}, root)]
+        stack = [self._node(empty_trace(self.program))]
         while stack:
             child = next(stack[-1], None)
             if child is None:
                 stack.pop()
             else:
-                stack.append(self._node(*child))
+                stack.append(self._node(child))
         self.report.wall_time_ms = (time.perf_counter() - start) * 1000.0
         return self.report
 
     # -- per-read source grouping -------------------------------------------
 
-    def _groups(
-        self, read: Event, sources: list[Event], trace: Trace, goodw: dict[EventId, frozenset[EventId]]
-    ) -> list[GoodWrites]:
+    def _groups(self, read: Event, sources: list[Event]) -> list[GoodWrites]:
         if read.var in self.mutexes:
-            # Each release feeds at most one acquire; sources already claimed
-            # by another acquire of this mutex in the trace are gone, and
+            # Each release feeds at most one acquire; sources already taken
+            # by another acquire of this mutex on the path are gone, and
             # every remaining one forms its own singleton group.
-            consumed: set[EventId] = set()
-            chains = trace.chains
-            for (t, i), group in goodw.items():
-                chain = chains[t - 1]
-                if i <= len(chain) and chain[i - 1].kind == "R" and chain[i - 1].var == read.var:
-                    consumed |= group
+            consumed = self.consumed[read.var]
             free = [w.eid for w in sources if w.eid not in consumed]
             return [self.singletons.get(e) or self.singletons.setdefault(e, GoodWrites((e,))) for e in free]
         # The nodes down a path mostly see the same writes of a variable,
@@ -232,105 +220,98 @@ class _Explorer:
 
     # -- the depth-first search ----------------------------------------------
 
-    def _node(
-        self,
-        goodw: dict[EventId, frozenset[EventId]],
-        trace: Trace,
-        cmap: CausalMap,
-        start: Optional[Closure],
-    ) -> Iterator[tuple]:
-        """Explore below ``trace``, which is extended in place and left as it
-        was found; ``start`` closes a relaxation of the node's trace.  Fixes
-        each value group of each enabled read in turn and yields the child's
-        arguments.  A group the trace satisfies is a direct witness; with
-        closure on, any other one is first checked against the read's visible
-        ranges on the node's closure (``vsc.visible``), and if it passes
-        becomes an instance, the trace plus the read, for the solver."""
+    def _node(self, trace: Trace) -> Iterator[Trace]:
+        """Explore below ``trace``, extended in place and left as it was
+        found, as is the rest of the path's state.  Fixes each value group of
+        each enabled read in turn and yields the child's trace.  A group the
+        trace satisfies is a direct witness; with closure on, any other one
+        must pass the read's visible ranges on the node's closure
+        (``vsc.visible``) before it goes to the solver."""
+        goodw, cmap, order, report = self.goodw, self.cmap, self.order, self.report
+        universe = self.program.globals
         before = len(trace.events)
         extend_nonreads(trace)
         update_backtrack_signals(trace.events[before:], self.signals)
         enabled = trace.enabled
         if not enabled:
-            report = self.report
             report.schedules.append(tuple(trace.events))
             report.rvf_keys.append(rvf_key(trace))
             report.violations.update(trace.violations)
             if trace.deadlocked:
                 report.deadlocks += 1
 
-        node = None  # the closure of this node's trace under goodw, made for the first group that needs a witness
+        node = filled = None  # at the first group that needs a witness: the node's instance, the fill's mark
+        bumped = []  # per causal-map entry that this node set, the read and the entry it replaced
         for read in sorted(enabled, key=lambda e: (e.eid in cmap, e.eid)):
             unmapped = read.eid not in cmap
-            plain = read.var not in self.mutexes
-            if unmapped and plain:
+            consumed = self.consumed.get(read.var)  # None for a plain read
+            if unmapped and consumed is None:
                 self.signals[read.eid] = _Signal(read.var, read.thread)
 
-            groups = self._groups(read, viable_sources(trace, read, cmap), trace, goodw)
+            groups = self._groups(read, viable_sources(trace, read, cmap))
             # the trace is the same for every group: children undo their steps
             writes = trace.writes[read.var]
             active = writes[-1].eid if writes else self.program.init_event(read.var).eid
-            events = chains = None  # the instance's, made for its first group that needs a witness
+            events = chains = None  # the solver instance's, made for the read's first group that needs one
             for group in groups:
                 direct = active in group  # the current trace already satisfies it
                 if not direct:
                     if events is None:
-                        events, chains = (*trace.events, read), _instance_chains(trace, read)
-                        if self.options.closure:
-                            if node is None:
-                                node = self._close(events, chains, read, goodw, start)
-                            ranges, init_visible = visible(node, read)
-                    if self.options.closure and not extremes(ranges, group.indices)[0] and not (
+                        if node is None:  # the node's trace under goodw, grouped by its own chains
+                            chains = {t: tuple(chain) for t, chain in enumerate(trace.chains, 1) if chain}
+                            node = VscInstance(tuple(trace.events), goodw, universe, check=False, chains=chains)
+                            if order is not None:
+                                filled = order.mark()
+                                if closure(node, order) is None:
+                                    raise RuntimeError("the trace of an explorer node has no closure")
+                        events, by_thread = node.events + (read,), node.by_thread
+                        chains = {**by_thread, read.thread: by_thread.get(read.thread, ()) + (read,)}
+                        if len(chains) > len(by_thread):  # the thread's first event: keep thread order
+                            chains = dict(sorted(chains.items()))
+                        if order is not None:
+                            ranges, init_visible = visible(order, read)
+                    if order is not None and not extremes(ranges, group.indices)[0] and not (
                         init_visible and self.program.init_event(read.var).eid in group
                     ):
-                        self.report.node_refutations += 1
+                        report.node_refutations += 1
                         continue
-                goodw2 = {**goodw, read.eid: group}
+                goodw[read.eid] = group
+                mark = None if order is None else order.mark()
                 if direct:
-                    witness_trace, child_start = extend(trace, read), start if node is None else node
-                else:
-                    inst = VscInstance(events, goodw2, universe=self.program.globals, check=False, chains=chains)
-                    found = self._witness(inst, node)
-                    if found is None:
-                        continue
-                    witness_trace, child_start = found
-                # entries are replaced, never changed, so children share them
-                yield goodw2, witness_trace, dict(cmap), child_start
-                if witness_trace is trace:
-                    trace.undo()  # the read the direct witness appended
+                    child = extend(trace, read)
+                else:  # the solver's closure extends the node's in place
+                    inst = VscInstance(events, goodw, universe, check=False, chains=chains)
+                    result = verify_sc(inst, self.solver_options, start=order)
+                    report.vsc_calls += 1
+                    report.witness_states += result.states_processed
+                    child = None if result.witness is None else replay(self.program, result.witness)
+                if child is not None:
+                    if consumed is not None:
+                        consumed |= group
+                    yield child
+                    if consumed is not None:
+                        consumed -= group
+                    if child is trace:
+                        trace.undo()  # the read the direct witness appended
+                if order is not None:
+                    order.undo(mark)  # the solver call's extension of the node's closure
+                del goodw[read.eid]
 
-            if unmapped and plain:
+            if unmapped and consumed is None:
                 fired = self.signals.pop(read.eid).fired
                 if self.options.backtrack_signals and not fired:
                     break
-            counts = dict(enumerate(trace.counts, 1))
-            counts[0] = len(self.program.globals)
-            cmap[read.eid] = counts
+            bumped.append((read.eid, cmap.get(read.eid)))
+            cmap[read.eid] = dict(enumerate((len(universe), *trace.counts)))  # thread 0: the initial writes
+        for eid, old in reversed(bumped):
+            if old is None:
+                del cmap[eid]
+            else:
+                cmap[eid] = old
+        if filled is not None:
+            order.undo(filled)
         for _ in range(len(trace.events) - before):
             trace.undo()
-
-    def _close(self, events, chains, read: Event, goodw, start: Optional[Closure]) -> Closure:
-        """The closure from ``start`` of the node's trace under ``goodw``,
-        sliced from ``events`` and ``chains``, the trace plus ``read``.  The
-        trace witnesses ``goodw``, so the closure exists."""
-        t = read.thread
-        chains = {u: chain[:-1] if u == t else chain for u, chain in chains.items() if u != t or len(chain) > 1}
-        order = closure(VscInstance(events[:-1], goodw, self.program.globals, check=False, chains=chains), start)
-        if order is None:
-            raise RuntimeError("the trace of an explorer node has no closure")
-        return order
-
-    def _witness(self, inst: VscInstance, start: Optional[Closure]) -> Optional[tuple[Trace, Optional[Closure]]]:
-        """A fresh replay of a solver witness of ``inst``, the node's trace
-        plus one read, and the closure of ``inst`` (with closure on), or
-        None.  The instance is made of a trace's own events and writes, so
-        it is well-formed and skips validation; its events in trace order
-        are the auxiliary trace that guides the search."""
-        result = verify_sc(inst, self.solver_options, start=start)
-        self.report.vsc_calls += 1
-        self.report.witness_states += result.states_processed
-        if result.witness is None:
-            return None
-        return replay(self.program, result.witness), result.closure
 
 
 def explore(program: Program, options: Optional[ExploreOptions] = None) -> ExplorationReport:
@@ -339,5 +320,6 @@ def explore(program: Program, options: Optional[ExploreOptions] = None) -> Explo
     closure on, a value group whose read fails closure rule 1 on its node's
     closure counts in ``node_refutations`` instead of ``vsc_calls``, and
     each solver call's closure extends its node's (see the module
-    docstring); only the closures of the stack's path are kept."""
+    docstring); the run keeps one closure, extended and undone along its
+    path."""
     return _Explorer(program, options or ExploreOptions()).run()

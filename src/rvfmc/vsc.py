@@ -8,8 +8,8 @@ in which every read reads-from one of its good writes.
 
 ``verify_sc`` decides witness existence by one depth-first search over
 witness prefixes, ``_search``.  Its state is the prefix it has run, kept as
-per-thread event counts, per-variable active (latest) writes and a held
-bit per variable, all changed in place: running an event advances them and
+per-thread event counts, per-variable active (latest) writes and held
+counts, all changed in place: running an event advances them and
 backtracking undoes the last event.  The successors of a prefix are the
 threads whose next event is executable (a read whose active write is good,
 or a write to a variable that no unrun read holds, with its closure
@@ -43,9 +43,10 @@ Three independently switchable accelerations:
   ``Closure``, one vector clock per event, so a read costs
   O(k^2 log W) per step over k threads and W conflicting writes instead of
   the O(W^2) of explicit pairs, and the search reads each event's
-  predecessors off its clock.  A closure can start from the closure of a
-  relaxation of its instance and step only the reads that the new events
-  and constraints concern;
+  predecessors off its clock.  A closure can extend the closure of a
+  relaxation of its instance in place, stepping only the reads that the
+  new events and constraints concern, and its undo log takes the
+  extension back;
 * guided search -- the successors of a prefix run in the order of
   ``inst.events`` instead of thread order.  The explorer lists an
   instance's events in the order of the trace it extends, so that trace,
@@ -57,7 +58,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 from operator import attrgetter, itemgetter, le
 from typing import Collection, Iterable, Mapping, Optional
 
@@ -104,11 +104,11 @@ class VscInstance:
     keeps its good-writes sets as ``GoodWrites``.  ``check=False`` skips the
     validation and the conversion, for callers that build only well-formed
     instances whose good-writes sets are already ``GoodWrites``.
-    ``chains``, when given, is ``by_thread`` as the caller already has it:
-    per thread id in increasing order, for the threads with events, the
-    tuple of its events in index order.  The explorer passes its trace's
-    chains so that no instance groups its events again; with ``check`` on
-    they must equal the grouping of ``events``.
+    ``by_thread`` holds each thread's events in index order, by thread id in
+    increasing order, and ``threads`` those ids.  ``chains``, when given, is
+    ``by_thread`` as the caller already has it; the explorer passes its
+    trace's chains so that no instance groups its events again.  With
+    ``check`` on they must equal the grouping of ``events``.
     """
 
     events: tuple[Event, ...]
@@ -118,10 +118,13 @@ class VscInstance:
     chains: InitVar[Optional[Mapping[int, tuple[Event, ...]]]] = None
 
     def __post_init__(self, check: bool, chains: Optional[Mapping[int, tuple[Event, ...]]]):
-        if chains is not None:
-            if check and list(chains.items()) != list(_group(self.events).items()):
-                raise VscError("the chains are not the events grouped by thread")
-            self.__dict__["by_thread"] = chains  # the cached_property's slot
+        if chains is None:
+            chains = _group(self.events)
+        elif check and list(chains.items()) != list(_group(self.events).items()):
+            raise VscError("the chains are not the events grouped by thread")
+        attrs = self.__dict__  # set directly: the dataclass is frozen
+        attrs["by_thread"], attrs["threads"] = chains, tuple(chains)
+        attrs["variables"] = tuple(sorted(self.universe or {e.var for e in self.events}))
         if not check:
             return
         by_thread: dict[int, dict[int, Event]] = {}
@@ -159,22 +162,6 @@ class VscInstance:
         good_writes = {r: gw if isinstance(gw, GoodWrites) else GoodWrites(gw) for r, gw in self.good_writes.items()}
         object.__setattr__(self, "good_writes", good_writes)
 
-    @cached_property
-    def by_thread(self) -> Mapping[int, tuple[Event, ...]]:
-        """Each thread's events in index order, by thread id in increasing
-        order: the ``chains`` given, else the grouping of ``events``."""
-        return _group(self.events)
-
-    @cached_property
-    def threads(self) -> tuple[int, ...]:
-        return tuple(sorted(self.by_thread))
-
-    @cached_property
-    def variables(self) -> tuple[str, ...]:
-        if self.universe:
-            return tuple(sorted(self.universe))
-        return tuple(sorted({e.var for e in self.events}))
-
     def init_eid(self, var: str) -> EventId:
         return (0, self.variables.index(var) + 1)
 
@@ -201,27 +188,44 @@ class Closure:
     clocks never decrease along a thread.  ``writes_of[var][u]`` lists the
     indices of the writes of ``var`` by the thread at position ``u``,
     sorted; ``entries`` maps each constrained read to what ``_step`` needs
-    of it, and ``reads_of[var]`` lists the constrained reads of ``var``.  A
-    closure is not changed after ``closure`` returns it: extending one
-    copies its rows and tables.
+    of it, and ``reads_of[var]`` lists the constrained reads of ``var``.
+    Extending a closure changes it in place and logs each change, so
+    ``undo(mark)`` takes it back to where ``mark()`` was taken.
     """
 
-    __slots__ = ("threads", "pos", "rows", "writes_of", "entries", "reads_of")
+    __slots__ = ("threads", "pos", "getters", "rows", "writes_of", "entries", "reads_of", "log")
 
     def __init__(self, threads: Iterable[int]):
         self.threads = tuple(threads)
         self.pos = {t: u for u, t in enumerate(self.threads)}
+        self.getters = tuple(map(itemgetter, range(len(self.threads))))  # per position, reads it off a row
         self.rows: list[list[tuple[int, ...]]] = [[] for _ in self.threads]
         self.writes_of: dict[str, dict[int, list[int]]] = {}
         self.entries: dict[EventId, tuple] = {}
         self.reads_of: dict[str, list[EventId]] = {}
+        self.log: list[tuple] = []  # per change, (table, key, old) to restore or (table, key) to delete
 
-    def copy(self) -> "Closure":
-        new = Closure.__new__(Closure)
-        new.threads, new.pos = self.threads, self.pos
-        new.rows = [chain.copy() for chain in self.rows]
-        new.writes_of, new.entries, new.reads_of = dict(self.writes_of), dict(self.entries), dict(self.reads_of)
-        return new
+    def mark(self) -> int:
+        return len(self.log)
+
+    def undo(self, mark: int) -> None:
+        """Take back every change made since ``mark()`` returned ``mark``."""
+        log = self.log
+        while len(log) > mark:
+            change = log.pop()
+            if len(change) == 3:
+                change[0][change[1]] = change[2]
+            else:
+                del change[0][change[1]]
+
+    def _append(self, table: dict, key, item) -> None:
+        """Append ``item`` to the list ``table[key]``, made if missing."""
+        items = table.get(key)
+        if items is None:
+            items = table[key] = []
+            self.log.append((table, key))
+        self.log.append((items, len(items)))
+        items.append(item)
 
     def add(self, a: EventId, b: EventId, touched: Optional[list] = None) -> bool:
         """Order ``a`` before ``b``, with everything that implies.
@@ -242,7 +246,8 @@ class Closure:
         if join[pb] >= bi:
             raise CycleError(f"{b} precedes {a}")
         join[pa] = a[1]
-        after_b = itemgetter(pb)
+        after_b = self.getters[pb]
+        log = self.log
         for u, chain in enumerate(rows):
             if u == pb:
                 j = bi - 1
@@ -255,6 +260,7 @@ class Closure:
                 if new == old:
                     break
                 chain[j] = new
+                log.append((chain, j, old))
                 j += 1
             if touched is not None and j > first:
                 touched.append((u, first, j))
@@ -313,10 +319,13 @@ def _visible(rows: list, conf: Mapping[int, list[int]], clock: tuple, ru: int, r
     ranges = {}
     for u in conf if only is None else only:
         indices, i = conf[u], last.get(u, 0)
-        if i and not any(i <= rows[v][j - 1][u] for v, j in last.items() if v != u):
-            lo = i
-        else:
-            lo = clock[u] + 1
+        lo = clock[u] + 1
+        if i:
+            for v, j in last.items():
+                if v != u and i <= rows[v][j - 1][u]:
+                    break
+            else:
+                lo = i
         if indices[-1] < lo:
             continue
         if indices[-1] <= clock[u]:
@@ -380,7 +389,10 @@ def _step(order: Closure, read, touched: list) -> None:
     # Cl(r), is least and adds nothing
     if not init_in_cl:
         for u, i in mins:
-            if all(i <= rows[v][j - 1][u] for v, j in mins if v != u):
+            for v, j in mins:
+                if v != u and i > rows[v][j - 1][u]:
+                    break
+            else:
                 if i > clock[u]:
                     order.add((threads[u], i), reid, touched)
                     clock = rows[ru][ri - 1]
@@ -398,19 +410,30 @@ def _step(order: Closure, read, touched: list) -> None:
         # Cl(r) is the initial write alone, which no write can precede
         raise CycleError(f"{reid} must read the initial write, but a bad write precedes it")
     for gu, gi in maxs:
-        if all(j <= rows[gu][gi - 1][v] for v, j in maxs if v != gu):
+        top = rows[gu][gi - 1]
+        for v, j in maxs:
+            if v != gu and j > top[v]:
+                break
+        else:
             for u, i in bad_below:
-                if i > rows[gu][gi - 1][u]:
+                if i > top[u]:
                     order.add((threads[u], i), (threads[gu], gi), touched)
             break
     # rule 4: in each thread the conflicting writes after every
     # per-thread maximum of Cl(r) form a suffix; its first bad write
     # carries the edge.  Clocks grow along a thread, so the events after
     # a maximum (v, i) start at the first whose clock counts i events of v.
+    # Rules 2 and 3 leave r's row as it was.  A write below r after every
+    # maximum would hide them all, so threads with no write after r add none.
+    getters = order.getters
     for u, indices in conf.items():
+        if indices[-1] <= clock[u]:
+            continue
         chain = rows[u]
+        lo = 0
+        for v, i in maxs:
+            lo = bisect_left(indices, bisect_left(chain, i, key=getters[v]) + 1, lo)
         t = threads[u]
-        lo = max((bisect_left(indices, bisect_left(chain, i, key=itemgetter(v)) + 1) for v, i in maxs), default=0)
         while lo < len(indices) and (t, indices[lo]) in gw:
             lo += 1
         if lo < len(indices) and ri > chain[indices[lo] - 1][ru]:
@@ -419,16 +442,16 @@ def _step(order: Closure, read, touched: list) -> None:
 
 def _extend(base: Optional[Closure], inst: VscInstance) -> Closure:
     """The closure of ``inst`` started from ``base``, the closure of a
-    relaxation of it (see ``closure``), or from program order.  Raises
-    CycleError when there is none.
+    relaxation of it (see ``closure``), extended in place, or from program
+    order.  Raises CycleError when there is none, leaving ``base`` part way.
 
-    New events get program-order rows and new writes join copies of their
-    variables' write lists.  The worklist starts with the newly constrained
-    reads and each read r of a variable with new writes of which some is not
-    yet ordered after r.  A write ordered after r is never below r, never
-    ends one of r's visible ranges and is never a rule-4 target that still
-    lacks its edge, and rules 2 and 3 read only good writes and writes below
-    r, so it changes no rule of r.  Edges only add predecessors, so it stays
+    New events get program-order rows and new writes join their variables'
+    write lists.  The worklist starts with the newly constrained reads and
+    each read r of a variable with new writes of which some is not yet
+    ordered after r.  A write ordered after r is never below r, never ends
+    one of r's visible ranges and is never a rule-4 target that still lacks
+    its edge, and rules 2 and 3 read only good writes and writes below r,
+    so it changes no rule of r.  Edges only add predecessors, so it stays
     after r.  A step that adds edges puts back every read whose own row
     they rewrote and every read of a variable one of whose write rows they
     rewrote; no other read's rules can have changed.  It never puts back
@@ -441,49 +464,45 @@ def _extend(base: Optional[Closure], inst: VscInstance) -> Closure:
     good_writes, chains = inst.good_writes, inst.by_thread
     if base is None:
         base = Closure(inst.threads)
-    pos = base.pos
+    threads, pos, rows, writes_of, entries, reads_of, log = (
+        base.threads, base.pos, base.rows, base.writes_of, base.entries, base.reads_of, base.log
+    )
     for t in chains:
         if t not in pos:
             raise VscError(f"thread {t} is outside the order of the start")
-    fresh = [reid for reid in good_writes if reid not in base.entries]
-    grown = [t for t, chain in chains.items() if len(base.rows[pos[t]]) < len(chain)]
+    fresh = [reid for reid in good_writes if reid not in entries]
+    grown = [t for t, chain in chains.items() if len(rows[pos[t]]) < len(chain)]
     if not fresh and not grown:
         return base  # ``inst`` is the start's own instance
-    closed = base.copy()
-    threads, rows, writes_of, entries, reads_of = (
-        closed.threads, closed.rows, closed.writes_of, closed.entries, closed.reads_of
-    )
     k = len(threads)
-    # per variable whose write lists were copied, per thread position its
-    # first new write: a read that any new write of the thread is not yet
-    # ordered after, this one is not ordered after either
+    # per variable with new writes, per thread position its first new
+    # write: a read that any new write of the thread is not yet ordered
+    # after, this one is not ordered after either
     new_writes: dict[str, dict[int, int]] = {}
     for t in grown:
         u = pos[t]
         chain = rows[u]
+        log.append((chain, slice(len(chain), None)))
         for e in chains[t][len(chain) :]:
             prev = chain[-1] if chain else (0,) * k
             chain.append(prev[:u] + (e.index - 1,) + prev[u + 1 :])
             if e.kind == "W":
-                if e.var not in new_writes:
-                    new_writes[e.var] = {}
-                    writes_of[e.var] = {v: indices.copy() for v, indices in writes_of.get(e.var, {}).items()}
-                new_writes[e.var].setdefault(u, e.index)
-                writes_of[e.var].setdefault(u, []).append(e.index)
+                new_writes.setdefault(e.var, {}).setdefault(u, e.index)
+                if e.var not in writes_of:
+                    writes_of[e.var] = {}
+                    log.append((writes_of, e.var))
+                base._append(writes_of[e.var], u, e.index)
     queue: deque[EventId] = deque()
     for var, first in new_writes.items():
         for reid in reads_of.get(var, ()):
             ru, ri = entries[reid][1:3]
             if any(rows[u][i - 1][ru] < ri for u, i in first.items()):
                 queue.append(reid)
-    new_reads: set[str] = set()  # variables whose read lists were copied
     for reid in fresh:
         r = chains[reid[0]][reid[1] - 1]
         entries[reid] = _read_entry(r, good_writes[reid], inst.init_eid(r.var), pos)
-        if r.var not in new_reads:
-            new_reads.add(r.var)
-            reads_of[r.var] = list(reads_of.get(r.var, ()))
-        reads_of[r.var].append(reid)
+        log.append((entries, reid))
+        base._append(reads_of, r.var, reid)
         queue.append(reid)
 
     queued = set(queue)
@@ -491,7 +510,7 @@ def _extend(base: Optional[Closure], inst: VscInstance) -> Closure:
     while queue:
         reid = queue.popleft()
         queued.discard(reid)
-        _step(closed, entries[reid], touched)
+        _step(base, entries[reid], touched)
         again, rewritten = [], {}  # the rewritten reads, the variables of the rewritten writes
         for u, first, end in touched:
             for e in chains[threads[u]][first:end]:
@@ -506,7 +525,7 @@ def _extend(base: Optional[Closure], inst: VscInstance) -> Closure:
             if r != reid and r not in queued:
                 queued.add(r)
                 queue.append(r)
-    return closed
+    return base
 
 
 def closure(inst: VscInstance, start: Optional[Closure] = None) -> Optional[Closure]:
@@ -543,26 +562,31 @@ def closure(inst: VscInstance, start: Optional[Closure] = None) -> Optional[Clos
     reads that ``inst.good_writes`` names; an unchecked instance may leave a
     read out, which then reads from anything.  Without ``start`` it begins
     at program order over the threads of ``inst`` with every constrained
-    read on the worklist.  With ``start``, the closure of a relaxation of
-    ``inst`` (per-thread prefixes of its events, some of its reads
-    constrained by the same good writes), it begins at a copy of that
-    closure, which every rule of the relaxation already holds in: the new
+    read on the worklist, in a new order.  With ``start``, the closure of a
+    relaxation of ``inst`` (per-thread prefixes of its events, some of its
+    reads constrained by the same good writes), it extends ``start`` in
+    place, since every rule of the relaxation already holds in it: the new
     events get program-order rows, and the worklist holds only the newly
     constrained reads and the reads of variables with new writes that not
-    all of those writes already follow.  The order covers the threads of
-    the start, which must include every thread of ``inst``.
+    all of those writes already follow.  It returns ``start``, or None with
+    ``start`` as it was; a caller that uses the start again undoes to a
+    ``start.mark()`` taken before the call.  The order covers the threads
+    of the start, which must include every thread of ``inst``.
 
-    This is the one way into the fixpoint.  The explorer closes each node's
-    trace with it, from the nearest ancestor's closure, and ``visible``
-    reads rule 1's per-read half off the result for a read added to it.
-    The tests check against the explicit-pairs reference in
-    ``tests/reference_closure.py`` that the order is the one passes in
-    event order reach from program order, and on the acceptance fuzz corpus
-    that starting from a relaxation changes nothing.
+    This is the one way into the fixpoint.  The explorer extends one
+    closure node by node, and ``visible`` reads rule 1's per-read half off
+    it for a read added to it.  The tests check against the explicit-pairs
+    reference in ``tests/reference_closure.py`` that the order is the one
+    passes in event order reach from program order, and on the acceptance
+    fuzz corpus that starting from a relaxation changes nothing and that
+    ``undo`` restores the start.
     """
+    mark = None if start is None else start.mark()
     try:
         return _extend(start, inst)
     except CycleError:
+        if start is not None:
+            start.undo(mark)
         return None
 
 
@@ -628,26 +652,30 @@ def _marked(start, frames: list[list[int]], seq: list[Event], advance) -> set:
 def _search(inst: VscInstance, order: Optional[Closure], guided: bool, greedy: bool):
     """The witness search (see the module docstring): a witness or None,
     and the states processed.  Guided, successors run in the order of
-    ``inst.events``, else in thread order.  A variable's held bit changes
-    only when one of its events runs or is undone, since a read's needs are
-    indices of writes of its variable."""
+    ``inst.events``, else in thread order.  A write must wait while its
+    variable's ``held`` count, of the unrun reads whose good writes have
+    all run, is not zero: it would hide them all."""
     good_writes, by_thread, n = inst.good_writes, inst.by_thread, len(inst.events)
     keys = {e.eid: i for i, e in enumerate(inst.events)} if guided else None
     reads_of: dict[str, list[EventId]] = {}
+    held = dict.fromkeys(inst.variables, 0)
+    missing: dict[EventId, int] = {}  # per read, the threads whose last good write has not run
+    last_of: dict[EventId, list[Event]] = {}  # per write, the reads it is the last good write of in its thread
     for e in inst.events:
         if e.kind == "R":
             reads_of.setdefault(e.var, []).append(e.eid)
+            indices = good_writes[e.eid].indices
+            missing[e.eid] = len(indices)
+            held[e.var] += not indices
+            for t, g in indices.items():
+                last_of.setdefault((t, g[-1]), []).append(e)
     ran = dict.fromkeys(inst.threads, 0)  # per thread id, the events run and the next one
     nxt = {t: chain[0] if chain else None for t, chain in by_thread.items()}
     if order is not None:
         rows, done = {t: order.rows[order.pos[t]] for t in nxt}, [0] * len(order.threads)
     active = {v: (0, i) for i, v in enumerate(inst.variables, 1)}
-    held: dict[str, bool] = {}
     tpos, vpos = {t: u for u, t in enumerate(ran)}, {v: j for j, v in enumerate(active)}
     start = (0,) * len(ran), tuple(active.values())
-
-    def pending(var: str) -> Iterable[GoodWrites]:  # those of the reads of var yet to run
-        return (good_writes[r] for r in reads_of.get(var, ()) if r[1] > ran[r[0]])
 
     def advance(state, t: int):  # the witness state after the next event of thread t
         counts, acts = state
@@ -673,15 +701,13 @@ def _search(inst: VscInstance, order: Optional[Closure], guided: bool, greedy: b
                 if greedy:  # rule 1
                     cands = [t]
                     break
-            elif e.kind == "W":
-                if e.var not in held:
-                    held[e.var] = any(all(ran[u] >= g[-1] for u, g in gw.indices.items()) for gw in pending(e.var))
-                if not held[e.var]:
-                    cands.append(t)
+            elif e.kind == "W" and not held[e.var]:
+                cands.append(t)
         if greedy and len(cands) > 1:  # rule 2; every candidate is a write
             for t in cands:
                 aw, w = active[nxt[t].var], nxt[t].eid
-                if aw[0] and not any(aw in gw or w in gw for gw in pending(nxt[t].var)):
+                pending = (good_writes[r] for r in reads_of.get(nxt[t].var, ()) if r[1] > ran[r[0]])
+                if aw[0] and not any(aw in gw or w in gw for gw in pending):
                     cands = [t]
                     break
         if len(cands) > 1:  # into push-key order, last first
@@ -711,7 +737,12 @@ def _search(inst: VscInstance, order: Optional[Closure], guided: bool, greedy: b
                 done[order.pos[e.thread]] -= 1
             if e.kind == "W":
                 active[e.var] = before.pop()
-            held.pop(e.var, None)
+                for r in last_of.get(e.eid, ()):
+                    if not missing[r.eid] and r.index > ran[r.thread]:
+                        held[r.var] -= 1
+                    missing[r.eid] += 1
+            elif not missing[e.eid]:
+                held[e.var] += 1
             undone += 1
             frame = frames[-1]
         t = frame.pop()
@@ -725,7 +756,12 @@ def _search(inst: VscInstance, order: Optional[Closure], guided: bool, greedy: b
         if e.kind == "W":
             before.append(active[e.var])
             active[e.var] = e.eid
-        held.pop(e.var, None)
+            for r in last_of.get(e.eid, ()):
+                missing[r.eid] -= 1
+                if not missing[r.eid] and r.index > ran[r.thread]:
+                    held[r.var] += 1
+        elif not missing[e.eid]:
+            held[e.var] -= 1
     return tuple(seq), n + undone + 1
 
 
@@ -740,8 +776,10 @@ def verify_sc(inst: VscInstance, options: SolverOptions = SolverOptions(), start
     call of ``closure(inst, start)``, whose order the result keeps.  A
     ``start`` that closes a relaxation of ``inst``, as an explorer node's
     closure does for the node's trace plus one read, lets the pre-pass
-    extend that closure instead of closing ``inst`` from program order;
-    ``start`` itself is never changed.
+    extend that closure in place instead of closing ``inst`` from program
+    order.  The result's closure is then ``start``, which stays extended
+    even without a witness; a caller that uses it again undoes to a
+    ``start.mark()`` taken before the call.
     """
     order = None
     if options.closure:

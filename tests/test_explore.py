@@ -341,6 +341,24 @@ def test_lock_counter_memory_peak():
     assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+def test_long_reads_memory_peak():
+    """3000 reads of x with one write elsewhere: the explorer keeps one
+    good-writes map and one causal map along its path and takes back a
+    child's entries when the child returns, so the traced peak stays under
+    16 MiB (about 8 MiB).  A copy of the good-writes map per child, kept
+    for the child's whole subtree, grew as the square of the depth: 174 MiB
+    here."""
+    p = parse_program(LONG_READS)
+    tracemalloc.start()
+    try:
+        rep = explore(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.leaf_count == 1
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def explore_counting_steps(monkeypatch, source: str):
     """``explore(source)`` and the number of closure steps it took."""
     vsc = sys.modules["rvfmc.vsc"]

@@ -181,36 +181,81 @@ def close_cut(inst: VscInstance, counts, kept):
     return closure(VscInstance(events, kept, inst.variables, check=False), Closure(counts))
 
 
+def snapshot(order: Closure):
+    """Everything a closure holds, in order: rows, write lists, read
+    entries and read lists."""
+    return (
+        [list(chain) for chain in order.rows],
+        [(var, list(lists.items())) for var, lists in order.writes_of.items()],
+        list(order.entries.items()),
+        list(order.reads_of.items()),
+    )
+
+
+def pairs_and_undo(start: Closure, inst: VscInstance):
+    """The pairs of ``closure(inst, start)``, or None, with ``start`` given
+    back exactly: by ``closure`` itself when there is no closure, else by
+    ``undo`` to a mark taken before the call."""
+    before, mark = snapshot(start), start.mark()
+    got = closure(inst, start)
+    if got is None:
+        assert snapshot(start) == before, inst.events
+        return None
+    assert got is start
+    pairs = clock_pairs(got)
+    start.undo(mark)
+    assert snapshot(start) == before and start.mark() == mark, inst.events
+    return pairs
+
+
+def search_and_undo(start: Closure, inst: VscInstance):
+    """The witness and states of ``verify_sc(inst, start=start)``, with
+    ``start`` given back exactly by ``undo``, realizable or not."""
+    before, mark = snapshot(start), start.mark()
+    res = verify_sc(inst, start=start)
+    assert res.closure is None or res.closure is start
+    start.undo(mark)
+    assert snapshot(start) == before, inst.events
+    return res.witness, res.states_processed
+
+
 def test_closure_from_relaxation_matches_on_fuzz_corpus():
-    """The acceptance fuzz corpus: a closure started from the closure of a
-    relaxation equals the closure from program order.  Two kinds of
-    relaxation: every prefix cut whose reads' good writes lie inside it,
-    and the instance with one read left unconstrained, where the variant
-    that gives the read the other candidate writes starts from the same
-    closure, so a closure that changed its start would show.  A start may
-    itself be started from a closure started from a closure, and the solver
-    started from the empty order over every thread id finds the same
-    witness in as many states.  A relaxation without a closure leaves its
-    instance none."""
+    """The acceptance fuzz corpus: a closure that extends the closure of a
+    relaxation in place equals the closure from program order, and
+    ``undo`` then gives the start back exactly.  Two kinds of relaxation:
+    every prefix cut whose reads' good writes lie inside it, and the
+    instance with one read left unconstrained, where the variant that gives
+    the read the other candidate writes extends the same start after the
+    undo, so a change that the undo missed would show.  A start may itself
+    be extended from a closure extended from a closure, and the solver
+    started from the empty order over every thread id, or from a cut,
+    finds the same witness in as many states.  A relaxation without a
+    closure leaves its instance none."""
     rng = random.Random(20260808)
     for _ in range(10000):
         inst = random_instance(rng)
         random_linearization(inst, rng)
         want = closure(inst)
         want_pairs = want and clock_pairs(want)
+        plain = verify_sc(inst)
+        plain = plain.witness, plain.states_processed
         threads = range(1, max(inst.threads) + 1)
         full = {t: len(inst.by_thread.get(t, ())) for t in threads}
         cuts = list(prefix_cuts(inst))
         for counts, kept in cuts:
             start = close_cut(inst, counts, kept)
-            got = start and closure(inst, start)
-            assert (got and clock_pairs(got)) == want_pairs, (counts, inst.events, inst.good_writes)
+            got = start and pairs_and_undo(start, inst)
+            assert got == want_pairs, (counts, inst.events, inst.good_writes)
         counts, kept = cuts[len(cuts) // 2]
         first = close_cut(inst, counts, kept)
-        second = first and closure(VscInstance(inst.events, kept, inst.variables, check=False), first)
-        assert_same_closure(second and closure(inst, second), want, inst)
-        got, plain = verify_sc(inst, start=Closure(threads)), verify_sc(inst)
-        assert (got.witness, got.states_processed) == (plain.witness, plain.states_processed), inst.events
+        if first is not None:
+            assert search_and_undo(first, inst) == plain, inst.events
+            before, mark = snapshot(first), first.mark()
+            second = closure(VscInstance(inst.events, kept, inst.variables, check=False), first)
+            assert (second and pairs_and_undo(second, inst)) == want_pairs, inst.events
+            first.undo(mark)
+            assert snapshot(first) == before, inst.events
+        assert search_and_undo(Closure(threads), inst) == plain, inst.events
         for r in inst.events:
             if r.kind != "R":
                 continue
@@ -218,10 +263,14 @@ def test_closure_from_relaxation_matches_on_fuzz_corpus():
             cands.add(inst.init_eid(r.var))
             other = frozenset(cands - inst.good_writes[r.eid]) or frozenset(cands)
             variant = VscInstance(inst.events, {**inst.good_writes, r.eid: other})
+            variant_closure = closure(variant)
             rest = {reid: gw for reid, gw in inst.good_writes.items() if reid != r.eid}
             start = close_cut(inst, full, rest)
-            assert_same_closure(start and closure(inst, start), want, inst)
-            assert_same_closure(start and closure(variant, start), closure(variant), variant)
+            if start is None:
+                assert want is None and variant_closure is None, inst.events
+                continue
+            assert pairs_and_undo(start, inst) == want_pairs, inst.events
+            assert pairs_and_undo(start, variant) == (variant_closure and clock_pairs(variant_closure)), inst.events
 
 
 def node_refutes(node: Closure, inst: VscInstance, read: Event) -> bool:

@@ -2,13 +2,14 @@
 
 import itertools
 import random
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
 
-from rvfmc import Event, SolverOptions, VscInstance, closure, verify_sc
+from rvfmc import Event, SolverOptions, VscInstance, closure, verify_sc, vsc
 from rvfmc.vsc import GoodWrites, VscError, _validate_witness, format_witness, parse_instance
-from reference_closure import clock_less, respects
+from reference_closure import clock_less, clock_pairs, reference_closure, respects
 from reference_oracle import brute_force_vsc, iter_vsc_witnesses
 from reference_vsc import format_instance, in_order, state_bound
 
@@ -270,6 +271,35 @@ def test_closure_mutex_release_before_acquire():
     assert clock_less(cl, rel1.eid, acq2.eid)
     w = verify_sc(inst).witness
     assert [e.eid for e in w] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def test_step_skips_a_thread_whose_writes_all_lie_below_the_read(monkeypatch):
+    """Rule 4 passes over a writing thread whose conflicting writes all lie
+    below r: a write there after every maximum of Cl(r) would hide them all.
+    Here thread 2 writes x twice before r = 1.1, which must read 2.2, and
+    thread 3 reads 2.2 before its bad write 3.2.  The step orders r before
+    3.2, never bisects thread 2's write list, and reaches the reference
+    closure."""
+    r, w1, w2 = Event(1, 1, "R", "x"), Event(2, 1, "W", "x", 5), Event(2, 2, "W", "x", 1)
+    r3, w3 = Event(3, 1, "R", "x"), Event(3, 2, "W", "x", 7)
+    events = (r, w1, w2, r3, w3)
+    inst = VscInstance(events, {r.eid: frozenset({w2.eid}), r3.eid: frozenset({w2.eid})})
+    order = closure(VscInstance(events, {r3.eid: inst.good_writes[r3.eid]}, check=False))
+    order.add(w2.eid, r.eid)
+    below = order.writes_of["x"][order.pos[2]]
+    assert below == [1, 2] and order.rows[order.pos[1]][0][order.pos[2]] == 2
+    bisected = []
+
+    def recording(a, *args, **kwargs):
+        bisected.append(a)
+        return bisect_left(a, *args, **kwargs)
+
+    monkeypatch.setattr(vsc, "bisect_left", recording)
+    touched = []
+    vsc._step(order, vsc._read_entry(r, inst.good_writes[r.eid], inst.init_eid("x"), order.pos), touched)
+    assert touched and clock_less(order, r.eid, w3.eid)
+    assert not any(a is below for a in bisected)
+    assert clock_pairs(order) == reference_closure(inst).pairs
 
 
 def test_every_witness_refines_closure():
