@@ -28,8 +28,8 @@ A node reads without scanning the whole trace:
 * undone with the trace: its per-variable write lists and per-thread event
   chains (``Trace.writes`` and ``Trace.chains``), which the trace updates
   from its steps and undos when they are read.  Viable sources and a
-  read's active write come from them, and a node's instance gets the
-  chains as ``by_thread``;
+  read's active write come from them, and a node's fill reads the chains
+  in place;
 * undone by the node: the good-writes map, which holds each child's read
   while the child runs, the causal map's bumped entries, per mutex the
   releases the path's acquires take, and the closure (below);
@@ -42,14 +42,15 @@ A node reads without scanning the whole trace:
 With closure on, the explorer keeps one ``vsc.Closure``, which on entry
 to a node closes a relaxation of the node's trace.  A node fills it to its
 own trace under its good writes (``vsc.closure``) when its first group
-needs a witness, and undoes the fill when it ends.  Rule 1 of the closure
-is decided there once per read, as the index ranges of the read's
-conflicting writes that stay visible (``vsc.visible``); a group with none
-of its good writes in them is refuted without an instance or a solver
-call, and every other one goes to the solver with the node's instance plus
-the read.  The solver's closure extends the node's in place, and is undone
-when the witness child returns, or at once without a witness.  Instances
-only grow down the stack, so no closure starts from program order.
+needs a witness, and undoes the fill when it ends; a fill reads the live
+path state (``_Fill``), so it costs the new events and reads, not the path.
+Rule 1 of the closure is decided there once per read, as the index ranges
+of the read's conflicting writes that stay visible (``vsc.visible``); a
+group with none of its good writes in them is refuted without a solver
+call, and only for a group that passes is an instance of the trace plus
+the read built.  The solver's closure extends the node's in place, and is
+undone when the witness child returns, or at once without a witness.
+Traces only grow down the stack, so no closure starts from program order.
 
 A plain read processed without ever receiving a backtrack signal ends the
 loop: no compatible schedule assigns it a source beyond the current trace,
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .program import Event, EventId, Program, Trace, empty_trace, extend, replay
@@ -87,7 +89,6 @@ class ExploreOptions:
 
 @dataclass
 class _Signal:
-    var: str
     thread: int
     fired: bool = False
 
@@ -137,15 +138,37 @@ def extend_nonreads(trace: Trace) -> Trace:
     return trace
 
 
-def update_backtrack_signals(extension: Iterable[Event], signals: dict[EventId, _Signal]) -> None:
+def update_backtrack_signals(extension: Iterable[Event], signals: dict[str, dict[EventId, _Signal]]) -> None:
     """Flag every registered read that conflicts with a newly discovered write
-    of another thread."""
+    of another thread.  ``signals`` holds the unflagged signals by variable
+    and read; a flagged one stays flagged, so it leaves the index."""
     for w in extension:
         if w.kind != "W":
             continue
-        for sig in signals.values():
-            if sig.var == w.var and sig.thread != w.thread:
-                sig.fired = True
+        pending = signals.get(w.var)
+        if pending:
+            for eid in [eid for eid, sig in pending.items() if sig.thread != w.thread]:
+                pending.pop(eid).fired = True
+
+
+class _Fill:
+    """A node's trace under the path's good writes as ``vsc.closure`` reads an
+    instance, from the trace's live chains and the good-writes map.  The map
+    changes in stack order and solver extensions are undone before the next
+    sibling, so the closure constrains its first keys and the rest are new."""
+
+    __slots__ = ("by_thread", "good_writes", "program")
+
+    def __init__(self, trace: Trace, good_writes: dict[EventId, GoodWrites]):
+        self.by_thread = dict(enumerate(trace.chains, 1))
+        self.good_writes = good_writes
+        self.program = trace.program
+
+    def init_eid(self, var: str) -> EventId:
+        return (0, self.program.ordinal(var))
+
+    def new_reads(self, entries: dict) -> list[EventId]:
+        return list(islice(reversed(self.good_writes), len(self.good_writes) - len(entries)))[::-1]
 
 
 def viable_sources(trace: Trace, read: Event, cmap: CausalMap) -> list[Event]:
@@ -172,7 +195,7 @@ class _Explorer:
         self.program = program
         self.options = options
         self.mutexes = set(program.mutexes)
-        self.signals: dict[EventId, _Signal] = {}
+        self.signals: dict[str, dict[EventId, _Signal]] = {}  # the unflagged ones, by variable
         # the path's state: the good writes of its reads, the causal map, per
         # mutex the releases that its acquires take, and with closure on the closure
         self.goodw: dict[EventId, GoodWrites] = {}
@@ -240,37 +263,30 @@ class _Explorer:
             if trace.deadlocked:
                 report.deadlocks += 1
 
-        node = filled = None  # at the first group that needs a witness: the node's instance, the fill's mark
+        filled = None  # the fill's mark, taken at the first group that needs a witness
         bumped = []  # per causal-map entry that this node set, the read and the entry it replaced
         for read in sorted(enabled, key=lambda e: (e.eid in cmap, e.eid)):
             unmapped = read.eid not in cmap
             consumed = self.consumed.get(read.var)  # None for a plain read
+            signal = None
             if unmapped and consumed is None:
-                self.signals[read.eid] = _Signal(read.var, read.thread)
+                signal = self.signals.setdefault(read.var, {})[read.eid] = _Signal(read.thread)
 
             groups = self._groups(read, viable_sources(trace, read, cmap))
             # the trace is the same for every group: children undo their steps
             writes = trace.writes[read.var]
             active = writes[-1].eid if writes else self.program.init_event(read.var).eid
-            events = chains = None  # the solver instance's, made for the read's first group that needs one
+            ranges = events = None  # made at the read's first group that needs them
             for group in groups:
                 direct = active in group  # the current trace already satisfies it
-                if not direct:
-                    if events is None:
-                        if node is None:  # the node's trace under goodw, grouped by its own chains
-                            chains = {t: tuple(chain) for t, chain in enumerate(trace.chains, 1) if chain}
-                            node = VscInstance(tuple(trace.events), goodw, universe, check=False, chains=chains)
-                            if order is not None:
-                                filled = order.mark()
-                                if closure(node, order) is None:
-                                    raise RuntimeError("the trace of an explorer node has no closure")
-                        events, by_thread = node.events + (read,), node.by_thread
-                        chains = {**by_thread, read.thread: by_thread.get(read.thread, ()) + (read,)}
-                        if len(chains) > len(by_thread):  # the thread's first event: keep thread order
-                            chains = dict(sorted(chains.items()))
-                        if order is not None:
-                            ranges, init_visible = visible(order, read)
-                    if order is not None and not extremes(ranges, group.indices)[0] and not (
+                if not direct and order is not None:
+                    if ranges is None:
+                        if filled is None:  # fill the closure to the node's trace under goodw
+                            filled = order.mark()
+                            if closure(_Fill(trace, goodw), order) is None:
+                                raise RuntimeError("the trace of an explorer node has no closure")
+                        ranges, init_visible = visible(order, read)
+                    if not extremes(ranges, group.indices)[0] and not (
                         init_visible and self.program.init_event(read.var).eid in group
                     ):
                         report.node_refutations += 1
@@ -280,6 +296,10 @@ class _Explorer:
                 if direct:
                     child = extend(trace, read)
                 else:  # the solver's closure extends the node's in place
+                    if events is None:  # the trace plus the read, shared by the read's solver calls
+                        events = (*trace.events, read)
+                        chains = {t: tuple(c) for t, c in enumerate(trace.chains, 1) if c or t == read.thread}
+                        chains[read.thread] += (read,)
                     inst = VscInstance(events, goodw, universe, check=False, chains=chains)
                     result = verify_sc(inst, self.solver_options, start=order)
                     report.vsc_calls += 1
@@ -297,9 +317,9 @@ class _Explorer:
                     order.undo(mark)  # the solver call's extension of the node's closure
                 del goodw[read.eid]
 
-            if unmapped and consumed is None:
-                fired = self.signals.pop(read.eid).fired
-                if self.options.backtrack_signals and not fired:
+            if signal is not None:
+                self.signals[read.var].pop(read.eid, None)  # gone already if it fired
+                if self.options.backtrack_signals and not signal.fired:
                     break
             bumped.append((read.eid, cmap.get(read.eid)))
             cmap[read.eid] = dict(enumerate((len(universe), *trace.counts)))  # thread 0: the initial writes

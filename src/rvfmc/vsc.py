@@ -165,6 +165,10 @@ class VscInstance:
     def init_eid(self, var: str) -> EventId:
         return (0, self.variables.index(var) + 1)
 
+    def new_reads(self, entries: Collection[EventId]) -> list[EventId]:
+        """The reads it constrains that ``entries`` lacks, in good-writes order."""
+        return [r for r in self.good_writes if r not in entries]
+
 
 # ---------------------------------------------------------------------------
 # Closure
@@ -445,9 +449,12 @@ def _extend(base: Optional[Closure], inst: VscInstance) -> Closure:
     relaxation of it (see ``closure``), extended in place, or from program
     order.  Raises CycleError when there is none, leaving ``base`` part way.
 
-    New events get program-order rows and new writes join their variables'
-    write lists.  The worklist starts with the newly constrained reads and
-    each read r of a variable with new writes of which some is not yet
+    Of ``inst`` it reads only what ``base`` lacks: each chain of
+    ``inst.by_thread`` past its rows, and ``inst.new_reads(base.entries)``
+    with their good writes, so the explorer's fills pass their live path
+    state instead.  New events get program-order rows and new writes join
+    their variables' write lists.  The worklist starts with the newly
+    constrained reads and each read r of a variable with new writes of which some is not yet
     ordered after r.  A write ordered after r is never below r, never ends
     one of r's visible ranges and is never a rule-4 target that still lacks
     its edge, and rules 2 and 3 read only good writes and writes below r,
@@ -470,7 +477,7 @@ def _extend(base: Optional[Closure], inst: VscInstance) -> Closure:
     for t in chains:
         if t not in pos:
             raise VscError(f"thread {t} is outside the order of the start")
-    fresh = [reid for reid in good_writes if reid not in entries]
+    fresh = inst.new_reads(entries)
     grown = [t for t, chain in chains.items() if len(rows[pos[t]]) < len(chain)]
     if not fresh and not grown:
         return base  # ``inst`` is the start's own instance
@@ -574,11 +581,12 @@ def closure(inst: VscInstance, start: Optional[Closure] = None) -> Optional[Clos
     of the start, which must include every thread of ``inst``.
 
     This is the one way into the fixpoint.  The explorer extends one
-    closure node by node, and ``visible`` reads rule 1's per-read half off
-    it for a read added to it.  The tests check against the explicit-pairs
-    reference in ``tests/reference_closure.py`` that the order is the one
-    passes in event order reach from program order, and on the acceptance
-    fuzz corpus that starting from a relaxation changes nothing and that
+    closure node by node, from its live path state (see ``_extend``), and
+    ``visible`` reads rule 1's per-read half off it for a read added to
+    it.  The tests check against the explicit-pairs reference in
+    ``tests/reference_closure.py`` that the order is the one passes in
+    event order reach from program order, and on the acceptance fuzz
+    corpus that starting from a relaxation changes nothing and that
     ``undo`` restores the start.
     """
     mark = None if start is None else start.mark()
@@ -597,13 +605,11 @@ def closure(inst: VscInstance, start: Optional[Closure] = None) -> Optional[Clos
 
 @dataclass(frozen=True)
 class VscResult:
-    """A witness or None, the popped states, and with closure on the
-    closure of the instance, from which closures of larger instances can
-    start."""
+    """A witness or None, and the states processed: none when the closure
+    refuted the instance."""
 
     witness: Optional[tuple[Event, ...]]
     states_processed: int
-    closure: Optional[Closure] = None
 
     @property
     def realizable(self) -> bool:
@@ -772,13 +778,13 @@ def verify_sc(inst: VscInstance, options: SolverOptions = SolverOptions(), start
     on, the order of ``inst.events`` guides it.
     ``states_processed`` counts the states that it ran: the empty prefix
     and one per event run, so ``n + 1`` when it never backtracks, within
-    the module docstring's bound.  With closure on, the pre-pass is one
-    call of ``closure(inst, start)``, whose order the result keeps.  A
-    ``start`` that closes a relaxation of ``inst``, as an explorer node's
+    the module docstring's bound, and 0 when the closure refutes ``inst``.
+    With closure on, the pre-pass is one call of ``closure(inst, start)``.
+    A ``start`` that closes a relaxation of ``inst``, as an explorer node's
     closure does for the node's trace plus one read, lets the pre-pass
     extend that closure in place instead of closing ``inst`` from program
-    order.  The result's closure is then ``start``, which stays extended
-    even without a witness; a caller that uses it again undoes to a
+    order.  ``start`` then stays extended whenever the search runs, with or
+    without a witness; a caller that uses it again undoes to a
     ``start.mark()`` taken before the call.
     """
     order = None
@@ -789,7 +795,7 @@ def verify_sc(inst: VscInstance, options: SolverOptions = SolverOptions(), start
     witness, processed = _search(inst, order, options.guided, options.greedy)
     if witness is not None:
         _validate_witness(inst, witness)
-    return VscResult(witness, processed, order)
+    return VscResult(witness, processed)
 
 
 # ---------------------------------------------------------------------------

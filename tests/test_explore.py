@@ -95,19 +95,23 @@ def test_extension_appends_pending_release():
 def test_signal_set_on_conflicting_other_thread_write():
     from rvfmc.program import Event
 
-    signals = {(1, 1): _Signal("x", 1)}
+    signal = _Signal(1)
+    signals = {"x": {(1, 1): signal}}
     update_backtrack_signals([Event(3, 1, "W", "x", 2)], signals)
-    assert signals[(1, 1)].fired
+    assert signal.fired
+    assert signals == {"x": {}}  # a fired signal leaves the index
 
 
 def test_signal_unchanged_on_same_thread_or_disjoint_writes():
     from rvfmc.program import Event
 
-    signals = {(1, 1): _Signal("x", 1)}
+    signal = _Signal(1)
+    signals = {"x": {(1, 1): signal}}
     update_backtrack_signals(
         [Event(1, 2, "W", "x", 2), Event(2, 1, "W", "y", 1)], signals
     )
-    assert not signals[(1, 1)].fired
+    assert not signal.fired
+    assert signals == {"x": {(1, 1): signal}}
 
 
 def test_unanimous_stops_after_first_read():
@@ -451,6 +455,46 @@ def test_node_without_closure_is_an_error(monkeypatch):
     monkeypatch.setattr(sys.modules["rvfmc.explore"], "closure", lambda inst, start=None: None)
     with pytest.raises(RuntimeError, match="no closure"):
         explore(parse_program(lock_counter(2)))
+
+
+def test_fills_read_exactly_what_the_closure_lacks(monkeypatch):
+    """On the corpus under every option, each node fill hands the closure
+    the reads and events it lacks, read off the live path state: its new
+    reads, the last keys of the good-writes map, are the map's reads that
+    the closure does not constrain, because those it does are the map's
+    first keys; and each live chain's suffix past the closure's rows is
+    that thread's events of the node's trace that the rows lack."""
+    explore_module = sys.modules["rvfmc.explore"]
+
+    class Fill(explore_module._Fill):
+        __slots__ = ("trace",)
+
+        def __init__(self, trace, good_writes):
+            super().__init__(trace, good_writes)
+            self.trace = trace
+
+    fills = 0
+    close = explore_module.closure
+
+    def checking(inst, start):
+        nonlocal fills
+        fills += 1
+        entries, goodw = start.entries, inst.good_writes
+        assert list(goodw)[: len(entries)] == list(entries)
+        assert inst.new_reads(entries) == [r for r in goodw if r not in entries]
+        for t, chain in inst.by_thread.items():
+            done = len(start.rows[start.pos[t]])
+            events = [e for e in inst.trace.events if e.thread == t]
+            assert done <= len(events) and chain[done:] == events[done:], t
+        return close(inst, start)
+
+    monkeypatch.setattr(explore_module, "_Fill", Fill)
+    monkeypatch.setattr(explore_module, "closure", checking)
+    for source in PROGRAMS.values():
+        program = parse_program(source)
+        for options in ALL_EXPLORE_OPTIONS:
+            explore(program, options)
+    assert fills > 0
 
 
 def sb_ring(k):

@@ -123,7 +123,7 @@ def test_dive_is_the_search_first_path(monkeypatch):
         for opt in ALL_SOLVER_OPTIONS:
             built = 0
             res = verify_sc(inst, opt)
-            if opt.closure and res.closure is None:
+            if not res.states_processed:  # the closure refuted it: no search ran
                 continue
             straight = res.realizable and res.states_processed == len(inst.events) + 1
             assert straight == (built == 0) and built <= 1, (opt, inst)
@@ -210,10 +210,13 @@ def pairs_and_undo(start: Closure, inst: VscInstance):
 
 def search_and_undo(start: Closure, inst: VscInstance):
     """The witness and states of ``verify_sc(inst, start=start)``, with
-    ``start`` given back exactly by ``undo``, realizable or not."""
+    ``start`` given back exactly by ``undo``, realizable or not.  A search
+    that ran had its pre-pass extend ``start`` in place to cover ``inst``."""
     before, mark = snapshot(start), start.mark()
     res = verify_sc(inst, start=start)
-    assert res.closure is None or res.closure is start
+    if res.states_processed:
+        assert start.entries.keys() >= inst.good_writes.keys(), inst.events
+        assert all(len(start.rows[start.pos[t]]) == len(chain) for t, chain in inst.by_thread.items()), inst.events
     start.undo(mark)
     assert snapshot(start) == before, inst.events
     return res.witness, res.states_processed

@@ -1,0 +1,116 @@
+"""Growth ratchet: how the cost of an explored leaf grows with the trace.
+
+Each shape is explored at n and at 2n.  Per leaf, every unit below is
+taken at 2n and divided by its value at n, and that ratio must stay within
+its bound.  On these shapes the nodes per leaf grow as n, so work per node
+that does not grow with the path makes a unit about double per doubling
+of n, and a per-node pass over the trace makes it about quadruple.
+
+The units:
+
+* ``bytecodes``: Python bytecodes that ``explore`` executes, counted with
+  ``sys.settrace`` and ``f_trace_opcodes`` after one warm-up run, so that
+  the event cache is as warm at both sizes;
+* ``instance_events``: events copied into a ``VscInstance``;
+* ``new_read_entries``: good-writes entries that ``vsc._extend`` reads to
+  find the reads its start lacks.  A ``VscInstance`` scans its whole map;
+  an explorer fill reads only the new keys;
+* ``steps``: calls of the closure's ``vsc._step``.
+
+The bounds are ratios, not counts, because Python versions compile to
+different bytecodes.  Each is the larger of the ratios that Python 3.10
+and 3.11 measured when it was set, rounded up to 0.01.  It is a ratchet:
+a change that lowers a ratio lowers its bound with it, and no bound is
+ever raised.
+"""
+
+import sys
+from functools import lru_cache
+
+import pytest
+
+from rvfmc import explore, parse_program
+
+EXPLORE, VSC = sys.modules["rvfmc.explore"], sys.modules["rvfmc.vsc"]
+N = 20
+
+SHAPES = {
+    "long-n": lambda n: f"thread w {{ repeat {n} {{ write x 1; }} }}\nthread r {{ repeat {n} {{ a = read x; }} }}",
+    "one-writer-n": lambda n: f"thread t1 {{ write x 1; }}\nthread t2 {{ repeat {n} {{ a = read x; }} }}",
+}
+
+BOUNDS = {
+    "long-n": {"bytecodes": 1.98, "instance_events": 2.04, "new_read_entries": 2.05, "steps": 2.05},
+    "one-writer-n": {"bytecodes": 1.94, "instance_events": 1.92, "new_read_entries": 2.05, "steps": 2.05},
+}
+
+
+def count_bytecodes(program) -> int:
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        explore(program)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def count_units(program) -> dict:
+    """Every unit but ``bytecodes`` over one ``explore(program)``."""
+    counts = {"instance_events": 0, "new_read_entries": 0, "steps": 0}
+    instance, extend_closure, step = VSC.VscInstance, VSC._extend, VSC._step
+
+    def building(events, *args, **kwargs):
+        counts["instance_events"] += len(events)
+        return instance(events, *args, **kwargs)
+
+    def extending(base, inst):
+        scanned = inst.good_writes if isinstance(inst, instance) else inst.new_reads(base.entries)
+        counts["new_read_entries"] += len(scanned)
+        return extend_closure(base, inst)
+
+    def stepping(*args):
+        counts["steps"] += 1
+        return step(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EXPLORE, "VscInstance", building)
+        patch.setattr(VSC, "_extend", extending)
+        patch.setattr(VSC, "_step", stepping)
+        explore(program)
+    return counts
+
+
+@lru_cache(maxsize=None)
+def per_leaf(shape: str, n: int) -> dict:
+    program = parse_program(SHAPES[shape](n))
+    leaves = explore(program).leaf_count  # also the warm-up
+    units = {"bytecodes": count_bytecodes(program), **count_units(program)}
+    return {unit: value / leaves for unit, value in units.items()}
+
+
+def growth(shape: str) -> dict:
+    """Per unit, its value per leaf at 2N over its value per leaf at N."""
+    small, large = per_leaf(shape, N), per_leaf(shape, 2 * N)
+    return {unit: large[unit] / small[unit] for unit in small}
+
+
+@pytest.mark.parametrize("shape, unit", [(shape, unit) for shape in SHAPES for unit in BOUNDS[shape]])
+def test_per_leaf_growth_within_bound(shape, unit):
+    ratio = growth(shape)[unit]
+    assert ratio <= BOUNDS[shape][unit], f"{shape} {unit}: {ratio:.3f} per doubling of n"
+
+
+if __name__ == "__main__":  # prints the ratios that the bounds are set from
+    for shape in SHAPES:
+        print(shape, {unit: round(ratio, 4) for unit, ratio in growth(shape).items()})
