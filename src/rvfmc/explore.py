@@ -35,15 +35,20 @@ A node reads without scanning the whole trace:
   releases the path's acquires take, and the closure (below);
 * shared: the value groups.  Each is a ``vsc.GoodWrites``, which also holds
   its members' indices per writing thread, sorted once and then read by
-  every closure that constrains its read.  The groups of a variable are
-  kept until its sources change, so the nodes down a path that see the
-  same writes group them once, and a release's singleton once per run.
+  every closure that constrains its read, and whether the initial write is
+  one of them.  The groups of a variable are kept until its sources
+  change, so the nodes down a path that see the same writes group them
+  once, and a release's singleton once per run.
 
 With closure on, the explorer keeps one ``vsc.Closure``, which on entry
 to a node closes a relaxation of the node's trace.  A node fills it to its
-own trace under its good writes (``vsc.closure``) when its first group
-needs a witness, and undoes the fill when it ends; a fill reads the live
-path state (``_Fill``), so it costs the new events and reads, not the path.
+own trace under its good writes when its first group needs a witness,
+and undoes the fill when it ends.  A fill hands ``vsc.closure`` the live
+path state, the trace's chains and the good-writes map.  The map changes
+in stack order and every extension of the closure is undone before the
+next sibling, so the closure constrains the map's first keys and the
+fill's new reads are its last: a fill costs the new events and reads,
+not the path.
 Rule 1 of the closure is decided there once per read, as the index ranges
 of the read's conflicting writes that stay visible (``vsc.visible``); a
 group with none of its good writes in them is refuted without a solver
@@ -66,7 +71,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .program import Event, EventId, Program, Trace, empty_trace, extend, replay
@@ -85,12 +89,6 @@ class ExploreOptions:
 
     def solver(self) -> SolverOptions:
         return SolverOptions(greedy=self.greedy, closure=self.closure, guided=self.aux_trace)
-
-
-@dataclass
-class _Signal:
-    thread: int
-    fired: bool = False
 
 
 @dataclass
@@ -138,37 +136,17 @@ def extend_nonreads(trace: Trace) -> Trace:
     return trace
 
 
-def update_backtrack_signals(extension: Iterable[Event], signals: dict[str, dict[EventId, _Signal]]) -> None:
-    """Flag every registered read that conflicts with a newly discovered write
-    of another thread.  ``signals`` holds the unflagged signals by variable
-    and read; a flagged one stays flagged, so it leaves the index."""
+def update_backtrack_signals(extension: Iterable[Event], signals: dict[str, dict[EventId, int]]) -> None:
+    """Fire the signal of every registered read that conflicts with a newly
+    discovered write of another thread.  ``signals`` holds, by variable and
+    read, the thread of each signal not yet fired; firing removes it."""
     for w in extension:
         if w.kind != "W":
             continue
         pending = signals.get(w.var)
         if pending:
-            for eid in [eid for eid, sig in pending.items() if sig.thread != w.thread]:
-                pending.pop(eid).fired = True
-
-
-class _Fill:
-    """A node's trace under the path's good writes as ``vsc.closure`` reads an
-    instance, from the trace's live chains and the good-writes map.  The map
-    changes in stack order and solver extensions are undone before the next
-    sibling, so the closure constrains its first keys and the rest are new."""
-
-    __slots__ = ("by_thread", "good_writes", "program")
-
-    def __init__(self, trace: Trace, good_writes: dict[EventId, GoodWrites]):
-        self.by_thread = dict(enumerate(trace.chains, 1))
-        self.good_writes = good_writes
-        self.program = trace.program
-
-    def init_eid(self, var: str) -> EventId:
-        return (0, self.program.ordinal(var))
-
-    def new_reads(self, entries: dict) -> list[EventId]:
-        return list(islice(reversed(self.good_writes), len(self.good_writes) - len(entries)))[::-1]
+            for eid in [eid for eid, t in pending.items() if t != w.thread]:
+                del pending[eid]
 
 
 def viable_sources(trace: Trace, read: Event, cmap: CausalMap) -> list[Event]:
@@ -195,7 +173,7 @@ class _Explorer:
         self.program = program
         self.options = options
         self.mutexes = set(program.mutexes)
-        self.signals: dict[str, dict[EventId, _Signal]] = {}  # the unflagged ones, by variable
+        self.signals: dict[str, dict[EventId, int]] = {}  # per variable and read, an unfired signal's thread
         # the path's state: the good writes of its reads, the causal map, per
         # mutex the releases that its acquires take, and with closure on the closure
         self.goodw: dict[EventId, GoodWrites] = {}
@@ -268,9 +246,9 @@ class _Explorer:
         for read in sorted(enabled, key=lambda e: (e.eid in cmap, e.eid)):
             unmapped = read.eid not in cmap
             consumed = self.consumed.get(read.var)  # None for a plain read
-            signal = None
-            if unmapped and consumed is None:
-                signal = self.signals.setdefault(read.var, {})[read.eid] = _Signal(read.thread)
+            signalled = unmapped and consumed is None
+            if signalled:
+                self.signals.setdefault(read.var, {})[read.eid] = read.thread
 
             groups = self._groups(read, viable_sources(trace, read, cmap))
             # the trace is the same for every group: children undo their steps
@@ -283,12 +261,10 @@ class _Explorer:
                     if ranges is None:
                         if filled is None:  # fill the closure to the node's trace under goodw
                             filled = order.mark()
-                            if closure(_Fill(trace, goodw), order) is None:
+                            if closure(dict(enumerate(trace.chains, 1)), goodw, order) is None:
                                 raise RuntimeError("the trace of an explorer node has no closure")
                         ranges, init_visible = visible(order, read)
-                    if not extremes(ranges, group.indices)[0] and not (
-                        init_visible and self.program.init_event(read.var).eid in group
-                    ):
+                    if not extremes(ranges, group.indices)[0] and not (init_visible and group.init):
                         report.node_refutations += 1
                         continue
                 goodw[read.eid] = group
@@ -317,9 +293,9 @@ class _Explorer:
                     order.undo(mark)  # the solver call's extension of the node's closure
                 del goodw[read.eid]
 
-            if signal is not None:
-                self.signals[read.var].pop(read.eid, None)  # gone already if it fired
-                if self.options.backtrack_signals and not signal.fired:
+            if signalled:
+                fired = self.signals[read.var].pop(read.eid, None) is None  # firing removed it
+                if self.options.backtrack_signals and not fired:
                     break
             bumped.append((read.eid, cmap.get(read.eid)))
             cmap[read.eid] = dict(enumerate((len(universe), *trace.counts)))  # thread 0: the initial writes

@@ -37,16 +37,17 @@ Three independently switchable accelerations:
 * greedy extension -- an executable read is always taken immediately; an
   executable write that is useless to every remaining read may replace an
   equally useless active write without enumerating alternatives;
-* closure -- a fixpoint pre-pass computing the weakest partial order every
-  witness must refine; failure proves the instance unrealizable, success
-  restricts the search to order-respecting extensions.  The order is a
-  ``Closure``, one vector clock per event, so a read costs
-  O(k^2 log W) per step over k threads and W conflicting writes instead of
-  the O(W^2) of explicit pairs, and the search reads each event's
-  predecessors off its clock.  A closure can extend the closure of a
-  relaxation of its instance in place, stepping only the reads that the
-  new events and constraints concern, and its undo log takes the
-  extension back;
+* closure -- a fixpoint pre-pass, ``closure(chains, good_writes, start)``,
+  computing from X (each thread's events) and the good-writes map the
+  weakest partial order every witness must refine; failure proves the
+  instance unrealizable, success restricts the search to order-respecting
+  extensions.  The order is a ``Closure``, one vector clock per event, so
+  a read costs O(k^2 log W) per step over k threads and W conflicting
+  writes instead of the O(W^2) of explicit pairs, and the search reads
+  each event's predecessors off its clock.  A closure can extend the
+  closure of a relaxation of its instance in place, stepping only the
+  reads that the new events and constraints concern, and its undo log
+  takes the extension back;
 * guided search -- the successors of a prefix run in the order of
   ``inst.events`` instead of thread order.  The explorer lists an
   instance's events in the order of the trace it extends, so that trace,
@@ -59,7 +60,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import InitVar, dataclass
 from operator import attrgetter, itemgetter, le
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .program import Event, EventId
 
@@ -164,10 +165,6 @@ class VscInstance:
 
     def init_eid(self, var: str) -> EventId:
         return (0, self.variables.index(var) + 1)
-
-    def new_reads(self, entries: Collection[EventId]) -> list[EventId]:
-        """The reads it constrains that ``entries`` lacks, in good-writes order."""
-        return [r for r in self.good_writes if r not in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -274,35 +271,39 @@ class Closure:
 class GoodWrites(frozenset):
     """A set of good writes that also keeps, per writing thread id, the
     indices of its members in increasing order, which the closure rules
-    bisect.  The explorer builds one per value group, so every closure that
+    bisect, and in ``init`` whether the initial write (thread 0) is one of
+    them.  The explorer builds one per value group, so every closure that
     constrains the group's read shares these lists instead of sorting its
     own, and a checked ``VscInstance`` one per read.  They are never
     changed."""
 
-    __slots__ = ("indices",)
+    __slots__ = ("indices", "init")
 
     def __new__(cls, eids: Collection[EventId]):
         self = super().__new__(cls, eids)
         indices: dict[int, list[int]] = {}
+        init = False
         # ids in trace order, as the explorer gives them, list each thread's
         # indices in increasing order, and sorting an ordered list is one pass
         for t, i in eids:
             if t:
                 indices.setdefault(t, []).append(i)
+            else:
+                init = True
         for g in indices.values():
             g.sort()
-        self.indices = indices
+        self.indices, self.init = indices, init
         return self
 
 
-def _read_entry(r: Event, gw: GoodWrites, init: EventId, pos: dict[int, int]):
+def _read_entry(r: Event, gw: GoodWrites, pos: dict[int, int]):
     """What ``_step`` needs of read ``r``: its id and position, its good
-    writes, whether the initial write ``init`` is one of them, its variable
-    (new writes of which leave the entry as it is), and per writing thread
+    writes, whether the initial write is one of them, its variable (new
+    writes of which leave the entry as it is), and per writing thread
     position the sorted indices of its good writes (see ``GoodWrites``)."""
     good = {pos[t]: g for t, g in gw.indices.items()}
     ru = pos[r.thread]
-    return (r.eid, ru, r.index, itemgetter(ru), gw, init in gw, r.var, good)
+    return (r.eid, ru, r.index, itemgetter(ru), gw, gw.init, r.var, good)
 
 
 def _visible(rows: list, conf: Mapping[int, list[int]], clock: tuple, ru: int, ri: int, after_r, only=None):
@@ -444,17 +445,21 @@ def _step(order: Closure, read, touched: list) -> None:
             order.add(reid, (t, indices[lo]), touched)
 
 
-def _extend(base: Optional[Closure], inst: VscInstance) -> Closure:
-    """The closure of ``inst`` started from ``base``, the closure of a
-    relaxation of it (see ``closure``), extended in place, or from program
-    order.  Raises CycleError when there is none, leaving ``base`` part way.
+def _extend(base: Optional[Closure], chains: Mapping[int, Sequence[Event]], good_writes: dict) -> Closure:
+    """The closure of ``chains`` under ``good_writes`` (see ``closure``)
+    started from ``base``, the closure of a relaxation of them, extended in
+    place, or from program order.  Raises CycleError when there is none,
+    leaving ``base`` part way.
 
-    Of ``inst`` it reads only what ``base`` lacks: each chain of
-    ``inst.by_thread`` past its rows, and ``inst.new_reads(base.entries)``
-    with their good writes, so the explorer's fills pass their live path
-    state instead.  New events get program-order rows and new writes join
-    their variables' write lists.  The worklist starts with the newly
-    constrained reads and each read r of a variable with new writes of which some is not yet
+    It reads only what ``base`` lacks: each chain past its rows, and the
+    reads of ``good_writes`` that ``base`` does not constrain.  Those that
+    ``base`` constrains are keys of the map, so the new reads are the first
+    ``len(good_writes) - len(base.entries)`` unconstrained keys from the
+    map's end, and the walk stops there.  The explorer adds its reads to
+    the map last, so its fills and solver calls walk only their new reads.
+    New events get program-order rows and new writes join their variables'
+    write lists.  The worklist starts with the newly constrained reads and
+    each read r of a variable with new writes of which some is not yet
     ordered after r.  A write ordered after r is never below r, never ends
     one of r's visible ranges and is never a rule-4 target that still lacks
     its edge, and rules 2 and 3 read only good writes and writes below r,
@@ -468,19 +473,24 @@ def _extend(base: Optional[Closure], inst: VscInstance) -> Closure:
     r to a write that no member of Cl(r) follows, which change no row or
     range that r's rules read.
     """
-    good_writes, chains = inst.good_writes, inst.by_thread
     if base is None:
-        base = Closure(inst.threads)
+        base = Closure(chains)
     threads, pos, rows, writes_of, entries, reads_of, log = (
         base.threads, base.pos, base.rows, base.writes_of, base.entries, base.reads_of, base.log
     )
     for t in chains:
         if t not in pos:
             raise VscError(f"thread {t} is outside the order of the start")
-    fresh = inst.new_reads(entries)
+    need, fresh = len(good_writes) - len(entries), []
+    for r in reversed(good_writes):
+        if len(fresh) == need:
+            break
+        if r not in entries:
+            fresh.append(r)
+    fresh.reverse()  # into map order
     grown = [t for t, chain in chains.items() if len(rows[pos[t]]) < len(chain)]
     if not fresh and not grown:
-        return base  # ``inst`` is the start's own instance
+        return base  # the start's own instance
     k = len(threads)
     # per variable with new writes, per thread position its first new
     # write: a read that any new write of the thread is not yet ordered
@@ -507,7 +517,7 @@ def _extend(base: Optional[Closure], inst: VscInstance) -> Closure:
                 queue.append(reid)
     for reid in fresh:
         r = chains[reid[0]][reid[1] - 1]
-        entries[reid] = _read_entry(r, good_writes[reid], inst.init_eid(r.var), pos)
+        entries[reid] = _read_entry(r, good_writes[reid], pos)
         log.append((entries, reid))
         base._append(reads_of, r.var, reid)
         queue.append(reid)
@@ -535,8 +545,13 @@ def _extend(base: Optional[Closure], inst: VscInstance) -> Closure:
     return base
 
 
-def closure(inst: VscInstance, start: Optional[Closure] = None) -> Optional[Closure]:
-    """Weakest order that every witness respects, or None when none can exist.
+def closure(
+    chains: Mapping[int, Sequence[Event]], good_writes: dict, start: Optional[Closure] = None
+) -> Optional[Closure]:
+    """Weakest order that every witness respects, or None when none can
+    exist, of the instance of event set X, each thread's events in index
+    order by thread id (``chains``, as in ``VscInstance.by_thread``), and
+    the map of each constrained read's ``GoodWrites``.
 
     Fixpoint over four per-read conditions on Cl(r), the good writes of r
     still visible under the current order (the initial write participates
@@ -566,32 +581,33 @@ def closure(inst: VscInstance, start: Optional[Closure] = None) -> Optional[Clos
     The fixpoint is a worklist of reads: a read is stepped again only when
     another read's edge rewrote its own clock row or a row of one of its
     variable's writes, the only rows its rules read.  It constrains only the
-    reads that ``inst.good_writes`` names; an unchecked instance may leave a
+    reads that ``good_writes`` names; an unchecked instance may leave a
     read out, which then reads from anything.  Without ``start`` it begins
-    at program order over the threads of ``inst`` with every constrained
+    at program order over the threads of ``chains`` with every constrained
     read on the worklist, in a new order.  With ``start``, the closure of a
-    relaxation of ``inst`` (per-thread prefixes of its events, some of its
-    reads constrained by the same good writes), it extends ``start`` in
-    place, since every rule of the relaxation already holds in it: the new
-    events get program-order rows, and the worklist holds only the newly
+    relaxation of the instance (per-thread prefixes of its chains, some of
+    its reads constrained by the same good writes: every read ``start``
+    constrains is a key of ``good_writes``), it extends ``start`` in place,
+    since every rule of the relaxation already holds in it: the new events
+    get program-order rows, and the worklist holds only the newly
     constrained reads and the reads of variables with new writes that not
     all of those writes already follow.  It returns ``start``, or None with
     ``start`` as it was; a caller that uses the start again undoes to a
     ``start.mark()`` taken before the call.  The order covers the threads
-    of the start, which must include every thread of ``inst``.
+    of the start, which must include every thread of ``chains``.
 
     This is the one way into the fixpoint.  The explorer extends one
-    closure node by node, from its live path state (see ``_extend``), and
-    ``visible`` reads rule 1's per-read half off it for a read added to
-    it.  The tests check against the explicit-pairs reference in
-    ``tests/reference_closure.py`` that the order is the one passes in
-    event order reach from program order, and on the acceptance fuzz
-    corpus that starting from a relaxation changes nothing and that
+    closure node by node from its trace's live chains and its good-writes
+    map (see ``_extend``), and ``visible`` reads rule 1's per-read half off
+    it for a read added to it.  The tests check against the explicit-pairs
+    reference in ``tests/reference_closure.py`` that the order is the one
+    passes in event order reach from program order, and on the acceptance
+    fuzz corpus that starting from a relaxation changes nothing and that
     ``undo`` restores the start.
     """
     mark = None if start is None else start.mark()
     try:
-        return _extend(start, inst)
+        return _extend(start, chains, good_writes)
     except CycleError:
         if start is not None:
             start.undo(mark)
@@ -779,7 +795,8 @@ def verify_sc(inst: VscInstance, options: SolverOptions = SolverOptions(), start
     ``states_processed`` counts the states that it ran: the empty prefix
     and one per event run, so ``n + 1`` when it never backtracks, within
     the module docstring's bound, and 0 when the closure refutes ``inst``.
-    With closure on, the pre-pass is one call of ``closure(inst, start)``.
+    With closure on, the pre-pass is one call of
+    ``closure(inst.by_thread, inst.good_writes, start)``.
     A ``start`` that closes a relaxation of ``inst``, as an explorer node's
     closure does for the node's trace plus one read, lets the pre-pass
     extend that closure in place instead of closing ``inst`` from program
@@ -789,7 +806,7 @@ def verify_sc(inst: VscInstance, options: SolverOptions = SolverOptions(), start
     """
     order = None
     if options.closure:
-        order = closure(inst, start)
+        order = closure(inst.by_thread, inst.good_writes, start)
         if order is None:
             return VscResult(None, 0)
     witness, processed = _search(inst, order, options.guided, options.greedy)

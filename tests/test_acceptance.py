@@ -106,7 +106,7 @@ def test_criterion_3_solver_matches_brute_force(fuzz_corpus):
 def test_criterion_4_closure_properties(fuzz_corpus):
     violations = 0
     for inst, _ in fuzz_corpus:
-        cl = closure(inst)
+        cl = closure(inst.by_thread, inst.good_writes)
         if cl is None:
             if brute_force_vsc(inst) is not None:
                 violations += 1

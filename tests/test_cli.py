@@ -232,6 +232,20 @@ def test_bundled_dead_end_instance_backtracks(capsys, flags):
     assert (rec["realizable"], rec["witness"], rec["witness_states"]) == (True, "1.1 2.1 3.1 2.2 3.2", 7)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [(), ("--no-closure",), ("--no-closure", "--no-greedy", "--no-aux-trace")],
+    ids=["default", "no-closure", "none"],
+)
+def test_bundled_instance_that_skips_a_thread_id(capsys, flags):
+    """``gap_threads.inst`` has threads 1 and 3 only; the closure is built
+    over the chains' own thread ids, and every search finds the one
+    witness in 5 states."""
+    code, rec = run_cli(capsys, "vsc", str(PROGRAMS_DIR / "gap_threads.inst"), *flags)
+    assert code == 0
+    assert (rec["realizable"], rec["witness"], rec["witness_states"]) == (True, "1.1 3.1 3.2 1.2", 5)
+
+
 def test_bundled_instance_unrealizable_without_closure(capsys):
     """Without closure the search itself refutes ``store_buffer.inst``: each
     read holds its variable from the start, so neither write can run."""

@@ -25,7 +25,6 @@ from rvfmc import (
     rvf_key,
 )
 from rvfmc.explore import (
-    _Signal,
     extend_nonreads,
     group_by_value,
     update_backtrack_signals,
@@ -95,23 +94,19 @@ def test_extension_appends_pending_release():
 def test_signal_set_on_conflicting_other_thread_write():
     from rvfmc.program import Event
 
-    signal = _Signal(1)
-    signals = {"x": {(1, 1): signal}}
+    signals = {"x": {(1, 1): 1}}
     update_backtrack_signals([Event(3, 1, "W", "x", 2)], signals)
-    assert signal.fired
-    assert signals == {"x": {}}  # a fired signal leaves the index
+    assert signals == {"x": {}}  # firing takes the signal out of the index
 
 
 def test_signal_unchanged_on_same_thread_or_disjoint_writes():
     from rvfmc.program import Event
 
-    signal = _Signal(1)
-    signals = {"x": {(1, 1): signal}}
+    signals = {"x": {(1, 1): 1}}
     update_backtrack_signals(
         [Event(1, 2, "W", "x", 2), Event(2, 1, "W", "y", 1)], signals
     )
-    assert not signal.fired
-    assert signals == {"x": {(1, 1): signal}}
+    assert signals == {"x": {(1, 1): 1}}  # unfired, so still in the index
 
 
 def test_unanimous_stops_after_first_read():
@@ -420,11 +415,11 @@ def explore_counting_closures(monkeypatch, source: str):
     calls = empty = 0
     extend_closure = vsc._extend
 
-    def counting(base, inst):
+    def counting(base, chains, good_writes):
         nonlocal calls, empty
         calls += 1
         empty += base is None or not any(base.rows)
-        return extend_closure(base, inst)
+        return extend_closure(base, chains, good_writes)
 
     monkeypatch.setattr(vsc, "_extend", counting)
     return explore(parse_program(source)), calls, empty
@@ -452,43 +447,42 @@ def test_node_closures_are_lazy(monkeypatch, source, closures):
 def test_node_without_closure_is_an_error(monkeypatch):
     """A node's trace witnesses its good writes, so its closure exists; a
     node told otherwise stops the run instead of refuting every group."""
-    monkeypatch.setattr(sys.modules["rvfmc.explore"], "closure", lambda inst, start=None: None)
+    monkeypatch.setattr(sys.modules["rvfmc.explore"], "closure", lambda chains, good_writes, start=None: None)
     with pytest.raises(RuntimeError, match="no closure"):
         explore(parse_program(lock_counter(2)))
 
 
 def test_fills_read_exactly_what_the_closure_lacks(monkeypatch):
     """On the corpus under every option, each node fill hands the closure
-    the reads and events it lacks, read off the live path state: its new
-    reads, the last keys of the good-writes map, are the map's reads that
-    the closure does not constrain, because those it does are the map's
-    first keys; and each live chain's suffix past the closure's rows is
+    the reads and events it lacks, read off the live path state: the reads
+    that the closure constrains are the good-writes map's first keys, so
+    its new reads are the map's last keys, the end that ``vsc._extend``
+    walks from; and each live chain's suffix past the closure's rows is
     that thread's events of the node's trace that the rows lack."""
     explore_module = sys.modules["rvfmc.explore"]
+    explorer = explore_module._Explorer
+    node, traces = explorer._node, []  # the traces of the nodes on the stack
 
-    class Fill(explore_module._Fill):
-        __slots__ = ("trace",)
-
-        def __init__(self, trace, good_writes):
-            super().__init__(trace, good_writes)
-            self.trace = trace
+    def tracking(self, trace):
+        traces.append(trace)
+        yield from node(self, trace)
+        traces.pop()
 
     fills = 0
     close = explore_module.closure
 
-    def checking(inst, start):
+    def checking(chains, goodw, start):
         nonlocal fills
         fills += 1
-        entries, goodw = start.entries, inst.good_writes
+        entries = start.entries
         assert list(goodw)[: len(entries)] == list(entries)
-        assert inst.new_reads(entries) == [r for r in goodw if r not in entries]
-        for t, chain in inst.by_thread.items():
+        for t, chain in chains.items():
             done = len(start.rows[start.pos[t]])
-            events = [e for e in inst.trace.events if e.thread == t]
+            events = [e for e in traces[-1].events if e.thread == t]
             assert done <= len(events) and chain[done:] == events[done:], t
-        return close(inst, start)
+        return close(chains, goodw, start)
 
-    monkeypatch.setattr(explore_module, "_Fill", Fill)
+    monkeypatch.setattr(explorer, "_node", tracking)
     monkeypatch.setattr(explore_module, "closure", checking)
     for source in PROGRAMS.values():
         program = parse_program(source)

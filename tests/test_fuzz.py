@@ -88,7 +88,7 @@ def check_instance(inst: VscInstance, lin: list[Event]) -> None:
                     active[e.var] = e.eid
                 else:
                     assert active[e.var] in inst.good_writes[e.eid]
-    cl = closure(inst)
+    cl = closure(inst.by_thread, inst.good_writes)
     if cl is None:
         assert not realizable, "closure absence must imply unrealizability"
     else:
@@ -144,7 +144,7 @@ def assert_same_closure(got, want, inst: VscInstance) -> None:
 
 
 def assert_closure_matches_reference(inst: VscInstance) -> None:
-    assert_same_closure(closure(inst), reference_closure(inst), inst)
+    assert_same_closure(closure(inst.by_thread, inst.good_writes), reference_closure(inst), inst)
 
 
 def test_closure_matches_reference_on_fuzz_corpus():
@@ -175,10 +175,9 @@ def close_cut(inst: VscInstance, counts, kept):
     """The closure, from the empty order over the threads of ``counts``, of
     the cut of ``inst`` that keeps the first ``counts[t]`` events of each
     thread ``t`` and constrains the reads of ``kept``, or None.  The cut
-    keeps the variables of ``inst``, so its initial-write ids are those of
-    ``inst``, and it is unchecked, so ``kept`` may leave a read out."""
-    events = tuple(e for e in inst.events if e.index <= counts[e.thread])
-    return closure(VscInstance(events, kept, inst.variables, check=False), Closure(counts))
+    is unchecked, so ``kept`` may leave a read out."""
+    chains = {t: chain[: counts[t]] for t, chain in inst.by_thread.items()}
+    return closure(chains, kept, Closure(counts))
 
 
 def snapshot(order: Closure):
@@ -193,11 +192,11 @@ def snapshot(order: Closure):
 
 
 def pairs_and_undo(start: Closure, inst: VscInstance):
-    """The pairs of ``closure(inst, start)``, or None, with ``start`` given
+    """The pairs of ``inst``'s closure extended from ``start``, or None, with ``start`` given
     back exactly: by ``closure`` itself when there is no closure, else by
     ``undo`` to a mark taken before the call."""
     before, mark = snapshot(start), start.mark()
-    got = closure(inst, start)
+    got = closure(inst.by_thread, inst.good_writes, start)
     if got is None:
         assert snapshot(start) == before, inst.events
         return None
@@ -238,7 +237,7 @@ def test_closure_from_relaxation_matches_on_fuzz_corpus():
     for _ in range(10000):
         inst = random_instance(rng)
         random_linearization(inst, rng)
-        want = closure(inst)
+        want = closure(inst.by_thread, inst.good_writes)
         want_pairs = want and clock_pairs(want)
         plain = verify_sc(inst)
         plain = plain.witness, plain.states_processed
@@ -254,7 +253,7 @@ def test_closure_from_relaxation_matches_on_fuzz_corpus():
         if first is not None:
             assert search_and_undo(first, inst) == plain, inst.events
             before, mark = snapshot(first), first.mark()
-            second = closure(VscInstance(inst.events, kept, inst.variables, check=False), first)
+            second = closure(inst.by_thread, kept, first)
             assert (second and pairs_and_undo(second, inst)) == want_pairs, inst.events
             first.undo(mark)
             assert snapshot(first) == before, inst.events
@@ -266,7 +265,7 @@ def test_closure_from_relaxation_matches_on_fuzz_corpus():
             cands.add(inst.init_eid(r.var))
             other = frozenset(cands - inst.good_writes[r.eid]) or frozenset(cands)
             variant = VscInstance(inst.events, {**inst.good_writes, r.eid: other})
-            variant_closure = closure(variant)
+            variant_closure = closure(variant.by_thread, variant.good_writes)
             rest = {reid: gw for reid, gw in inst.good_writes.items() if reid != r.eid}
             start = close_cut(inst, full, rest)
             if start is None:
@@ -307,7 +306,7 @@ def test_node_refutation_sound_on_fuzz_corpus():
             checks += 1
             if node_refutes(node, inst, r):
                 refuted += 1
-                assert closure(inst) is None, (inst.events, inst.good_writes)
+                assert closure(inst.by_thread, inst.good_writes) is None, (inst.events, inst.good_writes)
                 assert brute_force_vsc(inst) is None, (inst.events, inst.good_writes)
     assert (checks, refuted) == (6067, 786)
 

@@ -245,12 +245,13 @@ def test_greedy_neither_rule_applies():
 
 
 def test_closure_cyclic_instance_absent():
-    assert closure(inst_cyclic()) is None
+    inst = inst_cyclic()
+    assert closure(inst.by_thread, inst.good_writes) is None
 
 
 def test_closure_orders_singleton_good_write():
     inst = inst_2ev()
-    cl = closure(inst)
+    cl = closure(inst.by_thread, inst.good_writes)
     assert cl is not None
     assert clock_less(cl, (1, 1), (2, 1))
 
@@ -266,7 +267,7 @@ def test_closure_mutex_release_before_acquire():
         (acq1, rel1, acq2, rel2),
         {acq1.eid: frozenset({(0, 1)}), acq2.eid: frozenset({rel1.eid})},
     )
-    cl = closure(inst)
+    cl = closure(inst.by_thread, inst.good_writes)
     assert cl is not None
     assert clock_less(cl, rel1.eid, acq2.eid)
     w = verify_sc(inst).witness
@@ -284,7 +285,7 @@ def test_step_skips_a_thread_whose_writes_all_lie_below_the_read(monkeypatch):
     r3, w3 = Event(3, 1, "R", "x"), Event(3, 2, "W", "x", 7)
     events = (r, w1, w2, r3, w3)
     inst = VscInstance(events, {r.eid: frozenset({w2.eid}), r3.eid: frozenset({w2.eid})})
-    order = closure(VscInstance(events, {r3.eid: inst.good_writes[r3.eid]}, check=False))
+    order = closure(inst.by_thread, {r3.eid: inst.good_writes[r3.eid]})
     order.add(w2.eid, r.eid)
     below = order.writes_of["x"][order.pos[2]]
     assert below == [1, 2] and order.rows[order.pos[1]][0][order.pos[2]] == 2
@@ -296,7 +297,7 @@ def test_step_skips_a_thread_whose_writes_all_lie_below_the_read(monkeypatch):
 
     monkeypatch.setattr(vsc, "bisect_left", recording)
     touched = []
-    vsc._step(order, vsc._read_entry(r, inst.good_writes[r.eid], inst.init_eid("x"), order.pos), touched)
+    vsc._step(order, vsc._read_entry(r, inst.good_writes[r.eid], order.pos), touched)
     assert touched and clock_less(order, r.eid, w3.eid)
     assert not any(a is below for a in bisected)
     assert clock_pairs(order) == reference_closure(inst).pairs
@@ -304,7 +305,7 @@ def test_step_skips_a_thread_whose_writes_all_lie_below_the_read(monkeypatch):
 
 def test_every_witness_refines_closure():
     inst = inst_2ev()
-    cl = closure(inst)
+    cl = closure(inst.by_thread, inst.good_writes)
     for w in iter_vsc_witnesses(inst):
         assert respects(w, cl)
 
