@@ -152,9 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--emit-traces", metavar="PATH", default=None)
     p_explore.set_defaults(fn=_cmd_explore)
 
-    p_census = sub.add_parser("census", help="enumerate all schedules and count equivalence classes")
+    p_census = sub.add_parser("census", help="count all schedules and classes, stepping one per Mazurkiewicz class")
     p_census.add_argument("program")
-    p_census.add_argument("--budget", type=_budget, default=10_000_000, metavar="N")
+    p_census.add_argument("--budget", type=_budget, default=10_000_000, metavar="N", help="cap on steps, lookups included")
     p_census.add_argument("--fail-on-violation", action="store_true")
     p_census.set_defaults(fn=_cmd_census)
 

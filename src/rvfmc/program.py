@@ -14,7 +14,7 @@ Values, literals included, are 64-bit signed integers that wrap around.
 
 The interpreter state is one mutable ``Trace``.  ``extend`` executes an
 enabled event in place and records how to revert it; ``Trace.undo`` reverts
-the last step.  ``replay``, the explorer and the exhaustive oracles all run
+the last step.  ``replay``, the explorer and the census all run
 programs through this one engine, and a finished run is kept as its
 schedule, its events in order, which ``replay`` turns back into a trace.
 
@@ -108,8 +108,8 @@ class Trace:
     ``chains[tid - 1]`` the events of each thread, both in trace order.
     Readers never change them.  They are brought up to date when read,
     from the steps taken and undone since the last read, so ``extend`` and
-    ``undo`` do no work for them and the oracles, which step every
-    schedule and never read them, do not pay for them.
+    ``undo`` do no work for them and the census, which never reads
+    them, does not pay for them.
     """
 
     program: "Program"

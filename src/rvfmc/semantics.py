@@ -1,14 +1,13 @@
 """Class keys of traces.
 
-``KeyBuilder`` keeps the reads-value-from, reads-from and Mazurkiewicz
-class keys of a trace, one ``push`` or ``pop`` per event.  ``rvf_key``
-pushes a whole ``Trace`` into a fresh builder; the explorer keys each
-leaf with it on the live trace, and ``oracle.count_classes`` every
-maximal trace with one builder that it drives beside its search.  Event
-identity across traces is the (thread, index) pair alone; diverging control
-flow always shows up as a differing earlier read value, which the values in
-the rvf key already separate.  The reference that tests compare the keys
-against lives in ``tests/reference_oracle.py``.
+``KeyBuilder`` keeps the reads-value-from and reads-from class keys of a
+trace, one ``push`` or ``pop`` per event.  ``rvf_key`` pushes a whole
+``Trace`` into a fresh builder; the explorer keys each leaf with it, and
+``oracle.count_classes`` the leaves of its walk with one builder driven
+beside it.  Event identity across traces is the (thread, index) pair alone;
+diverging control flow always shows up as a differing earlier read value,
+which the values in the rvf key already separate.  The reference keys live
+in ``tests/reference_oracle.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .program import Trace
 
 
 class KeyBuilder:
-    """The rvf, rf and maz class keys of a trace, kept step by step.
+    """The rvf and rf class keys of a trace, kept step by step.
 
     ``push(event)`` adds the trace's next event, whose value must already
     be in ``values``; ``pop(event)`` removes the last.  Numbering does not
@@ -36,11 +35,9 @@ class KeyBuilder:
       Which events are reads follows from ``flat``.
     - ``rf_key()``: the counts, then per thread each read's code and its
       source's code.
-    - ``maz_key()``: the counts, the rf part and its length, then per
-      global the count and codes of its writes, the initial write first.
     """
 
-    __slots__ = ("_values", "_k", "_threads", "_vars", "_vals", "_masks", "_rf", "_writes")
+    __slots__ = ("_values", "_k", "_threads", "_vars", "_vals", "_masks", "_rf")
 
     def __init__(self, trace: Trace):
         program = trace.program
@@ -52,7 +49,6 @@ class KeyBuilder:
         # per global, from the initial write on: write codes and their masks
         self._vars = {v: ([o * (k + 1)], [0]) for o, v in enumerate(program.globals, 1)}
         self._vals, self._masks, _, self._rf = ([th[i] for th in self._threads[1:]] for i in range(4))
-        self._writes = [codes for codes, _ in self._vars.values()]
         for e in trace.events:
             self.push(e)
 
@@ -89,11 +85,6 @@ class KeyBuilder:
 
     def rf_key(self) -> tuple:
         return (*map(len, self._vals), *chain.from_iterable(self._rf))
-
-    def maz_key(self) -> tuple:
-        rf = (*chain.from_iterable(self._rf),)
-        writes = self._writes
-        return (*map(len, self._vals), len(rf), *rf, *map(len, writes), *chain.from_iterable(writes))
 
 
 def rvf_key(trace: Trace) -> tuple:

@@ -6,11 +6,13 @@ of program order and reads-from edges in ``reference_closure._Order``, and
 restricts it to reads; the tests check ``rvfmc.rvf_key`` against its
 ``encode_rvf_key`` form, and ``read_pairs`` decodes the read order of an
 ``rvfmc.rvf_key`` back into pairs.
-``iter_maximal_traces`` yields every maximal trace as a frozen ``Snapshot``,
-and ``replay_leaves`` turns an exploration report's schedules into the same.
-``census`` keys materialized traces, so it checks the streaming
-``rvfmc.count_classes``.  ``brute_force_vsc`` enumerates every
-linearization, so it checks ``rvfmc.verify_sc``.  ``scan_indexes`` and
+``_maximal`` drives one trace through every schedule, with no reduction,
+and ``iter_maximal_traces`` yields every maximal trace as a frozen
+``Snapshot``; ``replay_leaves`` turns an exploration report's schedules into
+the same.  ``census`` keys materialized traces, so it checks
+``rvfmc.count_classes``, which steps one schedule per Mazurkiewicz class.
+``brute_force_vsc`` enumerates every linearization, so it checks
+``rvfmc.verify_sc``.  ``scan_indexes`` and
 ``scan_viable_sources`` scan every event of a trace, so they check the
 indexes that ``extend`` and ``undo`` keep and the explorer's sources.  All
 of it is slow but direct, which is what a reference should be.
@@ -20,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from rvfmc.oracle import _maximal
-from rvfmc.program import Event, EventId, Program, Trace, empty_trace, replay
+from rvfmc.oracle import BudgetExceeded
+from rvfmc.program import Event, EventId, Program, Trace, empty_trace, extend, replay
 from rvfmc.vsc import VscInstance
 from reference_closure import _Order
 
@@ -47,6 +49,45 @@ def snapshot(trace: Trace) -> Snapshot:
 def replay_leaves(program: Program, report) -> list[Snapshot]:
     """The leaves of an exploration report, each replayed from its schedule."""
     return [snapshot(replay(program, schedule)) for schedule in report.schedules]
+
+
+def _maximal(
+    trace: Trace,
+    budget: int,
+    on_extend: Optional[Callable[[Event], None]] = None,
+    on_undo: Optional[Callable[[Event], None]] = None,
+) -> Iterator[Trace]:
+    """Drive ``trace`` depth-first through every schedule, in enabled order,
+    yielding it each time it is maximal; it ends as it started.
+
+    ``on_extend(event)`` runs after each step and ``on_undo(event)`` after
+    its undo.  Every step spends one unit of ``budget``.
+    """
+    frames = [iter(trace.enabled)]
+    if trace.maximal:
+        yield trace
+    while frames:
+        for e in frames[-1]:
+            budget -= 1
+            if budget < 0:
+                raise BudgetExceeded("schedule budget exhausted")
+            extend(trace, e)
+            if on_extend is not None:
+                on_extend(e)
+            enabled = trace.enabled
+            if enabled:
+                frames.append(iter(enabled))
+                break
+            yield trace
+            trace.undo()
+            if on_undo is not None:
+                on_undo(e)
+        else:
+            frames.pop()
+            if frames:
+                e = trace.undo()
+                if on_undo is not None:
+                    on_undo(e)
 
 
 def iter_maximal_traces(program: Program, budget: int = 10_000_000) -> Iterator[Snapshot]:

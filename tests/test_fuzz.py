@@ -1,4 +1,5 @@
-"""Seeded randomized cross-checks: solver vs brute force, explorer vs oracle.
+"""Seeded randomized cross-checks: solver vs brute force, explorer vs oracle,
+census vs exhaustive enumeration.
 
 These run a few hundred cases for quick feedback; the acceptance module
 repeats the same drivers at full scale.
@@ -6,14 +7,15 @@ repeats the same drivers at full scale.
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvfmc import ExploreOptions, explore, parse_program, rvf_key
+from rvfmc import ExploreOptions, count_classes, explore, parse_program, rvf_key
 from rvfmc import vsc
-from rvfmc.program import Event
+from rvfmc.program import Event, InterpreterError
 from rvfmc.vsc import (
     Closure,
     SolverOptions,
@@ -27,6 +29,7 @@ from rvfmc.vsc import (
 from reference_closure import clock_pairs, reference_closure, respects
 from reference_oracle import (
     brute_force_vsc,
+    census,
     encode_rvf_key,
     enumerate_maximal_traces,
     iter_vsc_witnesses,
@@ -470,3 +473,43 @@ def test_explorer_complete_on_random_mutex_programs():
             assert len(set(rep.rvf_keys)) == len(rep.rvf_keys), src
             counts.add(rep.leaf_count)
         assert len(counts) == 1, src
+
+
+# -- random programs: census vs exhaustive enumeration ------------------------
+
+
+def with_asserts_and_misuse(src: str, rng: random.Random) -> str:
+    """``src`` with an assert on a read local after some threads, and now
+    and then a thread that releases a mutex it does not hold in the
+    schedules where it reads 2 from x."""
+    lines = []
+    for line in src.splitlines():
+        local = re.findall(r"(\w+) = read", line)
+        if local and rng.random() < 0.5:
+            line = f"{line.removesuffix(' }')} assert {rng.choice(local)} != {rng.randint(0, 2)}; }}"
+        lines.append(line)
+    if rng.random() < 0.1:
+        lines.append("thread tz { a = read x; if a == 2 { unlock mz; } }")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("generate, seed", [(random_program, 31), (random_mutex_program, 32)])
+def test_census_matches_exhaustive_enumeration(generate, seed):
+    """The sleep-set census against keying every schedule: schedules, the
+    three class counts, deadlocks, violations, and whether an interpreter
+    error is raised."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        src = with_asserts_and_misuse(generate(rng), rng)
+        p = parse_program(src)
+        try:
+            traces = enumerate_maximal_traces(p)
+        except InterpreterError:
+            with pytest.raises(InterpreterError):
+                count_classes(p)
+            continue
+        cc = count_classes(p)
+        want = {eq: census(traces, eq).count for eq in ("rvf", "rf", "maz")}
+        assert (cc.maximal_traces, cc.classes) == (len(traces), want), src
+        assert cc.deadlocks == sum(t.deadlocked for t in traces), src
+        assert set(cc.assertion_violations) == set().union(*(t.violations for t in traces)), src

@@ -149,6 +149,17 @@ def test_one_equivalence_by_name():
     assert count_classes(p, "maz").classes == count_classes(p, ("maz",)).classes == {"maz": 98}
 
 
+def test_census_steps_one_schedule_per_mazurkiewicz_class():
+    """Many-vars-3 has 61 346 steps in its schedule tree; the sleep-set
+    census takes 8 308 of them, so a budget of 10 000 is enough."""
+    from corpus import many_vars_family
+
+    cc = count_classes(parse_program(many_vars_family(3)), budget=10_000)
+    assert cc.maximal_traces == 18_480
+    assert cc.classes == {"rvf": 1, "rf": 27, "maz": 1_728}
+    assert (cc.assertion_violations, cc.deadlocks) == ([], 0)
+
+
 def test_family_censuses():
     from corpus import one_var_family, many_threads_family
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from rvfmc import count_classes, empty_trace, explore, extend, parse_program, rvf_key
 from rvfmc import oracle
-from rvfmc.oracle import _maximal
 from rvfmc.program import InterpreterError
 from rvfmc.semantics import KeyBuilder
 from rvfmc.vsc import Closure, CycleError
@@ -19,6 +18,7 @@ from corpus import MISUSE, PROGRAMS
 from reference_closure import _Cycle, _Order, clock_less, clock_pairs
 from test_golden import key_partition
 from reference_oracle import (
+    _maximal,
     causal_order,
     census,
     encode_rvf_key,
@@ -311,7 +311,8 @@ def _compact(key) -> bool:
 
 def test_explorer_and_census_keys_are_integers_only(monkeypatch):
     """Every leaf key of the explorer and every key the census counts is a
-    tag and two flat tuples of ints: no pair tuples."""
+    tag and two flat tuples of ints: no pair tuples.  The census keys one
+    schedule per Mazurkiewicz class."""
     counted = []
 
     class RecordingKeys(KeyBuilder):
@@ -324,8 +325,8 @@ def test_explorer_and_census_keys_are_integers_only(monkeypatch):
         p = parse_program(PROGRAMS[name])
         assert all(_compact(k) for k in explore(p).rvf_keys), name
         counted.clear()
-        cc = count_classes(p, ("rvf",))
-        assert len(counted) == cc.maximal_traces and all(_compact(k) for k in counted), name
+        cc = count_classes(p, ("rvf", "maz"))
+        assert len(counted) == cc.classes["maz"] and all(_compact(k) for k in counted), name
 
 
 @pytest.mark.parametrize("name", KEYED_SOURCES)
@@ -356,22 +357,24 @@ def test_key_builder_follows_extend_and_undo(name):
 
 @pytest.mark.parametrize("name", KEYED_SOURCES)
 def test_key_builder_partitions_match_references(name):
-    """Driven through every schedule as the census drives it, the builder's
-    rf and maz keys split the maximal traces as the reference keys do, and
-    its rvf key is the from-scratch key (of a misuse program, up to its
-    interpreter error)."""
-    trace = empty_trace(parse_program(KEYED_SOURCES[name]))
+    """Driven through every schedule, the builder's rf key splits the
+    maximal traces as the reference key does, its rvf key is the
+    from-scratch key, and the census counts the reference's maz classes
+    (of a misuse program, up to its interpreter error)."""
+    p = parse_program(KEYED_SOURCES[name])
+    trace = empty_trace(p)
     keys = KeyBuilder(trace)
-    got: dict[str, list] = {"rf": [], "maz": []}
-    want: dict[str, list] = {"rf": [], "maz": []}
+    got, want, maz = [], [], set()
     try:
         for trace in _maximal(trace, 10_000_000, keys.push, keys.pop):
             assert keys.rvf_key() == rvf_key(trace)
-            got["rf"].append(keys.rf_key())
-            got["maz"].append(keys.maz_key())
-            want["rf"].append(rf_key(trace))
-            want["maz"].append(maz_key(trace))
+            got.append(keys.rf_key())
+            want.append(rf_key(trace))
+            maz.add(maz_key(trace))
     except InterpreterError:
         assert name.startswith("misuse-")
-    for eq in ("rf", "maz"):
-        assert key_partition(got[eq]) == key_partition(want[eq]), eq
+        with pytest.raises(InterpreterError):
+            count_classes(p, "maz")
+    else:
+        assert count_classes(p, "maz").classes["maz"] == len(maz)
+    assert key_partition(got) == key_partition(want)
