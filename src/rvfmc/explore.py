@@ -280,7 +280,7 @@ class _Explorer:
                     result = verify_sc(inst, self.solver_options, start=order)
                     report.vsc_calls += 1
                     report.witness_states += result.states_processed
-                    child = None if result.witness is None else replay(self.program, result.witness)
+                    child = None if result.witness is None else replay(self.program, result.witness, like=trace)
                 if child is not None:
                     if consumed is not None:
                         consumed |= group

@@ -34,9 +34,9 @@ class ClassCount:
 
 
 def _state(trace: Trace) -> tuple:
-    """Per thread its pc, event count and locals; the memory; the holders."""
-    threads = [(pc, n, *env.items()) for pc, env, n, _, _ in trace._threads]
-    return (*threads, *trace._memory.values(), *trace._holders.values())
+    """Per thread the key of its interned state (pc, event count and
+    locals), stored when the state was made; the memory; the holders."""
+    return (*[st.key for st in trace._threads], *trace._memory.values(), *trace._holders.values())
 
 
 def count_classes(

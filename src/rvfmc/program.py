@@ -18,6 +18,16 @@ the last step.  ``replay``, the explorer and the census all run
 programs through this one engine, and a finished run is kept as its
 schedule, its events in order, which ``replay`` turns back into a trace.
 
+A thread's local state (pc, events executed, locals) is interned: a run
+keeps one ``_State`` per thread and distinct state, holding its pending
+event and a successor table from the value the event reads or writes to
+the next state and the asserts the local code in between fails.  So the
+local code between two accesses runs once per state and value in a run,
+however often the run steps through it.  A run is one ``empty_trace``
+and the traces made ``like`` it (``replay`` takes one); the tables go
+when its last trace does, so the explorer's and the census's calls keep
+none after they return.
+
 Grammar::
 
     program   := thread+
@@ -116,13 +126,16 @@ class Trace:
     events: list[Event]
     values: dict[EventId, int]
     violations: list[str]  # failed assert ids, each once, in order of failure
-    # per thread: (pc, locals, events executed, pending event or None,
-    # the mutex that event acquires or None)
-    _threads: list[tuple] = field(repr=False)
+    # per thread its interned local state, compared by key
+    _threads: list["_State"] = field(repr=False)
     _memory: dict[str, int] = field(repr=False)
     _holders: dict[str, Optional[int]] = field(repr=False)
     _writes: dict[str, list[Event]] = field(repr=False, compare=False)
     _chains: list[list[Event]] = field(repr=False, compare=False)
+    # the run's state tables: per thread its interned states by key, and
+    # its first state with the asserts that the code before it fails
+    _tables: list[dict] = field(repr=False, compare=False)
+    _start: list[tuple] = field(repr=False, compare=False)
     _undo: list[tuple] = field(default_factory=list, repr=False, compare=False)
     # the undo records of the steps that the indexes hold
     _indexed: list[tuple] = field(default_factory=list, repr=False, compare=False)
@@ -165,8 +178,8 @@ class Trace:
         holders = self._holders
         out = []
         for st in self._threads:
-            e = st[3]
-            if e is not None and (st[4] is None or holders[st[4]] is None):
+            e = st.event
+            if e is not None and (st.mutex is None or holders[st.mutex] is None):
                 out.append(e)
         return tuple(out)
 
@@ -177,14 +190,14 @@ class Trace:
     @property
     def deadlocked(self) -> bool:
         for st in self._threads:
-            if st[3] is not None:
+            if st.event is not None:
                 return not self.enabled
         return False
 
     @property
     def counts(self) -> tuple[int, ...]:
         """Number of events each thread has executed, by thread id."""
-        return tuple([st[2] for st in self._threads])
+        return tuple([st.acc for st in self._threads])
 
     def undo(self) -> Event:
         """Revert the last ``extend`` and return its event."""
@@ -619,26 +632,75 @@ def _advance(thread: Thread, pc: int, env: dict[str, int], violations: list[str]
 
 
 # Events are immutable values, so equal ones can be shared: the same pending
-# event recurs at every node of a search tree that reaches that thread state,
-# and looking it up is several times cheaper than constructing a frozen
-# dataclass.
+# event recurs in many thread states, and looking it up is several times
+# cheaper than constructing a frozen dataclass.
 _event = lru_cache(maxsize=1 << 12)(Event)
 
 
-def _thread_state(thread: Thread, pc: int, env: dict[str, int], acc: int) -> tuple:
-    """A thread's state stopped at ``pc`` after ``acc`` events, with the
-    event it would execute next and the mutex that event acquires."""
-    if pc >= len(thread.ops):
-        return (pc, env, acc, None, None)
-    op = thread.ops[pc]
-    tag = op[0]
-    if tag == "write":
-        event = _event(thread.tid, acc + 1, "W", op[1], _eval(op[2], env))
-    elif tag == "unlock":  # a release writes 0
-        event = _event(thread.tid, acc + 1, "W", op[1], 0)
-    else:  # reads and lock acquires read
-        event = _event(thread.tid, acc + 1, "R", op[1], None)
-    return (pc, env, acc, event, op[1] if tag == "lock" else None)
+class _State:
+    """One thread's local state, interned in its run's table by its key:
+    pc, events executed and locals.  It holds the event the thread would
+    execute next (None at its end), the mutex that event acquires, and the
+    successor table ``succ``: from the value the event reads or writes to
+    the next state and the assert ids the local code in between fails.
+    Equality and hashing read the key alone, so states of two runs compare
+    as their contents do."""
+
+    __slots__ = ("pc", "acc", "key", "tag", "event", "mutex", "succ")
+
+    def __init__(self, thread: Thread, pc: int, acc: int, key: tuple, env: dict[str, int]):
+        self.pc, self.acc, self.key, self.succ = pc, acc, key, {}
+        self.tag = self.event = self.mutex = None
+        if pc < len(thread.ops):
+            op = thread.ops[pc]
+            self.tag = tag = op[0]
+            if tag == "write":
+                self.event = _event(thread.tid, acc + 1, "W", op[1], _eval(op[2], env))
+            elif tag == "unlock":  # a release writes 0
+                self.event = _event(thread.tid, acc + 1, "W", op[1], 0)
+            else:  # reads and lock acquires read
+                self.event = _event(thread.tid, acc + 1, "R", op[1], None)
+                if tag == "lock":
+                    self.mutex = op[1]
+
+    @property
+    def locals(self) -> dict[str, int]:
+        """A fresh copy of the thread's locals in this state."""
+        return dict(self.key[2:])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _State) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __repr__(self) -> str:
+        return f"<state {self.key} {self.event!r}>"
+
+
+def _run(thread: Thread, states: dict, pc: int, env: dict[str, int], acc: int) -> tuple:
+    """Run ``thread``'s local code from ``pc`` with locals ``env`` after
+    ``acc`` events up to its next access.  Returns the state it stops in,
+    interned in ``states``, and the assert ids it fails."""
+    failed: list[str] = []
+    pc = _advance(thread, pc, env, failed)
+    key = (pc, acc, *env.items())
+    state = states.get(key)
+    if state is None:
+        state = states[key] = _State(thread, pc, acc, key, env)
+    return state, tuple(dict.fromkeys(failed))
+
+
+def _successor(trace: Trace, tid: int, state: _State, value: int) -> tuple:
+    """The entry of ``state.succ`` for ``value``, the value its event read
+    or wrote, made by running thread ``tid``'s local code after the event."""
+    thread = trace.program.threads[tid - 1]
+    env = state.locals
+    if state.tag == "read":
+        env[thread.ops[state.pc][2]] = value
+    entry = _run(thread, trace._tables[tid - 1], state.pc + 1, env, state.acc + 1)
+    state.succ[value] = entry
+    return entry
 
 
 def _drop_repeats(violations: list[str], start: int) -> None:
@@ -647,36 +709,44 @@ def _drop_repeats(violations: list[str], start: int) -> None:
     violations[start:] = [aid for aid in dict.fromkeys(violations[start:]) if aid not in seen]
 
 
-def empty_trace(program: Program) -> Trace:
-    """The initial trace: no events, every global at 0, frontier at each thread's first access."""
+def empty_trace(program: Program, like: Optional[Trace] = None) -> Trace:
+    """The initial trace: no events, every global at 0, frontier at each
+    thread's first access.  It starts a run with state tables of its own,
+    or with ``like``, a trace of ``program``, joins that trace's run."""
+    if like is None:
+        tables: list[dict] = [{} for _ in program.threads]
+        start = [_run(thread, table, 0, {}, 0) for thread, table in zip(program.threads, tables)]
+    else:
+        if like.program is not program:
+            raise ValueError("like is a trace of another program")
+        tables, start = like._tables, like._start
     violations: list[str] = []
     threads = []
-    for thread in program.threads:
-        env: dict[str, int] = {}
-        pc = _advance(thread, 0, env, violations)
-        threads.append(_thread_state(thread, pc, env, 0))
+    for state, failed in start:
+        threads.append(state)
+        violations += failed
     _drop_repeats(violations, 0)
     memory = {v: 0 for v in program.globals}
     holders: dict[str, Optional[int]] = {m: None for m in program.mutexes}
     writes: dict[str, list[Event]] = {v: [] for v in program.globals}
     chains: list[list[Event]] = [[] for _ in program.threads]
-    return Trace(program, [], {}, violations, threads, memory, holders, writes, chains)
+    return Trace(program, [], {}, violations, threads, memory, holders, writes, chains, tables, start)
 
 
 def extend(trace: Trace, event: Event) -> Trace:
     """Execute one enabled event in place, advance its thread to its next
-    access, and return the same trace; ``trace.undo()`` reverts the step."""
+    access, and return the same trace; ``trace.undo()`` reverts the step.
+    The next state comes from the state's successor table, and the local
+    code runs only when the table lacks the value."""
     tid = event.thread
     threads = trace._threads
     if not 0 < tid <= len(threads):
         raise ValueError(f"event {event!r} is not enabled: no such thread")
     state = threads[tid - 1]
-    pc, env, acc, pending, _ = state
+    pending = state.event
     if pending is not event and pending != event:
         raise ValueError(f"event {event!r} is not enabled")
-    thread = trace.program.threads[tid - 1]
-    op = thread.ops[pc]
-    tag = op[0]
+    tag = state.tag
     var = event.var
     memory = trace._memory
     holders = trace._holders
@@ -696,21 +766,21 @@ def extend(trace: Trace, event: Event) -> Trace:
     else:  # unlock; a mutex's memory stays 0 throughout
         if holders[var] != tid:
             raise InterpreterError(
-                f"thread {thread.name} releases mutex {var!r} it does not hold"
+                f"thread {trace.program.threads[tid - 1].name} releases mutex {var!r} it does not hold"
             )
         table, old = holders, tid
         holders[var] = None
         value = 0
 
-    env = dict(env)  # the state being left keeps its locals for undo
-    if tag == "read":
-        env[op[2]] = value
+    entry = state.succ.get(value)
+    if entry is None:
+        entry = _successor(trace, tid, state, value)
+    threads[tid - 1], failed = entry
     violations = trace.violations
     nviol = len(violations)
-    npc = _advance(thread, pc + 1, env, violations)
-    if len(violations) > nviol:
+    if failed:
+        violations += failed
         _drop_repeats(violations, nviol)
-    threads[tid - 1] = _thread_state(thread, npc, env, acc + 1)
     eid = event.eid
     trace.events.append(event)
     trace.values[eid] = value
@@ -718,9 +788,10 @@ def extend(trace: Trace, event: Event) -> Trace:
     return trace
 
 
-def replay(program: Program, events: Iterable[Event]) -> Trace:
-    """Re-execute a sequence of events from the empty trace, validating each step."""
-    t = empty_trace(program)
+def replay(program: Program, events: Iterable[Event], like: Optional[Trace] = None) -> Trace:
+    """Re-execute a sequence of events from the empty trace, validating
+    each step; with ``like``, in that trace's run (see ``empty_trace``)."""
+    t = empty_trace(program, like)
     for e in events:
         extend(t, e)
     return t

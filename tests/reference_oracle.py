@@ -16,10 +16,15 @@ the same.  ``census`` keys materialized traces, so it checks
 ``scan_viable_sources`` scan every event of a trace, so they check the
 indexes that ``extend`` and ``undo`` keep and the explorer's sources.  All
 of it is slow but direct, which is what a reference should be.
+``recorded_runs`` keeps the first trace of each run that the explorer and
+the census start, so that tests can read a run's state tables after the
+call, and ``interned_states`` counts the states in them.
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Optional
@@ -103,6 +108,42 @@ def enumerate_maximal_traces(program: Program, budget: int = 10_000_000) -> list
 # ---------------------------------------------------------------------------
 # Trace indexes and viable sources by scanning every event
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def recorded_runs() -> Iterator[list[Trace]]:
+    """Within the block, collect the first trace of every run that
+    ``explore`` and ``count_classes`` start."""
+    runs: list[Trace] = []
+
+    def recording(program: Program, like: Optional[Trace] = None) -> Trace:
+        trace = empty_trace(program, like)
+        if like is None:
+            runs.append(trace)
+        return trace
+
+    modules = [sys.modules["rvfmc.explore"], sys.modules["rvfmc.oracle"]]
+    for module in modules:
+        module.empty_trace = recording
+    try:
+        yield runs
+    finally:
+        for module in modules:
+            module.empty_trace = empty_trace
+
+
+def interned_states(trace: Trace) -> int:
+    """Distinct state objects that the first states of ``trace``'s run
+    reach through the successor tables."""
+    seen = set()
+    for start, _ in trace._start:
+        todo = [start]
+        while todo:
+            state = todo.pop()
+            if id(state) not in seen:
+                seen.add(id(state))
+                todo.extend(succ for succ, _ in state.succ.values())
+    return len(seen)
 
 
 def scan_indexes(trace) -> tuple[dict[str, list[Event]], list[list[Event]]]:

@@ -451,21 +451,44 @@ def mutex_behavior_set(execs):
     return out
 
 
-def test_explorer_complete_on_random_mutex_programs():
-    """Critical sections, nested locks, and deadlocks against the oracle."""
-    rng = random.Random(777)
+def random_deadlock_program(rng: random.Random) -> str:
+    """Two threads that each nest mutexes m and n, in an order of their own,
+    around accesses, and at times a third thread of one access: when the
+    two take the mutexes in opposite orders, some schedules deadlock."""
+    vars_ = ["x", "y"][: rng.randint(1, 2)]
+
+    def access(i: int) -> str:
+        if rng.random() < 0.5:
+            return f"write {rng.choice(vars_)} {rng.randint(1, 2)};"
+        return f"c{i} = read {rng.choice(vars_)};"
+
+    lines = []
+    for t in (1, 2):
+        outer, inner = rng.sample(["m", "n"], 2)
+        lines.append(f"thread t{t} {{ lock {outer}; {access(1)} lock {inner}; {access(2)} unlock {inner}; unlock {outer}; }}")
+    if rng.random() < 0.5:
+        lines.append(f"thread t3 {{ {access(0)} }}")
+    return "\n".join(lines)
+
+
+def check_explorer_on(generate, seed: int, programs: int) -> int:
+    """Explore ``programs`` generated programs under four option settings
+    against the oracle; returns how many of them can deadlock."""
+    rng = random.Random(seed)
     combos = [
         ExploreOptions(),
         ExploreOptions(backtrack_signals=False),
         ExploreOptions(closure=False, greedy=False, aux_trace=False),
         ExploreOptions(False, False, False, False),
     ]
-    for _ in range(80):
-        src = random_mutex_program(rng)
+    deadlocking = 0
+    for _ in range(programs):
+        src = generate(rng)
         p = parse_program(src)
         oracle = enumerate_maximal_traces(p)
         assert all(rvf_key(ex) == encode_rvf_key(reference_rvf_key(ex)) for ex in oracle), src
         want = mutex_behavior_set(oracle)
+        deadlocking += any(ex.deadlocked for ex in oracle)
         counts = set()
         for opt in combos:
             rep = explore(p, opt)
@@ -473,6 +496,17 @@ def test_explorer_complete_on_random_mutex_programs():
             assert len(set(rep.rvf_keys)) == len(rep.rvf_keys), src
             counts.add(rep.leaf_count)
         assert len(counts) == 1, src
+    return deadlocking
+
+
+def test_explorer_complete_on_random_mutex_programs():
+    """Critical sections, nested locks, and deadlocks against the oracle."""
+    check_explorer_on(random_mutex_program, 777, 80)
+
+
+def test_explorer_complete_on_random_deadlock_programs():
+    """Locks nested in opposite orders: at least 30 of 100 programs deadlock."""
+    assert check_explorer_on(random_deadlock_program, 778, 100) >= 30
 
 
 # -- random programs: census vs exhaustive enumeration ------------------------
@@ -493,12 +527,19 @@ def with_asserts_and_misuse(src: str, rng: random.Random) -> str:
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("generate, seed", [(random_program, 31), (random_mutex_program, 32)])
+# programs out of 100 that must deadlock, for the generators made to deadlock
+MIN_DEADLOCKING = {random_deadlock_program: 30}
+
+
+@pytest.mark.parametrize(
+    "generate, seed", [(random_program, 31), (random_mutex_program, 32), (random_deadlock_program, 33)]
+)
 def test_census_matches_exhaustive_enumeration(generate, seed):
     """The sleep-set census against keying every schedule: schedules, the
     three class counts, deadlocks, violations, and whether an interpreter
     error is raised."""
     rng = random.Random(seed)
+    deadlocking = 0
     for _ in range(100):
         src = with_asserts_and_misuse(generate(rng), rng)
         p = parse_program(src)
@@ -513,3 +554,5 @@ def test_census_matches_exhaustive_enumeration(generate, seed):
         assert (cc.maximal_traces, cc.classes) == (len(traces), want), src
         assert cc.deadlocks == sum(t.deadlocked for t in traces), src
         assert set(cc.assertion_violations) == set().union(*(t.violations for t in traces)), src
+        deadlocking += cc.deadlocks > 0
+    assert deadlocking >= MIN_DEADLOCKING.get(generate, 0)

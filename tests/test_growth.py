@@ -22,6 +22,13 @@ different bytecodes.  Each is the larger of the ratios that Python 3.10
 and 3.11 measured when it was set, rounded up to 0.01.  It is a ratchet:
 a change that lowers a ratio lowers its bound with it, and no bound is
 ever raised.
+
+The interpreter interns thread states by pc, events executed and locals
+in a table per run, so one explore of each shape makes a state per event
+a thread has executed and value its last read saw: about 3n on long-n and
+2n on one-writer-n.  Those counts are pinned exactly, with one census pin,
+so that a table that keeps a state per path (n squared on one-writer-n)
+fails them.
 """
 
 import sys
@@ -29,7 +36,9 @@ from functools import lru_cache
 
 import pytest
 
-from rvfmc import explore, parse_program
+from rvfmc import count_classes, explore, parse_program
+from corpus import many_threads_family
+from reference_oracle import interned_states, recorded_runs
 
 EXPLORE, VSC = sys.modules["rvfmc.explore"], sys.modules["rvfmc.vsc"]
 N = 20
@@ -108,6 +117,26 @@ def growth(shape: str) -> dict:
 def test_per_leaf_growth_within_bound(shape, unit):
     ratio = growth(shape)[unit]
     assert ratio <= BOUNDS[shape][unit], f"{shape} {unit}: {ratio:.3f} per doubling of n"
+
+
+# interned states after one explore, by shape and n
+STATE_PINS = {("long-n", 20): 62, ("long-n", 40): 122, ("one-writer-n", 20): 43, ("one-writer-n", 40): 83}
+
+
+@pytest.mark.parametrize("shape, n", sorted(STATE_PINS))
+def test_interned_states_after_explore(shape, n):
+    with recorded_runs() as runs:
+        explore(parse_program(SHAPES[shape](n)))
+    (run,) = runs
+    assert interned_states(run) == STATE_PINS[shape, n]
+
+
+def test_interned_states_after_census():
+    """Many-threads-5: three states a thread, whatever the schedule."""
+    with recorded_runs() as runs:
+        count_classes(parse_program(many_threads_family(5)))
+    (run,) = runs
+    assert interned_states(run) == 15
 
 
 if __name__ == "__main__":  # prints the ratios that the bounds are set from

@@ -1,22 +1,28 @@
 """Parser and interpreter behavior."""
 
+import itertools
 import random
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvfmc import (
+    ExploreOptions,
     ParseError,
+    count_classes,
     empty_trace,
     explore,
     extend,
     parse_program,
     replay,
 )
-from rvfmc.program import InterpreterError
+from rvfmc.program import Event, InterpreterError, _advance, _eval
 from corpus import MISUSE, NESTED_REPEATS, UNANIMOUS, PROGRAMS, deep_program
-from reference_oracle import enumerate_maximal_traces, scan_indexes
+from reference_oracle import enumerate_maximal_traces, recorded_runs, scan_indexes
 
 
 def access_count(program) -> int:
@@ -354,3 +360,120 @@ def test_indexes_catch_up_after_many_steps():
                 elif t.enabled:
                     extend(t, rng.choice(t.enabled))
             assert (t.writes, t.chains) == scan_indexes(t)
+
+
+# -- interned thread states ----------------------------------------------------------
+
+PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
+AUDITED = {**PROGRAMS, **{path.name: path.read_text() for path in sorted(PROGRAMS_DIR.glob("*.prog"))}}
+ALL_EXPLORE_OPTIONS = [ExploreOptions(*bits) for bits in itertools.product([True, False], repeat=4)]
+
+
+def census_and_explores(program) -> tuple:
+    """The census and, under every option setting, explore's schedules,
+    rvf keys, violations and deadlocks."""
+    reports = [explore(program, options) for options in ALL_EXPLORE_OPTIONS]
+    return count_classes(program), [(r.schedules, r.rvf_keys, r.violations, r.deadlocks) for r in reports]
+
+
+def fresh_state(thread, pc: int, acc: int, env: dict) -> tuple:
+    """The key, pending event and acquired mutex of a thread state, built
+    from scratch."""
+    key = (pc, acc, *env.items())
+    if pc >= len(thread.ops):
+        return key, None, None
+    op = thread.ops[pc]
+    if op[0] == "write":
+        return key, Event(thread.tid, acc + 1, "W", op[1], _eval(op[2], env)), None
+    if op[0] == "unlock":
+        return key, Event(thread.tid, acc + 1, "W", op[1], 0), None
+    return key, Event(thread.tid, acc + 1, "R", op[1]), op[1] if op[0] == "lock" else None
+
+
+def audit_tables(run) -> dict:
+    """Check every thread's start and every stored successor in the state
+    tables of ``run``'s run against a recomputation from the state's pc and
+    a copy of its locals, and that each successor is the state its table
+    holds for that key.  Returns the locals of every stored state by thread
+    id and key."""
+    stored = {}
+    for thread, table, (start, failed) in zip(run.program.threads, run._tables, run._start):
+        env, want = {}, []
+        pc = _advance(thread, 0, env, want)
+        assert (start.key, start.event, start.mutex) == fresh_state(thread, pc, 0, env)
+        assert failed == tuple(dict.fromkeys(want))
+        assert table[start.key] is start
+        for key, state in table.items():
+            assert state.key == key
+            stored[thread.tid, key] = state.locals
+            for value, (succ, failed) in state.succ.items():
+                env, want = state.locals, []
+                op = thread.ops[state.pc]
+                if op[0] == "read":
+                    env[op[2]] = value
+                pc = _advance(thread, state.pc + 1, env, want)
+                assert (succ.key, succ.event, succ.mutex) == fresh_state(thread, pc, state.acc + 1, env)
+                assert failed == tuple(dict.fromkeys(want))
+                assert table[succ.key] is succ
+    return stored
+
+
+def test_state_tables_match_a_recomputation_and_runs_share_none():
+    """A census and explores under all 16 option settings each start one
+    run, whose tables match a recomputation without them.  A second round
+    of runs on the same ``Program`` leaves the first round's tables as they
+    were, and it and a round on a fresh parse give the first round's
+    answers."""
+    for name, source in AUDITED.items():
+        program = parse_program(source)
+        with recorded_runs() as runs:
+            first = census_and_explores(program)
+        assert len(runs) == 1 + len(ALL_EXPLORE_OPTIONS), name
+        stored = [audit_tables(run) for run in runs]
+        assert all(stored), name
+        again = census_and_explores(program)
+        assert [audit_tables(run) for run in runs] == stored, name
+        assert again == first == census_and_explores(parse_program(source)), name
+
+
+def test_one_program_in_threads_at_once():
+    """Four Python threads explore and count one parsed ``Program`` at once,
+    with a short switch interval so that they interleave.  Each gets the
+    answers of a sequential run on a fresh parse."""
+    source = AUDITED["mutex_demo.prog"] + "thread t4 { write c 7; d = read c; if d == 7 { write c 1; } }"
+    alone = parse_program(source)
+    want = (explore(alone).rvf_keys, count_classes(alone))
+    program = parse_program(source)
+    results: dict = {}
+
+    def run(i):
+        try:
+            results[i] = (explore(program).rvf_keys, count_classes(program))
+        except BaseException as exc:
+            results[i] = exc
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert results == dict.fromkeys(range(4), want)
+
+
+def test_a_run_is_joined_only_by_traces_of_its_program():
+    """``like`` shares a run's tables with a new trace of the same program,
+    while a trace without it starts a run of its own."""
+    p, other = parse_program(UNANIMOUS), parse_program(UNANIMOUS)
+    t = empty_trace(p)
+    extend(t, t.enabled[0])
+    joined = replay(p, t.events, like=t)
+    assert joined == t and joined._tables is t._tables
+    assert empty_trace(p)._tables is not t._tables
+    with pytest.raises(ValueError):
+        empty_trace(other, like=t)
