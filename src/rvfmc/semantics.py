@@ -35,6 +35,12 @@ class KeyBuilder:
       Which events are reads follows from ``flat``.
     - ``rf_key()``: the counts, then per thread each read's code and its
       source's code.
+
+    For the signatures of its nodes (see ``oracle.count_classes``), the
+    census also reads ``entry(prev, event)``, the value and source that
+    ``push(event)`` added, and ``writers()``, the code of each global's
+    last write.  The explorer, which keys each leaf with a fresh builder,
+    reads neither.
     """
 
     __slots__ = ("_values", "_k", "_threads", "_vars", "_vals", "_masks", "_rf")
@@ -78,6 +84,19 @@ class KeyBuilder:
             masks.pop()
             low.pop()
             del rf[-2:]
+
+    def entry(self, prev, e) -> tuple:
+        """``e``'s entry after ``push(e)``, with ``prev`` put first:
+        ``(prev, value)`` for a write, ``(prev, value, source's code)`` for
+        a read."""
+        vals, _, _, rf = self._threads[e.thread]
+        if e.kind == "W":
+            return prev, vals[-1]
+        return prev, vals[-1], rf[-1]
+
+    def writers(self) -> list:
+        """The code of each global's last write, by ordinal."""
+        return [codes[-1] for codes, _ in self._vars.values()]
 
     def rvf_key(self) -> tuple:
         vals = self._vals

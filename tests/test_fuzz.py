@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvfmc import ExploreOptions, count_classes, explore, parse_program, rvf_key
-from rvfmc import vsc
+from rvfmc import oracle, vsc
 from rvfmc.program import Event, InterpreterError
+from rvfmc.semantics import KeyBuilder
 from rvfmc.vsc import (
     Closure,
     SolverOptions,
@@ -364,26 +365,28 @@ def test_closure_matches_reference_on_generated_instances(inst):
 # -- random programs: explorer vs oracle ------------------------------------------
 
 
+def random_body(rng: random.Random, vars_: list[str], statements: int) -> str:
+    """``statements`` writes, reads, and reads that guard a write."""
+    body = []
+    for i in range(statements):
+        roll = rng.random()
+        if roll < 0.45:
+            body.append(f"write {rng.choice(vars_)} {rng.randint(1, 2)};")
+        elif roll < 0.8:
+            body.append(f"r{i} = read {rng.choice(vars_)};")
+        else:
+            v = rng.choice(vars_)
+            body.append(
+                f"r{i} = read {v}; "
+                f"if r{i} == {rng.randint(0, 2)} {{ write {rng.choice(vars_)} {rng.randint(1, 3)}; }}"
+            )
+    return " ".join(body)
+
+
 def random_program(rng: random.Random) -> str:
     k = rng.randint(2, 3)
     vars_ = ["x", "y"][: rng.randint(1, 2)]
-    lines = []
-    for t in range(1, k + 1):
-        body = []
-        for i in range(rng.randint(1, 3)):
-            roll = rng.random()
-            if roll < 0.45:
-                body.append(f"write {rng.choice(vars_)} {rng.randint(1, 2)};")
-            elif roll < 0.8:
-                body.append(f"r{i} = read {rng.choice(vars_)};")
-            else:
-                v = rng.choice(vars_)
-                body.append(
-                    f"r{i} = read {v}; "
-                    f"if r{i} == {rng.randint(0, 2)} {{ write {rng.choice(vars_)} {rng.randint(1, 3)}; }}"
-                )
-        lines.append(f"thread t{t} {{ {' '.join(body)} }}")
-    return "\n".join(lines)
+    return "\n".join(f"thread t{t} {{ {random_body(rng, vars_, rng.randint(1, 3))} }}" for t in range(1, k + 1))
 
 
 def behavior_set(execs):
@@ -471,6 +474,15 @@ def random_deadlock_program(rng: random.Random) -> str:
     return "\n".join(lines)
 
 
+def random_memo_program(rng: random.Random) -> str:
+    """Three or four threads over one to three variables: many
+    interleavings reach the same thread histories and last writes, so the
+    census finds subtrees it has walked before."""
+    k = rng.randint(3, 4)
+    vars_ = ["x", "y", "z"][: rng.randint(1, 3)]
+    return "\n".join(f"thread t{t} {{ {random_body(rng, vars_, rng.randint(1, 6 - k))} }}" for t in range(1, k + 1))
+
+
 def check_explorer_on(generate, seed: int, programs: int) -> int:
     """Explore ``programs`` generated programs under four option settings
     against the oracle; returns how many of them can deadlock."""
@@ -527,19 +539,32 @@ def with_asserts_and_misuse(src: str, rng: random.Random) -> str:
     return "\n".join(lines)
 
 
-# programs out of 100 that must deadlock, for the generators made to deadlock
+# programs out of 100 that must deadlock, for the generators made to
+# deadlock, and that must reuse a stored subtree, for the one made to
 MIN_DEADLOCKING = {random_deadlock_program: 30}
+MIN_MEMOIZED = {random_memo_program: 20}
 
 
 @pytest.mark.parametrize(
-    "generate, seed", [(random_program, 31), (random_mutex_program, 32), (random_deadlock_program, 33)]
+    "generate, seed",
+    [(random_program, 31), (random_mutex_program, 32), (random_deadlock_program, 33), (random_memo_program, 34)],
 )
-def test_census_matches_exhaustive_enumeration(generate, seed):
+def test_census_matches_exhaustive_enumeration(generate, seed, monkeypatch):
     """The sleep-set census against keying every schedule: schedules, the
     three class counts, deadlocks, violations, and whether an interpreter
-    error is raised."""
+    error is raised.  A census that keys fewer leaves than Mazurkiewicz
+    classes has added a stored subtree's counts instead of walking it."""
+    keyed = 0
+
+    class CountingKeys(KeyBuilder):
+        def rvf_key(self):
+            nonlocal keyed
+            keyed += 1
+            return super().rvf_key()
+
+    monkeypatch.setattr(oracle, "KeyBuilder", CountingKeys)
     rng = random.Random(seed)
-    deadlocking = 0
+    deadlocking = memoized = 0
     for _ in range(100):
         src = with_asserts_and_misuse(generate(rng), rng)
         p = parse_program(src)
@@ -549,10 +574,13 @@ def test_census_matches_exhaustive_enumeration(generate, seed):
             with pytest.raises(InterpreterError):
                 count_classes(p)
             continue
+        keyed = 0
         cc = count_classes(p)
         want = {eq: census(traces, eq).count for eq in ("rvf", "rf", "maz")}
         assert (cc.maximal_traces, cc.classes) == (len(traces), want), src
         assert cc.deadlocks == sum(t.deadlocked for t in traces), src
         assert set(cc.assertion_violations) == set().union(*(t.violations for t in traces)), src
         deadlocking += cc.deadlocks > 0
+        memoized += keyed < cc.classes["maz"]
     assert deadlocking >= MIN_DEADLOCKING.get(generate, 0)
+    assert memoized >= MIN_MEMOIZED.get(generate, 0)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import rvfmc
 from rvfmc import Event, VscInstance, explore, parse_program, replay
 from rvfmc.oracle import BudgetExceeded, count_classes
 from rvfmc.program import InterpreterError
-from corpus import MISUSE, PROGRAMS
+from corpus import MISUSE, PROGRAMS, many_threads_family, one_var_family
 from reference_oracle import brute_force_vsc, census, enumerate_maximal_traces, iter_vsc_witnesses
 
 
@@ -150,19 +151,50 @@ def test_one_equivalence_by_name():
 
 
 def test_census_steps_one_schedule_per_mazurkiewicz_class():
-    """Many-vars-3 has 61 346 steps in its schedule tree; the sleep-set
-    census takes 8 308 of them, so a budget of 10 000 is enough."""
+    """Many-vars-3 has 61 346 steps in its schedule tree.  A sleep-set walk
+    steps one schedule per Mazurkiewicz class, 8 308 steps; the census
+    also adds the counts of subtrees it has walked before instead of
+    walking them again, and takes 3 807, so a budget of 4 000 is enough."""
     from corpus import many_vars_family
 
-    cc = count_classes(parse_program(many_vars_family(3)), budget=10_000)
+    cc = count_classes(parse_program(many_vars_family(3)), budget=4_000)
     assert cc.maximal_traces == 18_480
     assert cc.classes == {"rvf": 1, "rf": 27, "maz": 1_728}
     assert (cc.assertion_violations, cc.deadlocks) == ([], 0)
 
 
-def test_family_censuses():
-    from corpus import one_var_family, many_threads_family
+@pytest.mark.parametrize(
+    "source, budget, schedules, classes",
+    [
+        (one_var_family(3), 5_000, 18_480, {"rvf": 1, "rf": 147, "maz": 18_480}),
+        (many_threads_family(5), 30_000, 113_400, {"rvf": 1, "rf": 1_296, "maz": 14_400}),
+    ],
+    ids=["one-var-3", "many-threads-5"],
+)
+def test_census_reuses_walked_subtrees(source, budget, schedules, classes):
+    """The bench's census counts within a budget that a walk of one schedule
+    per Mazurkiewicz class exceeds (61 346 steps on one-var-3, 163 110 on
+    many-threads-5): the census takes 4 336 and 25 960."""
+    cc = count_classes(parse_program(source), budget=budget)
+    assert (cc.maximal_traces, cc.classes) == (schedules, classes)
+    assert (cc.assertion_violations, cc.deadlocks) == ([], 0)
 
+
+def test_census_memory_peak():
+    """What the census stores, its state table and the counts of walked
+    subtrees, stays small: a many-threads-5 census peaks at 1.4 MiB."""
+    p = parse_program(many_threads_family(5))
+    tracemalloc.start()
+    try:
+        cc = count_classes(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cc.maximal_traces == 113_400
+    assert peak <= 2 * 2**20, peak
+
+
+def test_family_censuses():
     cc = count_classes(parse_program(one_var_family(3)), ("rf", "maz"))
     assert cc.classes["rf"] >= 2**3
     assert cc.classes["maz"] >= 2**3

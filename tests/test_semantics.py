@@ -311,8 +311,10 @@ def _compact(key) -> bool:
 
 def test_explorer_and_census_keys_are_integers_only(monkeypatch):
     """Every leaf key of the explorer and every key the census counts is a
-    tag and two flat tuples of ints: no pair tuples.  The census keys one
-    schedule per Mazurkiewicz class."""
+    tag and two flat tuples of ints: no pair tuples.  The census keys at
+    most one schedule per Mazurkiewicz class, and fewer where it adds a
+    stored subtree's counts instead of walking it: unanimous keys 54
+    leaves for its 98 classes."""
     counted = []
 
     class RecordingKeys(KeyBuilder):
@@ -321,12 +323,20 @@ def test_explorer_and_census_keys_are_integers_only(monkeypatch):
             return counted[-1]
 
     monkeypatch.setattr(oracle, "KeyBuilder", RecordingKeys)
-    for name in ("unanimous", "store_buffer", "mutex_three", "lost_update", "conditional_on_value"):
+    keyed = {
+        "unanimous": (54, 98),
+        "store_buffer": (3, 3),
+        "mutex_three": (6, 6),
+        "lost_update": (12, 12),
+        "conditional_on_value": (3, 3),
+    }
+    for name, (leaves, classes) in keyed.items():
         p = parse_program(PROGRAMS[name])
         assert all(_compact(k) for k in explore(p).rvf_keys), name
         counted.clear()
         cc = count_classes(p, ("rvf", "maz"))
-        assert len(counted) == cc.classes["maz"] and all(_compact(k) for k in counted), name
+        assert (len(counted), cc.classes["maz"]) == (leaves, classes), name
+        assert all(_compact(k) for k in counted), name
 
 
 @pytest.mark.parametrize("name", KEYED_SOURCES)
